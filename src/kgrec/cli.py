@@ -240,7 +240,6 @@ def _train_config(opts: dict):
         lr_end=opts["lr_end"],
         weights=weights,
         seed=opts["seed"],
-        deterministic=opts["deterministic"],
         eval_every=opts["eval_every"],
     )
 

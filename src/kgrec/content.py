@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import InteractionStore, ItemCorpus
-from .numeric import softmax_rows
+from .numeric import read_tensor_file, softmax_rows, write_tensor_file
 from .optim import TrainConfig, adam_step, init_adam, lr_at
 
 log = logging.getLogger(__name__)
@@ -528,42 +528,17 @@ def export_embeddings(
 
 def save_content_checkpoint(params: ContentParams, path) -> None:
     params.validate()
-    header = (
-        f"{CONTENT_MAGIC} {params.num_buckets} {params.h} "
-        f"{params.history_size} {params.num_negatives}\n"
-    )
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        for t in params.tensors().values():
-            fh.write(np.ascontiguousarray(t, dtype="<f8").tobytes())
+    header = (params.num_buckets, params.h, params.history_size, params.num_negatives)
+    write_tensor_file(path, CONTENT_MAGIC, header, params.tensors().values())
+
+
+def _checkpoint_shapes(v_b, h, hist, k):
+    m = h // 2
+    return [(v_b, h), (h, m), (m,), (m, 1), (1,)]
 
 
 def load_content_checkpoint(path) -> ContentParams:
-    path = Path(path)
-    with open(path, "rb") as fh:
-        fields = fh.readline().decode("ascii", errors="replace").split()
-        if len(fields) != 5 or fields[0] != CONTENT_MAGIC:
-            raise ValueError(f"{path}: not a {CONTENT_MAGIC} checkpoint")
-        v_b, h, hist, k = (int(x) for x in fields[1:])
-        m = h // 2
-        shapes = [(v_b, h), (h, m), (m,), (m, 1), (1,)]
-        blobs = []
-        for shape in shapes:
-            n = int(np.prod(shape)) * 8
-            raw = fh.read(n)
-            if len(raw) != n:
-                raise ValueError(f"{path}: truncated checkpoint")
-            blobs.append(np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64))
-        if fh.read(1):
-            raise ValueError(f"{path}: trailing bytes after checkpoint payload")
-    params = ContentParams(
-        bucket_emb=blobs[0],
-        fc1_w=blobs[1],
-        fc1_b=blobs[2],
-        fc2_w=blobs[3],
-        fc2_b=blobs[4],
-        history_size=hist,
-        num_negatives=k,
-    )
+    header, tensors = read_tensor_file(path, CONTENT_MAGIC, 4, _checkpoint_shapes)
+    params = ContentParams(*tensors, history_size=header[2], num_negatives=header[3])
     params.validate()
     return params

@@ -354,8 +354,11 @@ def kg_from_triplets(
     )
 
 
-def load_kg(path, num_relations_raw: int, num_entities: int | None = None) -> KnowledgeGraph:
-    """Load raw triplets from a `head relation tail` file."""
+def load_kg(
+    path, num_relations_raw: int | None = None, num_entities: int | None = None
+) -> KnowledgeGraph:
+    """Load raw triplets from a `head relation tail` file; the relation
+    count is one past the largest relation id when not given."""
     path = Path(path)
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -372,9 +375,11 @@ def load_kg(path, num_relations_raw: int, num_entities: int | None = None) -> Kn
                 raise DatasetError(f"{path}:{lineno}: non-integer field") from None
             if min(h, r, t) < 0:
                 raise DatasetError(f"{path}:{lineno}: negative id")
-            if r >= num_relations_raw:
+            if num_relations_raw is not None and r >= num_relations_raw:
                 raise DatasetError(f"{path}:{lineno}: relation {r} >= {num_relations_raw}")
             rows.append((h, r, t))
+    if num_relations_raw is None:
+        num_relations_raw = max((r for _, r, _ in rows), default=-1) + 1
     return kg_from_triplets(rows, num_relations_raw, num_entities)
 
 
@@ -469,14 +474,7 @@ def load_bundle(
     kg_path = data_dir / "kg.txt"
     if not kg_path.exists():
         raise DatasetError(f"missing kg file: {kg_path}")
-    if num_relations_raw is None:
-        max_rel = -1
-        with open(kg_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                fields = line.split()
-                if len(fields) == 3:
-                    max_rel = max(max_rel, int(fields[1]))
-        num_relations_raw = max_rel + 1
+    graph = load_kg(kg_path, num_relations_raw, num_entities)
     items_path = data_dir / "items.tsv"
     corpus = load_items(items_path) if items_path.exists() else None
     store = load_interactions(
@@ -484,16 +482,10 @@ def load_bundle(
     )
     if corpus is None:
         corpus = ItemCorpus(num_items=store.num_items, texts={})
-    n_ent = num_entities
-    graph = load_kg(kg_path, num_relations_raw, n_ent)
     if graph.num_entities < store.num_items:
         # items are entities; pad the entity range to cover the catalog
         graph = kg_from_triplets(
-            graph.raw_triplets(), num_relations_raw, num_entities=store.num_items
-        )
-    if store.num_items > graph.num_entities:
-        raise DatasetError(
-            f"item id range {store.num_items} exceeds entity count {graph.num_entities}"
+            graph.raw_triplets(), graph.num_relations_raw, num_entities=store.num_items
         )
     return DatasetBundle(store=store, graph=graph, corpus=corpus)
 

@@ -13,13 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DatasetBundle, DatasetError
-from .model import (
-    KmpnParams,
-    cold_start_user,
-    entity_forward,
-    preference_embeddings,
-    prefix_aggregates,
-)
+from .model import KmpnParams, aggregate_layers, entity_forward, preference_embeddings, user_forward
 from .numeric import softmax_rows
 
 DEFAULT_KS = (20, 60, 100)
@@ -98,33 +92,11 @@ class MetricsReport:
         return "\n".join(lines) + "\n"
 
 
-def _aggregate(per_user: dict, ks, split, skipped) -> MetricsReport:
-    n = len(per_user["recall"][ks[0]])
-    if n == 0:
-        raise DatasetError(f"split {split!r} has no evaluable users")
-    return MetricsReport(
-        split=split,
-        ks=tuple(ks),
-        recall={k: float(np.mean(per_user["recall"][k])) for k in ks},
-        ndcg={k: float(np.mean(per_user["ndcg"][k])) for k in ks},
-        hit={k: float(np.mean(per_user["hit"][k])) for k in ks},
-        users_evaluated=n,
-        users_skipped=skipped,
-    )
-
-
-def _metric_frame(ks):
-    return {"recall": {k: [] for k in ks}, "ndcg": {k: [] for k in ks}, "hit": {k: [] for k in ks}}
-
-
-def _accumulate(frame, user_vec, item_embs, mask, test, ks):
-    kmax = max(ks)
-    topk, _ = rank_items(user_vec, item_embs, mask, kmax)
-    for k in ks:
-        head = topk[:k]
-        frame["recall"][k].append(recall_at_k(head, test))
-        frame["ndcg"][k].append(ndcg_at_k(head, test, k))
-        frame["hit"][k].append(hit_ratio_at_k(head, test))
+def _sorted_ks(ks) -> tuple:
+    ks = tuple(sorted(int(k) for k in ks))
+    if not ks or ks[0] < 1:
+        raise ValueError("ks must be positive")
+    return ks
 
 
 def _check_split(store, split: str):
@@ -140,16 +112,49 @@ def _check_split(store, split: str):
     raise DatasetError(f"unknown split {split!r}")
 
 
+def _split_users(seen_lists, test_lists, split: str):
+    """Users with both seen and test items, plus the number skipped: users
+    with only one of the two (users with neither are not counted)."""
+    has_seen = np.array([len(v) > 0 for v in seen_lists])
+    has_test = np.array([len(v) > 0 for v in test_lists])
+    users = np.flatnonzero(has_seen & has_test)
+    if len(users) == 0:
+        raise DatasetError(f"split {split!r} has no evaluable users")
+    return users, int((has_seen ^ has_test).sum())
+
+
+def _rank_users(user_vecs, users, skipped, item_embs, seen_lists, test_lists, split, ks):
+    """Rank the catalog for each row of `user_vecs`, masking the user's
+    seen items, and average the per-user metrics."""
+    per_user = {name: {k: [] for k in ks} for name in ("recall", "ndcg", "hit")}
+    for u, vec in zip(users, user_vecs):
+        topk, _ = rank_items(vec, item_embs, seen_lists[u], max(ks))
+        test = test_lists[u]
+        for k in ks:
+            head = topk[:k]
+            per_user["recall"][k].append(recall_at_k(head, test))
+            per_user["ndcg"][k].append(ndcg_at_k(head, test, k))
+            per_user["hit"][k].append(hit_ratio_at_k(head, test))
+    mean = {name: {k: float(np.mean(v)) for k, v in t.items()} for name, t in per_user.items()}
+    return MetricsReport(
+        split=split,
+        ks=ks,
+        recall=mean["recall"],
+        ndcg=mean["ndcg"],
+        hit=mean["hit"],
+        users_evaluated=len(users),
+        users_skipped=skipped,
+    )
+
+
 def evaluate(params: KmpnParams, bundle: DatasetBundle, split: str, ks=DEFAULT_KS) -> MetricsReport:
     """Rank the full catalog for every user with test items in `split`.
 
-    Standard splits build the trained user vector (train history masked);
-    the cold-start split builds the uniform-attention vector from the held
-    history (history masked).
+    Standard splits build the trained user vector (learned attention over
+    the train history, which is masked); the cold-start split builds the
+    uniform-attention vector from the held history (history masked).
     """
-    ks = tuple(sorted(int(k) for k in ks))
-    if not ks or ks[0] < 1:
-        raise ValueError("ks must be positive")
+    ks = _sorted_ks(ks)
     store = bundle.store
     test_lists = _check_split(store, split)
     if bundle.graph.num_entities != params.num_entities:
@@ -158,43 +163,16 @@ def evaluate(params: KmpnParams, bundle: DatasetBundle, split: str, ks=DEFAULT_K
         raise DatasetError("checkpoint/dataset user count mismatch")
 
     layers, _ = entity_forward(params, bundle.graph)
-    entity_agg = prefix_aggregates(layers)[-1]
-    item_embs = entity_agg[: store.num_items]
+    item_embs = aggregate_layers(layers)[: store.num_items]
     _, pref = preference_embeddings(params)
-
-    frame = _metric_frame(ks)
-    skipped = 0
+    seen_lists = store.cold_history if split == "cold_start" else store.train
+    users, skipped = _split_users(seen_lists, test_lists, split)
     if split == "cold_start":
-        for u in range(store.num_users):
-            history = store.cold_history[u]
-            test = store.cold_test[u]
-            if len(history) == 0:
-                continue
-            if len(test) == 0:
-                skipped += 1
-                continue
-            user_vec = cold_start_user(history, layers, params)
-            _accumulate(frame, user_vec, item_embs, history, test, ks)
+        profile = pref.mean(axis=0)  # uniform alpha = 1/P
     else:
-        hist_sum_cache = {}
-        for u in range(store.num_users):
-            test = test_lists[u]
-            train = store.train[u]
-            if len(test) == 0:
-                if len(train):
-                    skipped += 1
-                continue
-            if len(train) == 0:
-                skipped += 1
-                continue
-            msum = hist_sum_cache.get(u)
-            if msum is None:
-                msum = sum(m[train].mean(axis=0) for m in layers)
-                hist_sum_cache[u] = msum
-            alpha = softmax_rows((params.user_emb[u] @ pref.T)[None, :])[0]
-            user_vec = msum * (alpha @ pref)
-            _accumulate(frame, user_vec, item_embs, train, test, ks)
-    return _aggregate(frame, ks, split, skipped)
+        profile = softmax_rows(params.user_emb[users] @ pref.T) @ pref
+    _, user_vecs, _, _ = user_forward(layers, seen_lists, users, profile)
+    return _rank_users(user_vecs, users, skipped, item_embs, seen_lists, test_lists, split, ks)
 
 
 def evaluate_embeddings(
@@ -202,25 +180,12 @@ def evaluate_embeddings(
 ) -> MetricsReport:
     """Same protocol but scoring directly with exchange-file embeddings
     (content-model evaluation or comparison hooks)."""
-    ks = tuple(sorted(int(k) for k in ks))
+    ks = _sorted_ks(ks)
     store = bundle.store
     test_lists = _check_split(store, split)
-    ids = np.arange(store.num_items, dtype=np.int64)
-    item_embs = item_set.rows(ids)
-    frame = _metric_frame(ks)
-    skipped = 0
+    item_embs = item_set.rows(np.arange(store.num_items, dtype=np.int64))
     if split == "cold_start":
         raise DatasetError("cold_start evaluation needs model parameters, not embedding files")
-    for u in range(store.num_users):
-        test = test_lists[u]
-        train = store.train[u]
-        if len(test) == 0:
-            if len(train):
-                skipped += 1
-            continue
-        if len(train) == 0:
-            skipped += 1
-            continue
-        user_vec = user_set.rows([u])[0]
-        _accumulate(frame, user_vec, item_embs, train, test, ks)
-    return _aggregate(frame, ks, split, skipped)
+    users, skipped = _split_users(store.train, test_lists, split)
+    user_vecs = user_set.rows(users)
+    return _rank_users(user_vecs, users, skipped, item_embs, store.train, test_lists, split, ks)

@@ -52,20 +52,6 @@ def bpr_loss(pos_scores: np.ndarray, neg_scores: np.ndarray):
     return value, -s, s
 
 
-def l2_reg(*rows: np.ndarray):
-    """0.5 * sum of squared entries over all given arrays.
-
-    Returns (value, grads) with grads matching the inputs positionally.
-    """
-    value = 0.0
-    grads = []
-    for r in rows:
-        r = np.asarray(r, dtype=np.float64)
-        value += 0.5 * float((r * r).sum())
-        grads.append(r.copy())
-    return value, grads
-
-
 # ---------------------------------------------------------------------------
 # PCA projection (for the decorrelation loss)
 # ---------------------------------------------------------------------------
@@ -291,6 +277,3 @@ def click_softmax_loss(pos_scores: np.ndarray, neg_scores: np.ndarray):
     d[:, 0] -= 1.0
     return value, d[:, 0], d[:, 1:]
 
-
-def combine_losses(bpr: float, l2: float, dcorr: float, cs: float, w: LossWeights) -> float:
-    return float(bpr + w.l2 * l2 + w.dcorr * dcorr + w.cross_system * cs)

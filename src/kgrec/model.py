@@ -13,12 +13,10 @@ autodiff framework is involved. All math is float64.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
-
 import numpy as np
 
 from .data import InteractionStore, KnowledgeGraph
-from .numeric import sigmoid, softmax_rows
+from .numeric import read_tensor_file, sigmoid, softmax_rows, write_tensor_file
 
 CHECKPOINT_MAGIC = "KMPN1"
 
@@ -99,36 +97,6 @@ class KmpnParams:
         )
 
 
-@dataclass
-class KmpnGrads:
-    """Gradient set mirroring KmpnParams."""
-
-    entity_emb: np.ndarray
-    relation_emb: np.ndarray
-    user_emb: np.ndarray
-    meta_pref_emb: np.ndarray
-    pref_logits: np.ndarray
-
-    def tensors(self) -> dict:
-        return {
-            "entity_emb": self.entity_emb,
-            "relation_emb": self.relation_emb,
-            "user_emb": self.user_emb,
-            "meta_pref_emb": self.meta_pref_emb,
-            "pref_logits": self.pref_logits,
-        }
-
-
-def zero_grads(params: KmpnParams) -> KmpnGrads:
-    return KmpnGrads(
-        entity_emb=np.zeros_like(params.entity_emb),
-        relation_emb=np.zeros_like(params.relation_emb),
-        user_emb=np.zeros_like(params.user_emb),
-        meta_pref_emb=np.zeros_like(params.meta_pref_emb),
-        pref_logits=np.zeros_like(params.pref_logits),
-    )
-
-
 def init_params(
     num_entities: int,
     num_relations: int,
@@ -157,11 +125,6 @@ def init_params(
 # ---------------------------------------------------------------------------
 # forward
 # ---------------------------------------------------------------------------
-
-
-def gate(e_head: np.ndarray, e_rel: np.ndarray) -> float:
-    """Sigmoid of the head-relation dot product; scales each edge message."""
-    return float(sigmoid(np.dot(np.asarray(e_head, float), np.asarray(e_rel, float))))
 
 
 def conv_layer(graph: KnowledgeGraph, prev: np.ndarray, relation_emb: np.ndarray):
@@ -200,24 +163,12 @@ def entity_forward(params: KmpnParams, graph: KnowledgeGraph):
     return layers, gates
 
 
-def aggregate_layers(per_layer: list) -> np.ndarray:
-    """Elementwise sum over a non-empty list of equally shaped matrices."""
-    if not per_layer:
-        raise ValueError("need at least one layer")
-    out = np.array(per_layer[0], dtype=np.float64, copy=True)
-    for m in per_layer[1:]:
-        if m.shape != out.shape:
-            raise ValueError("layer shape mismatch")
+def aggregate_layers(layers: list) -> np.ndarray:
+    """Elementwise sum of the per-depth matrices: the aggregated embeddings."""
+    out = np.array(layers[0], dtype=np.float64, copy=True)
+    for m in layers[1:]:
         out += m
     return out
-
-
-def prefix_aggregates(layers: list) -> list:
-    """Running sums: entry l is the elementwise sum of layers 0..l."""
-    aggs = [np.array(layers[0], dtype=np.float64, copy=True)]
-    for m in layers[1:]:
-        aggs.append(aggs[-1] + m)
-    return aggs
 
 
 def preference_embeddings(params: KmpnParams):
@@ -226,13 +177,13 @@ def preference_embeddings(params: KmpnParams):
     return beta, beta @ params.meta_pref_emb
 
 
-def _history_arrays(store: InteractionStore, users: np.ndarray):
-    """CSR-style concatenation of train histories for the given user list."""
+def _history_arrays(histories, users: np.ndarray):
+    """CSR-style concatenation of `histories[u]` for the given user list."""
     lists = []
     for u in users:
-        items = store.train[int(u)]
+        items = histories[int(u)]
         if len(items) == 0:
-            raise ValueError(f"user {int(u)} has no train history")
+            raise ValueError(f"user {int(u)} has no history")
         lists.append(items)
     counts = np.array([len(v) for v in lists], dtype=np.int64)
     concat = np.concatenate(lists)
@@ -241,66 +192,37 @@ def _history_arrays(store: InteractionStore, users: np.ndarray):
     return concat, counts, seg
 
 
-def _history_means(matrix: np.ndarray, concat, counts, seg) -> np.ndarray:
-    sums = np.add.reduceat(matrix[concat], seg, axis=0)
-    return sums / counts[:, None]
+def user_forward(entity_layers: list, histories, users: np.ndarray, profile: np.ndarray):
+    """Aggregated vectors for `users` from their interaction histories.
 
+    u = (sum over depths l of mean_{i in histories[u]} e_i^(l)) o profile_u
 
-def user_forward(
-    entity_layers: list,
-    params: KmpnParams,
-    store: InteractionStore,
-    users: np.ndarray,
-):
-    """Per-user attention and per-depth user vectors for unique `users`.
+    `histories` is indexed by user id (store.train or store.cold_history).
+    `profile` is one preference mix per user, alpha_u @ pref [U, h], or a
+    single row shared by all of them (uniform attention: pref.mean(axis=0)).
+    The factorized product equals the per-preference sum
+    sum_p alpha_p * (hist_mean o pref_p).
 
-    alpha_u = softmax over preferences of (pref_p . user_emb_u)
-    u^(l)   = hist_mean_l o (alpha_u @ pref)     [factorized form of the
-              per-preference sum: sum_p alpha_p * (hist_mean o pref_p)]
-
-    Returns (alpha [U, P], per-layer list of [U, h], aggregated [U, h]).
+    Returns (summed history means [U, h], user vectors [U, h], and the
+    history concatenation and counts that the backward pass scatters over).
     """
-    users = np.asarray(users, dtype=np.int64)
-    _, pref = preference_embeddings(params)
-    concat, counts, seg = _history_arrays(store, users)
-    means = [_history_means(m, concat, counts, seg) for m in entity_layers]
-    att_logits = params.user_emb[users] @ pref.T  # [U, P]
-    alpha = softmax_rows(att_logits)
-    profile = alpha @ pref  # [U, h]
-    per_layer = [m * profile for m in means]
-    agg = sum(means) * profile
-    return alpha, per_layer, agg
-
-
-def cold_start_user(history, entity_layers: list, params: KmpnParams) -> np.ndarray:
-    """Aggregated vector for a user with no trained query vector: uniform
-    attention over preferences applied to the history means."""
-    items = np.asarray(list(history), dtype=np.int64)
-    if len(items) == 0:
-        raise ValueError("cold-start history is empty")
-    _, pref = preference_embeddings(params)
-    profile = pref.mean(axis=0)  # uniform alpha = 1/P
-    msum = sum(m[items].mean(axis=0) for m in entity_layers)
-    return msum * profile
-
-
-def score(user_agg: np.ndarray, item_agg: np.ndarray) -> float:
-    return float(np.dot(np.asarray(user_agg, float), np.asarray(item_agg, float)))
+    concat, counts, seg = _history_arrays(histories, users)
+    msum = sum(np.add.reduceat(m[concat], seg, axis=0) / counts[:, None] for m in entity_layers)
+    return msum, msum * profile, concat, counts
 
 
 @dataclass
 class ForwardTrace:
     """Everything cached by forward() for the backward pass and for
-    invariant checks: per-depth entity matrices with prefix aggregates and
-    edge gates, the preference pieces, and the batched user pieces."""
+    invariant checks: per-depth entity matrices, their sum and the edge
+    gates, the preference pieces, and the batched user pieces."""
 
     layers: list  # L+1 matrices [N_v, h]
-    agg_layers: list  # prefix sums, same shapes
+    entity_agg: np.ndarray  # sum of the layers [N_v, h]
     gates: list  # L arrays [E]
     beta: np.ndarray  # [P, M]
     pref: np.ndarray  # [P, h]
     alpha: np.ndarray  # [U, P] for unique batch users
-    user_layers: list  # L+1 matrices [U, h]
     user_agg: np.ndarray  # [U, h]
     users: np.ndarray  # batch user ids [B]
     pos_items: np.ndarray  # [B]
@@ -309,12 +231,7 @@ class ForwardTrace:
     batch_inv: np.ndarray  # [B] -> index into uniq_users
     hist_concat: np.ndarray = field(repr=False, default=None)
     hist_counts: np.ndarray = field(repr=False, default=None)
-    hist_seg: np.ndarray = field(repr=False, default=None)
-    hist_means: list = field(repr=False, default=None)  # L+1 of [U, h]
-
-    @property
-    def entity_agg(self) -> np.ndarray:
-        return self.agg_layers[-1]
+    hist_msum: np.ndarray = field(repr=False, default=None)  # depth-summed history means [U, h]
 
     def user_rows(self) -> np.ndarray:
         """Aggregated user vectors expanded to batch order [B, h]."""
@@ -350,31 +267,24 @@ def forward(
             raise ValueError(f"{name} id out of range")
 
     layers, gates = entity_forward(params, graph)
-    agg_layers = prefix_aggregates(layers)
+    entity_agg = aggregate_layers(layers)
     beta, pref = preference_embeddings(params)
 
     uniq, inv = np.unique(users, return_inverse=True)
-    concat, counts, seg = _history_arrays(store, uniq)
-    means = [_history_means(m, concat, counts, seg) for m in layers]
-    att_logits = params.user_emb[uniq] @ pref.T
-    alpha = softmax_rows(att_logits)
-    profile = alpha @ pref
-    user_layers = [m * profile for m in means]
-    user_agg = sum(means) * profile
+    alpha = softmax_rows(params.user_emb[uniq] @ pref.T)
+    msum, user_agg, concat, counts = user_forward(layers, store.train, uniq, alpha @ pref)
 
-    entity_agg = agg_layers[-1]
     user_rows = user_agg[inv]
     pos_scores = (user_rows * entity_agg[pos_items]).sum(axis=1)
     neg_scores = (user_rows * entity_agg[neg_items]).sum(axis=1)
 
     trace = ForwardTrace(
         layers=layers,
-        agg_layers=agg_layers,
+        entity_agg=entity_agg,
         gates=gates,
         beta=beta,
         pref=pref,
         alpha=alpha,
-        user_layers=user_layers,
         user_agg=user_agg,
         users=users,
         pos_items=pos_items,
@@ -383,8 +293,7 @@ def forward(
         batch_inv=inv,
         hist_concat=concat,
         hist_counts=counts,
-        hist_seg=seg,
-        hist_means=means,
+        hist_msum=msum,
     )
     return trace, pos_scores, neg_scores
 
@@ -430,13 +339,13 @@ def backward(
     d_pos_agg: np.ndarray | None = None,
     d_neg_agg: np.ndarray | None = None,
     d_pref: np.ndarray | None = None,
-) -> KmpnGrads:
+) -> dict:
     """Exact gradients of the batch objective for every trainable tensor.
 
     Upstream gradients: per-triple score gradients, plus optional direct
     gradients on the batch rows of the aggregated user/item embeddings
     (regularizers, alignment losses) and on the preference vectors
-    (decorrelation loss).
+    (decorrelation loss). Returns a dict keyed like params.tensors().
     """
     B = len(trace.users)
     d_pos_scores = np.asarray(d_pos_scores, dtype=np.float64)
@@ -467,10 +376,9 @@ def backward(
     np.add.at(d_uagg, trace.batch_inv, d_user_rows)
 
     # user aggregation: user_agg = msum o profile, profile = alpha @ pref
-    msum = sum(trace.hist_means)
     profile = trace.alpha @ trace.pref
     d_msum = d_uagg * profile
-    d_profile = d_uagg * msum
+    d_profile = d_uagg * trace.hist_msum
 
     d_alpha = d_profile @ trace.pref.T  # [U, P]
     d_pref_total = trace.alpha.T @ d_profile  # [P, h]
@@ -507,13 +415,13 @@ def backward(
         )
     d_entity = per_depth + carry
 
-    return KmpnGrads(
-        entity_emb=d_entity,
-        relation_emb=d_relation,
-        user_emb=d_user_emb,
-        meta_pref_emb=d_meta,
-        pref_logits=d_pref_logits,
-    )
+    return {
+        "entity_emb": d_entity,
+        "relation_emb": d_relation,
+        "user_emb": d_user_emb,
+        "meta_pref_emb": d_meta,
+        "pref_logits": d_pref_logits,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -525,44 +433,18 @@ def save_checkpoint(params: KmpnParams, path) -> None:
     """Header line, then all tensors as row-major little-endian float64."""
     params.validate()
     header = (
-        f"{CHECKPOINT_MAGIC} {params.num_entities} {params.num_relations} "
-        f"{params.num_users} {params.h} {params.n_layers} "
-        f"{params.num_meta} {params.num_pref}\n"
+        params.num_entities, params.num_relations, params.num_users, params.h,
+        params.n_layers, params.num_meta, params.num_pref,
     )
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        for t in params.tensors().values():
-            fh.write(np.ascontiguousarray(t, dtype="<f8").tobytes())
+    write_tensor_file(path, CHECKPOINT_MAGIC, header, params.tensors().values())
+
+
+def _checkpoint_shapes(n_v, n_r2, n_u, h, n_layers, n_m, n_p):
+    return [(n_v, h), (n_r2, h), (n_u, h), (n_m, h), (n_p, n_m)]
 
 
 def load_checkpoint(path) -> KmpnParams:
-    path = Path(path)
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii", errors="replace").strip()
-        fields = header.split()
-        if len(fields) != 8 or fields[0] != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a {CHECKPOINT_MAGIC} checkpoint")
-        try:
-            n_v, n_r2, n_u, h, n_layers, n_m, n_p = (int(x) for x in fields[1:])
-        except ValueError:
-            raise ValueError(f"{path}: malformed checkpoint header") from None
-        shapes = [(n_v, h), (n_r2, h), (n_u, h), (n_m, h), (n_p, n_m)]
-        blobs = []
-        for shape in shapes:
-            n_bytes = shape[0] * shape[1] * 8
-            raw = fh.read(n_bytes)
-            if len(raw) != n_bytes:
-                raise ValueError(f"{path}: truncated checkpoint")
-            blobs.append(np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64))
-        if fh.read(1):
-            raise ValueError(f"{path}: trailing bytes after checkpoint payload")
-    params = KmpnParams(
-        entity_emb=blobs[0],
-        relation_emb=blobs[1],
-        user_emb=blobs[2],
-        meta_pref_emb=blobs[3],
-        pref_logits=blobs[4],
-        n_layers=n_layers,
-    )
+    header, tensors = read_tensor_file(path, CHECKPOINT_MAGIC, 7, _checkpoint_shapes)
+    params = KmpnParams(*tensors, n_layers=header[4])
     params.validate()
     return params

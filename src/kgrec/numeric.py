@@ -1,6 +1,9 @@
-"""Shared numerically stable primitives (64-bit throughout)."""
+"""Shared float64 primitives: stable elementwise functions and the tensor
+file codec used by both checkpoints."""
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 
@@ -31,8 +34,35 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     return ex / ex.sum(axis=-1, keepdims=True)
 
 
-def logsumexp(x: np.ndarray) -> float:
-    """Max-shifted log-sum-exp of a 1-d array."""
-    x = np.asarray(x, dtype=np.float64)
-    m = x.max()
-    return float(m + np.log(np.exp(x - m).sum()))
+def write_tensor_file(path, magic: str, header: tuple, tensors) -> None:
+    """ASCII header line `magic n1 n2 ...`, then every tensor as row-major
+    little-endian float64."""
+    line = " ".join([magic, *(str(int(n)) for n in header)]) + "\n"
+    with open(path, "wb") as fh:
+        fh.write(line.encode("ascii"))
+        for t in tensors:
+            fh.write(np.ascontiguousarray(t, dtype="<f8").tobytes())
+
+
+def read_tensor_file(path, magic: str, n_header: int, shapes):
+    """Inverse of write_tensor_file. `shapes(*header)` gives the tensor
+    shapes in file order. Returns (header integers, tensors); every error
+    names the file."""
+    path = Path(path)
+    with open(path, "rb") as fh:
+        fields = fh.readline().decode("ascii", errors="replace").split()
+        if len(fields) != n_header + 1 or fields[0] != magic:
+            raise ValueError(f"{path}: not a {magic} checkpoint")
+        header = [int(x) if x.isdigit() else -1 for x in fields[1:]]
+        if min(header) < 0:
+            raise ValueError(f"{path}: malformed checkpoint header")
+        tensors = []
+        for shape in shapes(*header):
+            n_bytes = int(np.prod(shape)) * 8
+            raw = fh.read(n_bytes)
+            if len(raw) != n_bytes:
+                raise ValueError(f"{path}: truncated checkpoint")
+            tensors.append(np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64))
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after checkpoint payload")
+    return header, tensors

@@ -20,7 +20,6 @@ class TrainConfig:
     adam_eps: float = 1e-8
     weights: LossWeights = field(default_factory=LossWeights)
     seed: int = 0
-    deterministic: bool = True
     eval_every: int = 0  # 0 disables periodic validation logging
 
     def validate(self) -> None:

@@ -180,7 +180,7 @@ def _train_cf(
             total, grads, parts, _ = kmpn_loss_and_grads(
                 params, graph, store, u, p, n, config.weights, content=active_content
             )
-            adam_step(params.tensors(), grads.tensors(), state, lr, config)
+            adam_step(params.tensors(), grads, state, lr, config)
             sums += (total, parts.bpr, parts.l2, parts.dcorr, parts.cs)
         lines.append(_format_log_line(epoch, [float(x) for x in sums], lr))
         if config.eval_every > 0 and epoch % config.eval_every == 0:
@@ -424,7 +424,7 @@ def grad_check(kind: str, tolerance: float = 1e-4, seed: int = 0) -> GradCheckRe
             )
             return total
 
-        entries = _fd_sweep(params.tensors(), grads.tensors(), value_fn, tolerance, FD_STEP)
+        entries = _fd_sweep(params.tensors(), grads, value_fn, tolerance, FD_STEP)
     elif kind == "content":
         from .content import click_instance
 

@@ -56,6 +56,14 @@ def test_prepare_surfaces_split_overlap(tmp_path):
     assert "\n" not in res.stderr.strip()  # single-line error contract
 
 
+def test_prepare_kg_non_integer_names_file_and_line(tmp_path):
+    (tmp_path / "train.txt").write_text("0 0 1\n")
+    (tmp_path / "kg.txt").write_text("0 x 1\n")
+    res = run_cli("prepare", "--data", tmp_path)
+    assert res.returncode == 2
+    assert res.stderr == f"error: {tmp_path / 'kg.txt'}:1: non-integer field\n"
+
+
 def test_train_zero_epochs_checkpoint_equals_fresh_init(cli_dataset, tmp_path):
     d, _ = cli_dataset
     out = tmp_path / "run"

@@ -409,3 +409,14 @@ def test_content_checkpoint_corruption(tmp_path):
     bad.write_bytes(raw + b"\x00")
     with pytest.raises(ValueError, match="trailing"):
         load_content_checkpoint(bad)
+
+
+@pytest.mark.parametrize(
+    "header", [b"CLIT1 16 8 three 2\n", b"CLIT1 16 -8 3 2\n"], ids=["non-integer", "negative"]
+)
+def test_content_checkpoint_malformed_header_names_file(tmp_path, header):
+    bad = tmp_path / "bad.content"
+    bad.write_bytes(header)
+    with pytest.raises(ValueError) as err:
+        load_content_checkpoint(bad)
+    assert str(err.value) == f"{bad}: malformed checkpoint header"

@@ -133,6 +133,18 @@ def test_kg_file_errors(tmp_path):
     p.write_text("0 7 1\n")
     with pytest.raises(DatasetError, match="kg.txt:1"):
         load_kg(p, num_relations_raw=1)
+    p.write_text("0 1 1\n0 x 1\n")
+    with pytest.raises(DatasetError, match="kg.txt:2: non-integer field"):
+        load_kg(p)
+
+
+def test_kg_infers_relation_count(tmp_path):
+    p = tmp_path / "kg.txt"
+    p.write_text("0 4 1\n\n2\t1\t0\n")
+    g = load_kg(p)
+    assert g.num_relations_raw == 5 and g.num_triplets_raw == 2
+    p.write_text("")
+    assert load_kg(p).num_relations_raw == 0
 
 
 def test_items_round_trip_and_errors(tmp_path):

@@ -19,7 +19,7 @@ from kgrec.evaluation import (
     rank_items,
     recall_at_k,
 )
-from kgrec.model import cold_start_user, entity_forward, init_params
+from kgrec.model import entity_forward, init_params
 
 
 # -- ranking ------------------------------------------------------------------
@@ -236,7 +236,9 @@ def manual_eval(params, bundle, split, ks):
             hist, test = store.cold_history[u], store.cold_test[u]
             if len(hist) == 0 or len(test) == 0:
                 continue
-            vec = cold_start_user(hist, layers, params)
+            msum = sum(m[hist].mean(axis=0) for m in layers)
+            # uniform attention, unfactorized: mean_p (msum o pref_p)
+            vec = sum(msum * pref[q] for q in range(len(pref))) / len(pref)
             mask = hist
         else:
             test = store.split(split)[u]
@@ -293,6 +295,24 @@ def test_evaluate_matches_manual_loop_on_synthetic(synth_bundle):
     assert report.users_evaluated == len(manual[10]["recall"])
     assert report.recall[10] == pytest.approx(np.mean(manual[10]["recall"]), abs=1e-12)
     assert report.ndcg[10] == pytest.approx(np.mean(manual[10]["ndcg"]), abs=1e-12)
+
+
+def test_evaluate_cold_start_uses_uniform_attention(synth_bundle):
+    p = init_params(
+        synth_bundle.graph.num_entities,
+        synth_bundle.graph.num_relations,
+        synth_bundle.store.num_users,
+        h=8, n_layers=2, n_pref=4, n_meta=6, seed=5,
+    )
+    ks = (10,)
+    report = evaluate(p, synth_bundle, "cold_start", ks=ks)
+    manual = manual_eval(p, synth_bundle, "cold_start", ks)
+    assert report.users_evaluated == len(manual[10]["recall"]) > 0
+    assert report.recall[10] == pytest.approx(np.mean(manual[10]["recall"]), abs=1e-12)
+    assert report.ndcg[10] == pytest.approx(np.mean(manual[10]["ndcg"]), abs=1e-12)
+    # cold-start users never consult their (untrained) query vectors
+    p.user_emb[synth_bundle.store.cold_users] = 50.0
+    assert evaluate(p, synth_bundle, "cold_start", ks=ks) == report
 
 
 def test_evaluate_cold_start_masks_history_not_train():

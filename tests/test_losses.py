@@ -2,19 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
+from kgrec.data import build_store, kg_from_triplets
 from kgrec.losses import (
     LossWeights,
     bpr_loss,
     click_softmax_loss,
-    combine_losses,
     cross_system_loss,
     distance_correlation,
-    l2_reg,
     pca_project,
     project_with_basis,
     soft_dcorr_loss,
 )
+from kgrec.model import backward, forward, init_params
+from kgrec.training import LossParts, kmpn_loss_and_grads
 
 
 # -- pairwise ranking ---------------------------------------------------------
@@ -57,13 +59,29 @@ def test_bpr_is_shift_invariant():
 
 
 def test_l2_reg_anchor_and_grads():
-    v, grads = l2_reg(np.array([3.0, 4.0]))
-    assert v == 12.5
-    np.testing.assert_array_equal(grads[0], [3.0, 4.0])
-    v2, grads2 = l2_reg(np.ones((2, 2)), np.array([1.0, -1.0]))
-    assert v2 == pytest.approx(0.5 * 4 + 0.5 * 2)
-    assert len(grads2) == 2
-    assert l2_reg()[0] == 0.0
+    # the L2 term of the graph objective is half the squared norm of the
+    # batch's aggregated user, positive and negative rows; its gradient on
+    # those rows is the rows themselves
+    g = kg_from_triplets([(0, 0, 1)], num_relations_raw=1, num_entities=3)
+    store = build_store({0: [0], 1: [1, 2]}, num_items=3)
+    p = init_params(3, 2, 2, h=4, n_layers=1, n_pref=2, n_meta=2, seed=3)
+    users, pos, neg = np.array([0, 1]), np.array([0, 1]), np.array([2, 0])
+    trace, _, _ = forward(p, g, store, users, pos, neg)
+    rows = (trace.user_rows(), trace.entity_agg[pos], trace.entity_agg[neg])
+
+    w0 = LossWeights(l2=0.0, dcorr=0.0, cross_system=0.0)
+    w = LossWeights(l2=0.5, dcorr=0.0, cross_system=0.0)
+    _, g0, parts, _ = kmpn_loss_and_grads(p, g, store, users, pos, neg, w0)
+    total, gw, _, _ = kmpn_loss_and_grads(p, g, store, users, pos, neg, w)
+    assert parts.l2 == pytest.approx(0.5 * sum(float((r * r).sum()) for r in rows), rel=1e-14)
+    assert total == pytest.approx(parts.bpr + 0.5 * parts.l2, rel=1e-14)
+
+    want = backward(
+        p, g, trace, np.zeros(2), np.zeros(2),
+        d_user_agg=0.5 * rows[0], d_pos_agg=0.5 * rows[1], d_neg_agg=0.5 * rows[2],
+    )
+    for name, t in want.items():
+        np.testing.assert_allclose(gw[name] - g0[name], t, rtol=1e-9, atol=1e-13, err_msg=name)
 
 
 # -- PCA projection -----------------------------------------------------------
@@ -342,6 +360,19 @@ def test_click_loss_uniform_anchor():
     np.testing.assert_allclose(dneg[0], [0.25, 0.25, 0.25], rtol=1e-13)
 
 
+def test_click_loss_log_sum_exp_matches_scipy():
+    # per row the loss is logsumexp(pos, negs) - pos, stable at any scale
+    rng = np.random.default_rng(1)
+    pos, neg = rng.normal(size=3) * 50, rng.normal(size=(3, 4)) * 50
+    v, _, _ = click_softmax_loss(pos, neg)
+    want = sum(special.logsumexp(np.concatenate([[p], n])) - p for p, n in zip(pos, neg))
+    assert v == pytest.approx(want, rel=1e-12, abs=1e-10)
+    v, _, _ = click_softmax_loss(np.array([0.0]), np.array([[0.0]]))
+    assert v == pytest.approx(math.log(2.0), rel=1e-14)
+    v, _, _ = click_softmax_loss(np.array([-1e5]), np.array([[-1e5]]))
+    assert v == pytest.approx(math.log(2.0), abs=1e-10)  # lse - pos cancels at this scale
+
+
 def test_click_loss_matches_scalar_formula():
     rng = np.random.default_rng(13)
     pos = rng.normal(size=4)
@@ -393,9 +424,9 @@ def test_click_loss_gradients_match_finite_differences():
 
 def test_combine_losses_weighting():
     w = LossWeights(l2=0.5, dcorr=2.0, cross_system=3.0)
-    assert combine_losses(1.0, 2.0, 3.0, 4.0, w) == pytest.approx(1 + 1 + 6 + 12)
+    assert LossParts(1.0, 2.0, 3.0, 4.0).total(w) == pytest.approx(1 + 1 + 6 + 12)
     w0 = LossWeights(l2=0.0, dcorr=0.0, cross_system=0.0)
-    assert combine_losses(1.5, 99.0, 99.0, 99.0, w0) == 1.5
+    assert LossParts(1.5, 99.0, 99.0, 99.0).total(w0) == 1.5
 
 
 def test_loss_weights_validation():

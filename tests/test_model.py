@@ -7,19 +7,14 @@ from kgrec.data import build_store, kg_from_triplets
 from kgrec.model import (
     aggregate_layers,
     backward,
-    cold_start_user,
     conv_layer,
     entity_forward,
     forward,
-    gate,
     init_params,
     load_checkpoint,
     preference_embeddings,
-    prefix_aggregates,
     save_checkpoint,
-    score,
     user_forward,
-    zero_grads,
 )
 
 
@@ -48,11 +43,20 @@ def small_store():
 # -- gate and one convolution sweep -----------------------------------------
 
 
+def one_edge_gate(head, rel):
+    """Gate of the forward edge (0, r, 1) in a one-triplet graph."""
+    g = kg_from_triplets([(0, 0, 1)], num_relations_raw=1, num_entities=2)
+    prev = np.stack([head, np.zeros_like(head)])
+    relation_emb = np.stack([rel, np.zeros_like(rel)])
+    _, gates = conv_layer(g, prev, relation_emb)
+    return float(gates[(g.edge_head == 0) & (g.edge_rel == 0)][0])
+
+
 def test_gate_anchors():
-    assert gate(np.zeros(4), np.ones(4)) == 0.5
+    assert one_edge_gate(np.zeros(4), np.ones(4)) == 0.5
     e = np.array([2.0, 4.0])
     r = np.array([3.0, 3.5])  # dot = 20
-    assert gate(e, r) == pytest.approx(1.0 / (1.0 + math.exp(-20.0)), rel=1e-15)
+    assert one_edge_gate(e, r) == pytest.approx(1.0 / (1.0 + math.exp(-20.0)), rel=1e-15)
 
 
 def test_conv_two_entity_hand_computed():
@@ -133,22 +137,13 @@ def test_entity_forward_layer_count_and_depth_zero():
 
 def test_aggregate_layers_identity_and_cancellation():
     a = np.arange(6, dtype=float).reshape(2, 3)
-    np.testing.assert_array_equal(aggregate_layers([a]), a)
+    out = aggregate_layers([a])
+    np.testing.assert_array_equal(out, a)
+    assert out is not a  # a fresh array; the layers are never written
     np.testing.assert_array_equal(aggregate_layers([a, -a]), np.zeros_like(a))
-    with pytest.raises(ValueError):
-        aggregate_layers([])
-    with pytest.raises(ValueError):
-        aggregate_layers([a, np.zeros((3, 2))])
-
-
-def test_prefix_aggregates_is_running_sum():
     rng = np.random.default_rng(4)
     layers = [rng.normal(size=(3, 2)) for _ in range(4)]
-    aggs = prefix_aggregates(layers)
-    assert len(aggs) == 4
-    for l in range(4):
-        np.testing.assert_allclose(aggs[l], sum(layers[: l + 1]), rtol=1e-14)
-    np.testing.assert_array_equal(aggs[-1], aggregate_layers(layers))
+    np.testing.assert_allclose(aggregate_layers(layers), sum(layers), rtol=1e-14)
 
 
 # -- preference and user construction ----------------------------------------
@@ -171,33 +166,41 @@ def test_user_forward_matches_per_preference_sum():
     g = small_graph()
     p = small_params(g)
     store = small_store()
-    layers, _ = entity_forward(p, g)
     users = np.array([0, 2])
-    alpha, per_layer, agg = user_forward(layers, p, store, users)
+    trace, _, _ = forward(p, g, store, users, [1, 3], [2, 0])
+    alpha, agg = trace.alpha, trace.user_agg
 
+    layers, _ = entity_forward(p, g)
     _, pref = preference_embeddings(p)
     np.testing.assert_allclose(alpha.sum(axis=1), [1.0, 1.0], rtol=1e-13)
     for row, u in enumerate(users):
         hist = store.train[u]
-        for l, mat in enumerate(layers):
+        want = np.zeros(p.h)
+        for mat in layers:
             mean_l = mat[hist].mean(axis=0)
             # unfactorized form: sum_p alpha_p * (mean o pref_p)
-            want = sum(alpha[row, q] * mean_l * pref[q] for q in range(p.num_pref))
-            np.testing.assert_allclose(per_layer[l][row], want, rtol=1e-12)
-        np.testing.assert_allclose(agg[row], sum(m[row] for m in per_layer), rtol=1e-12)
+            want += sum(alpha[row, q] * mean_l * pref[q] for q in range(p.num_pref))
+        np.testing.assert_allclose(agg[row], want, rtol=1e-12)
+        msum = sum(m[hist].mean(axis=0) for m in layers)
+        np.testing.assert_allclose(trace.hist_msum[row], msum, rtol=1e-13)
+
+    # one shared profile row broadcasts over every user
+    shared = pref.mean(axis=0)
+    msum, vecs, _, _ = user_forward(layers, store.train, users, shared)
+    np.testing.assert_allclose(vecs, msum * shared[None, :], rtol=1e-15)
+    np.testing.assert_array_equal(msum, trace.hist_msum)
 
 
 def test_user_forward_single_preference_ignores_query_vector():
     g = small_graph()
     p = small_params(g, n_pref=1)
     store = small_store()
-    layers, _ = entity_forward(p, g)
-    alpha, _, agg = user_forward(layers, p, store, np.array([1]))
-    np.testing.assert_array_equal(alpha, [[1.0]])
+    trace, _, _ = forward(p, g, store, [1], [4], [5])
+    np.testing.assert_array_equal(trace.alpha, [[1.0]])
     p2 = p.copy()
     p2.user_emb[:] = 999.0  # with one preference, attention cannot matter
-    _, _, agg2 = user_forward(layers, p2, store, np.array([1]))
-    np.testing.assert_array_equal(agg, agg2)
+    trace2, _, _ = forward(p2, g, store, [1], [4], [5])
+    np.testing.assert_array_equal(trace.user_agg, trace2.user_agg)
 
 
 def test_user_forward_rejects_empty_history():
@@ -206,21 +209,10 @@ def test_user_forward_rejects_empty_history():
     # user 1 appears only in the validation split, so it has no train rows
     store = build_store({0: [1]}, valid={1: [2]}, num_items=6)
     layers, _ = entity_forward(p, g)
-    with pytest.raises(ValueError, match="user 1 has no train history"):
-        user_forward(layers, p, store, np.array([1]))
-
-
-def test_cold_start_user_uniform_attention():
-    g = small_graph()
-    p = small_params(g)
-    layers, _ = entity_forward(p, g)
-    _, pref = preference_embeddings(p)
-    hist = [1, 4]
-    vec = cold_start_user(hist, layers, p)
-    msum = sum(m[hist].mean(axis=0) for m in layers)
-    np.testing.assert_allclose(vec, msum * pref.mean(axis=0), rtol=1e-13)
-    with pytest.raises(ValueError, match="empty"):
-        cold_start_user([], layers, p)
+    with pytest.raises(ValueError, match="user 1 has no history"):
+        user_forward(layers, store.train, np.array([1]), np.ones(p.h))
+    with pytest.raises(ValueError, match="user 1 has no history"):
+        forward(p, g, store, [0, 1], [1, 3], [2, 0])
 
 
 # -- batched forward ----------------------------------------------------------
@@ -234,8 +226,8 @@ def test_forward_scores_match_scalar_score():
     agg = trace.entity_agg
     rows = trace.user_rows()
     for b in range(3):
-        assert pos_s[b] == pytest.approx(score(rows[b], agg[trace.pos_items[b]]), rel=1e-13)
-        assert neg_s[b] == pytest.approx(score(rows[b], agg[trace.neg_items[b]]), rel=1e-13)
+        assert pos_s[b] == pytest.approx(float(rows[b] @ agg[trace.pos_items[b]]), rel=1e-13)
+        assert neg_s[b] == pytest.approx(float(rows[b] @ agg[trace.neg_items[b]]), rel=1e-13)
 
 
 def test_forward_duplicate_users_share_rows():
@@ -281,7 +273,9 @@ def test_backward_zero_upstream_gives_zero_grads():
     p = small_params(g)
     trace, _, _ = forward(p, g, small_store(), [0, 2], [1, 3], [2, 5])
     grads = backward(p, g, trace, np.zeros(2), np.zeros(2))
-    for name, t in grads.tensors().items():
+    assert list(grads) == list(p.tensors())
+    for name, t in grads.items():
+        assert t.shape == p.tensors()[name].shape, name
         assert np.all(t == 0.0), name
 
 
@@ -300,14 +294,14 @@ def test_backward_hand_derived_depth_zero_single_preference():
     assert neg_s[0] == pytest.approx(float(np.sum(e0 * em * e2)), rel=1e-13)
 
     grads = backward(p, g, trace, np.array([1.0]), np.array([0.0]))
-    np.testing.assert_allclose(grads.entity_emb[1], e0 * em, rtol=1e-13)
-    np.testing.assert_allclose(grads.entity_emb[0], e1 * em, rtol=1e-13)
-    np.testing.assert_array_equal(grads.entity_emb[2], np.zeros(4))
-    np.testing.assert_allclose(grads.meta_pref_emb[0], e0 * e1, rtol=1e-13)
+    np.testing.assert_allclose(grads["entity_emb"][1], e0 * em, rtol=1e-13)
+    np.testing.assert_allclose(grads["entity_emb"][0], e1 * em, rtol=1e-13)
+    np.testing.assert_array_equal(grads["entity_emb"][2], np.zeros(4))
+    np.testing.assert_allclose(grads["meta_pref_emb"][0], e0 * e1, rtol=1e-13)
     # one-way softmaxes are constant, so their logits get nothing
-    np.testing.assert_array_equal(grads.pref_logits, np.zeros((1, 1)))
-    np.testing.assert_array_equal(grads.user_emb, np.zeros((1, 4)))
-    np.testing.assert_array_equal(grads.relation_emb, np.zeros((2, 4)))
+    np.testing.assert_array_equal(grads["pref_logits"], np.zeros((1, 1)))
+    np.testing.assert_array_equal(grads["user_emb"], np.zeros((1, 4)))
+    np.testing.assert_array_equal(grads["relation_emb"], np.zeros((2, 4)))
 
 
 def test_backward_validates_upstream_shape():
@@ -316,15 +310,6 @@ def test_backward_validates_upstream_shape():
     trace, _, _ = forward(p, g, small_store(), [0], [1], [2])
     with pytest.raises(ValueError, match="shape mismatch"):
         backward(p, g, trace, np.zeros(3), np.zeros(3))
-
-
-def test_zero_grads_shapes():
-    g = small_graph()
-    p = small_params(g)
-    grads = zero_grads(p)
-    for name, t in grads.tensors().items():
-        assert t.shape == p.tensors()[name].shape
-        assert np.all(t == 0.0)
 
 
 # -- checkpoint io ------------------------------------------------------------
