@@ -12,6 +12,7 @@ stack is imported inside the command handlers, after --threads and
 from __future__ import annotations
 
 import argparse
+import logging
 import os
 import sys
 from pathlib import Path
@@ -255,6 +256,11 @@ def _cmd_train(opts: dict) -> int:
     mode = opts["mode"]
     if mode not in ("kmpn", "ckmpn", "content"):
         raise ValueError(f"unknown train mode {mode!r}")
+    if mode != "content" and opts["n_pref"] < 2 and opts["lambda2"] != 0.0:
+        raise ValueError(
+            "train: --n-pref must be at least 2 when --lambda2 is nonzero "
+            "(decorrelation needs two preference rows)"
+        )
     bundle = load_bundle(data)
     out.mkdir(parents=True, exist_ok=True)
     config = _train_config(opts)
@@ -374,6 +380,7 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stderr)
     try:
         opts = _resolve(args, args.command)
         _apply_threads(opts)

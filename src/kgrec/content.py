@@ -24,6 +24,7 @@ import numpy as np
 from .data import InteractionStore, ItemCorpus
 from .numeric import read_tensor_file, softmax_rows, write_tensor_file
 from .optim import TrainConfig, adam_step, init_adam, lr_at
+from .sampling import build_sampler
 
 log = logging.getLogger(__name__)
 
@@ -36,7 +37,6 @@ KIND_NAMES = {v: k for k, v in KIND_CODES.items()}
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
-MAX_REJECTIONS = 100
 
 
 def fnv1a_64(token: str) -> int:
@@ -156,13 +156,6 @@ def encode_item_flagged(text: str, params: ContentParams):
     return params.bucket_emb[buckets].mean(axis=0), False
 
 
-def encode_item(text: str, params: ContentParams) -> np.ndarray:
-    vec, empty = encode_item_flagged(text, params)
-    if empty:
-        log.warning("encode_item: no tokens in %r, returning zero vector", text[:40])
-    return vec
-
-
 def encode_user(history_embs: np.ndarray, params: ContentParams):
     """Attention-pooled user vector over history item encodings.
 
@@ -270,21 +263,6 @@ def click_instance(
     return loss, grads
 
 
-def _uniform_non_positive(rng: np.random.Generator, num_items: int, positives: frozenset) -> int:
-    for _ in range(MAX_REJECTIONS):
-        cand = int(rng.integers(num_items))
-        if cand not in positives:
-            return cand
-    pool = np.setdiff1d(
-        np.arange(num_items, dtype=np.int64),
-        np.fromiter(positives, dtype=np.int64, count=len(positives)),
-        assume_unique=True,
-    )
-    if len(pool) == 0:
-        raise ValueError("no non-positive item available")
-    return int(pool[rng.integers(len(pool))])
-
-
 def train_content(
     corpus: ItemCorpus,
     store: InteractionStore,
@@ -295,7 +273,9 @@ def train_content(
 
     One instance per user per epoch: a positive from the user's train
     items, a history subsample of size <= history_size from the remaining
-    train items, and uniform non-positive negatives.
+    train items, and num_negatives uniform non-positive negatives. Each
+    epoch draws the negatives of every instance in one call to the uniform
+    sampler (`build_sampler(store, uniform=True)`).
 
     Returns (params, log_lines).
     """
@@ -314,7 +294,7 @@ def train_content(
     )
     if len(train_users) == 0:
         raise ValueError("no user has train interactions")
-    positive_sets = {int(u): frozenset(int(i) for i in store.train[u]) for u in train_users}
+    sampler = build_sampler(store, uniform=True)
 
     rng = np.random.default_rng(config.seed)
     state = init_adam(params.tensors())
@@ -322,19 +302,15 @@ def train_content(
     for epoch in range(1, config.epochs + 1):
         lr = lr_at(config, epoch - 1, config.epochs)
         order = rng.permutation(train_users)
+        negatives = sampler.sample_negatives(rng, np.repeat(order, params.num_negatives))
         total = 0.0
-        for u in order:
-            u = int(u)
+        for u, negs in zip(order, negatives.reshape(len(order), params.num_negatives)):
             items = store.train[u]
             pos = int(items[rng.integers(len(items))])
             rest = items[items != pos]
             pool = rest if len(rest) else items
             n_hist = min(params.history_size, len(pool))
             hist = rng.choice(pool, size=n_hist, replace=False)
-            negs = [
-                _uniform_non_positive(rng, store.num_items, positive_sets[u])
-                for _ in range(params.num_negatives)
-            ]
             loss, grads = click_instance(
                 params,
                 [buckets[int(i)] for i in hist],
@@ -473,7 +449,7 @@ def export_embeddings(
 ):
     """Encode every item and every user and write the exchange files.
 
-    Items: encode_item on each description (no tokens -> zero vector).
+    Items: encode_item_flagged per description (no tokens -> zero vector).
     Users: full train history in ascending item order, processed in chunks
     of history_size through encode_user, chunk outputs mean-pooled; users
     with no train items (cold-start) get a zero vector.

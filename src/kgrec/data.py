@@ -414,9 +414,6 @@ class ItemCorpus:
     def text(self, item: int) -> str:
         return self.texts.get(item, "")
 
-    def empty_ids(self) -> list[int]:
-        return [i for i in range(self.num_items) if not self.text(i)]
-
 
 def load_items(path, num_items: int | None = None) -> ItemCorpus:
     path = Path(path)

@@ -3,6 +3,7 @@ file codec used by both checkpoints."""
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -36,12 +37,19 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
 
 def write_tensor_file(path, magic: str, header: tuple, tensors) -> None:
     """ASCII header line `magic n1 n2 ...`, then every tensor as row-major
-    little-endian float64."""
+    little-endian float64. Written to `<path>.tmp` and renamed over `path`,
+    so a failed write leaves any earlier file intact."""
     line = " ".join([magic, *(str(int(n)) for n in header)]) + "\n"
-    with open(path, "wb") as fh:
-        fh.write(line.encode("ascii"))
-        for t in tensors:
-            fh.write(np.ascontiguousarray(t, dtype="<f8").tobytes())
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(line.encode("ascii"))
+            for t in tensors:
+                fh.write(np.ascontiguousarray(t, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_tensor_file(path, magic: str, n_header: int, shapes):

@@ -1,11 +1,14 @@
-"""Popularity-inverse negative sampling.
+"""Negative sampling: one batched draw-and-redraw routine.
 
 Negative items are drawn with probability proportional to the reciprocal of
 their training interaction count, so rare items appear as negatives more
 often than popular ones. Items with zero interactions are treated as count
-1, keeping every catalog item reachable. Draws use a Walker alias table
-(O(1) per draw); negatives that collide with the user's training positives
-are rejected and redrawn.
+1, keeping every catalog item reachable; all-zero counts therefore give the
+uniform sampler of the content model. A whole batch is drawn at once by
+inverse CDF. Rows that hit one of their user's train positives, found by one
+binary search over the sorted `user * num_items + item` keys, are redrawn;
+rows still colliding after MAX_REJECTIONS rounds fall back to a uniform pick
+among the user's non-positive items.
 """
 
 from __future__ import annotations
@@ -17,53 +20,14 @@ from .data import InteractionStore
 MAX_REJECTIONS = 100
 
 
-class AliasTable:
-    """Walker alias method for O(1) categorical sampling."""
-
-    def __init__(self, probs: np.ndarray):
-        probs = np.asarray(probs, dtype=np.float64)
-        if probs.ndim != 1 or len(probs) == 0:
-            raise ValueError("probs must be a non-empty 1-d array")
-        if (probs < 0).any():
-            raise ValueError("negative probability")
-        total = probs.sum()
-        if not np.isfinite(total) or total <= 0:
-            raise ValueError("probabilities must sum to a positive finite value")
-        n = len(probs)
-        scaled = probs * (n / total)
-        self.prob = np.ones(n, dtype=np.float64)
-        self.alias = np.arange(n, dtype=np.int64)
-        small = [i for i in range(n) if scaled[i] < 1.0]
-        large = [i for i in range(n) if scaled[i] >= 1.0]
-        while small and large:
-            s = small.pop()
-            l = large.pop()
-            self.prob[s] = scaled[s]
-            self.alias[s] = l
-            scaled[l] = scaled[l] - (1.0 - scaled[s])
-            (small if scaled[l] < 1.0 else large).append(l)
-        for i in small + large:
-            self.prob[i] = 1.0
-            self.alias[i] = i
-
-    def __len__(self) -> int:
-        return len(self.prob)
-
-    def draw(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray | int:
-        """Sample indices from the table; scalar when size is None."""
-        n = len(self.prob)
-        if size is None:
-            k = int(rng.integers(n))
-            return k if rng.random() < self.prob[k] else int(self.alias[k])
-        ks = rng.integers(n, size=size)
-        accept = rng.random(size=size) < self.prob[ks]
-        return np.where(accept, ks, self.alias[ks]).astype(np.int64)
-
-
 class ReciprocalSampler:
-    """Negative sampler with weights 1 / max(train_count, 1)."""
+    """Negative sampler with weights 1 / max(train_count, 1).
 
-    def __init__(self, num_items: int, train_counts: np.ndarray, train_sets: tuple):
+    `positive_keys` holds `user * num_items + item` for every train
+    positive, sorted ascending.
+    """
+
+    def __init__(self, num_items: int, train_counts: np.ndarray, positive_keys):
         if num_items <= 0:
             raise ValueError("num_items must be positive")
         counts = np.asarray(train_counts, dtype=np.int64)
@@ -73,38 +37,44 @@ class ReciprocalSampler:
         self.counts = counts
         self.weights = 1.0 / np.maximum(counts, 1).astype(np.float64)
         self.probs = self.weights / self.weights.sum()
-        self.table = AliasTable(self.probs)
-        self._train_sets = train_sets
+        cdf = np.cumsum(self.weights)
+        self.cdf = cdf / cdf[-1]
+        # the sentinel keeps every searchsorted position a valid index
+        self._keys = np.append(np.asarray(positive_keys, dtype=np.int64), np.iinfo(np.int64).max)
 
-    def draw(self, rng: np.random.Generator, size: int | None = None):
-        """Raw popularity-inverse draw, no positive filtering."""
-        return self.table.draw(rng, size=size)
+    def draw(self, rng: np.random.Generator, size) -> np.ndarray:
+        """Raw popularity-inverse draw of `size` items, no positive filtering."""
+        return np.searchsorted(self.cdf, rng.random(size), side="right").astype(np.int64)
 
-    def sample_negative(self, rng: np.random.Generator, user: int) -> int:
-        """One negative for `user`: redraw on collision with the user's
-        train positives, falling back to a uniform pick over non-positive
-        items if rejection keeps failing."""
-        positives = self._train_sets[user]
-        for _ in range(MAX_REJECTIONS):
-            cand = int(self.table.draw(rng))
-            if cand not in positives:
-                return cand
-        candidates = np.setdiff1d(
-            np.arange(self.num_items, dtype=np.int64),
-            np.fromiter(positives, dtype=np.int64, count=len(positives)),
-            assume_unique=True,
-        )
-        if len(candidates) == 0:
-            raise ValueError(f"user {user} has every item as a positive; no negative exists")
-        return int(candidates[rng.integers(len(candidates))])
+    def _collides(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
+        probe = users * self.num_items + items
+        return self._keys[np.searchsorted(self._keys, probe)] == probe
 
     def sample_negatives(self, rng: np.random.Generator, users: np.ndarray) -> np.ndarray:
-        return np.array([self.sample_negative(rng, int(u)) for u in users], dtype=np.int64)
+        """One negative per entry of `users` (repeats allowed), never one of
+        that user's train positives."""
+        users = np.asarray(users, dtype=np.int64)
+        out = self.draw(rng, len(users))
+        todo = np.flatnonzero(self._collides(users, out))
+        for _ in range(MAX_REJECTIONS):
+            if len(todo) == 0:
+                break
+            out[todo] = self.draw(rng, len(todo))
+            todo = todo[self._collides(users[todo], out[todo])]
+        for k in todo:
+            u = int(users[k])
+            lo, hi = np.searchsorted(self._keys, [u * self.num_items, (u + 1) * self.num_items])
+            pool = np.setdiff1d(np.arange(self.num_items), self._keys[lo:hi] - u * self.num_items)
+            if len(pool) == 0:
+                raise ValueError(f"user {u} has every item as a positive; no negative exists")
+            out[k] = pool[rng.integers(len(pool))]
+        return out
 
 
-def build_sampler(store: InteractionStore) -> ReciprocalSampler:
-    counts = np.zeros(store.num_items, dtype=np.int64)
-    for u in range(store.num_users):
-        counts[store.train[u]] += 1
-    train_sets = tuple(frozenset(int(i) for i in store.train[u]) for u in range(store.num_users))
-    return ReciprocalSampler(store.num_items, counts, train_sets)
+def build_sampler(store: InteractionStore, uniform: bool = False) -> ReciprocalSampler:
+    """Sampler over the store's train positives; `uniform` ignores the
+    interaction counts and weighs every item 1."""
+    n = store.num_items
+    users, items = store.train_pairs()
+    counts = np.zeros(n, dtype=np.int64) if uniform else np.bincount(items, minlength=n)
+    return ReciprocalSampler(n, counts, users * n + items)

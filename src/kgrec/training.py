@@ -359,13 +359,7 @@ def _kmpn_instance(seed: int, with_content: bool):
         raise RuntimeError("could not build an FD-safe gradcheck instance")
     users = np.array([0, 1, 2, 3, 0, 2], dtype=np.int64)
     pos = np.array([int(store.train[int(u)][rng.integers(len(store.train[int(u)]))]) for u in users])
-    neg = np.empty(len(users), dtype=np.int64)
-    for k, u in enumerate(users):
-        while True:
-            cand = int(rng.integers(num_items))
-            if cand not in set(int(i) for i in store.train[int(u)]):
-                neg[k] = cand
-                break
+    neg = build_sampler(store, uniform=True).sample_negatives(rng, users)
     weights = LossWeights(l2=0.05, dcorr=0.5, cross_system=0.3 if with_content else 0.0, pca_keep=0.5)
     content = None
     if with_content:

@@ -121,6 +121,30 @@ def test_train_unknown_mode_rejected(cli_dataset, tmp_path):
     assert "unknown train mode" in res.stderr
 
 
+def test_train_eval_every_reports_on_stderr(cli_dataset, tmp_path):
+    d, _ = cli_dataset
+    res = run_cli(
+        "train", "--data", d, "--out", tmp_path / "x", "--epochs", 2, "--eval-every", 1,
+        "--h", 8, "--layers", 1, "--n-pref", 2, "--n-meta", 4, "--batch-size", 256,
+    )
+    assert res.returncode == 0, res.stderr
+    lines = res.stderr.splitlines()
+    assert [line.split()[:4] for line in lines] == [
+        ["epoch", "1", "valid", "recall@20"],
+        ["epoch", "2", "valid", "recall@20"],
+    ]
+
+
+def test_train_n_pref_one_rejected_before_loading_data(tmp_path):
+    res = run_cli(
+        "train", "--data", tmp_path / "does-not-exist", "--out", tmp_path / "x", "--n-pref", 1,
+    )
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: train: --n-pref must be at least 2")
+    assert "\n" not in res.stderr.strip()
+    assert not (tmp_path / "x").exists()
+
+
 def test_config_file_merge_explicit_flags_win(cli_dataset, tmp_path):
     d, _ = cli_dataset
     cfg = tmp_path / "run.cfg"

@@ -7,7 +7,6 @@ from kgrec.content import (
     EmbeddingMatrixFile,
     bucketize,
     click_instance,
-    encode_item,
     encode_item_flagged,
     encode_user,
     export_embeddings,
@@ -54,7 +53,7 @@ def test_encode_item_mean_of_buckets():
     p = init_content(h=4, num_buckets=8, seed=0)
     b = bucketize("axe bolt", p.num_buckets)
     want = (p.bucket_emb[b[0]] + p.bucket_emb[b[1]]) / 2.0
-    np.testing.assert_allclose(encode_item("axe bolt", p), want, rtol=1e-15)
+    np.testing.assert_allclose(encode_item_flagged("axe bolt", p)[0], want, rtol=1e-15)
 
 
 def test_encode_item_empty_text_flags_zero():
@@ -67,7 +66,9 @@ def test_encode_item_empty_text_flags_zero():
 
 def test_encode_item_is_order_invariant():
     p = init_content(h=6, num_buckets=32, seed=1)
-    np.testing.assert_array_equal(encode_item("axe bolt coal", p), encode_item("coal axe bolt", p))
+    np.testing.assert_array_equal(
+        encode_item_flagged("axe bolt coal", p)[0], encode_item_flagged("coal axe bolt", p)[0]
+    )
 
 
 def test_encode_item_token_multiplicity_weights_mean():
@@ -75,7 +76,7 @@ def test_encode_item_token_multiplicity_weights_mean():
     ba = bucketize("axe", 64)[0]
     bb = bucketize("bolt", 64)[0]
     want = (2 * p.bucket_emb[ba] + p.bucket_emb[bb]) / 3.0
-    np.testing.assert_allclose(encode_item("axe axe bolt", p), want, rtol=1e-15)
+    np.testing.assert_allclose(encode_item_flagged("axe axe bolt", p)[0], want, rtol=1e-15)
 
 
 # -- user encoder ----------------------------------------------------------------
@@ -345,12 +346,12 @@ def test_export_embeddings_items_users_and_cold_zero(tmp_path):
         assert (tmp_path / name).exists()
 
     np.testing.assert_allclose(
-        item_set.rows([0])[0], encode_item("axe bolt", p), rtol=1e-6
+        item_set.rows([0])[0], encode_item_flagged("axe bolt", p)[0], rtol=1e-6
     )
     assert np.all(item_set.rows([1])[0] == 0.0)  # no text -> zero vector
 
     # user 0 history fits one attention chunk
-    E = np.stack([encode_item(corpus.text(i), p) for i in (0, 1)])
+    E = np.stack([encode_item_flagged(corpus.text(i), p)[0] for i in (0, 1)])
     want, _ = encode_user(E, p)
     np.testing.assert_allclose(user_set.rows([0])[0], want, rtol=1e-6)
     # user 2 is cold: no train rows, zero vector
@@ -370,7 +371,7 @@ def test_export_embeddings_chunked_pooling(tmp_path):
     _, user_set = export_embeddings(p, corpus, store, tmp_path, write_binary=False)
     assert not (tmp_path / "content_users.bin").exists()
 
-    vecs = [encode_item(corpus.text(i), p) for i in range(5)]
+    vecs = [encode_item_flagged(corpus.text(i), p)[0] for i in range(5)]
     chunks = [
         encode_user(np.stack(vecs[0:2]), p)[0],
         encode_user(np.stack(vecs[2:4]), p)[0],

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import special
 
-from kgrec.numeric import sigmoid, softmax_rows, softplus
+from kgrec.model import CHECKPOINT_MAGIC, init_params, save_checkpoint
+from kgrec.numeric import sigmoid, softmax_rows, softplus, write_tensor_file
 
 
 def test_sigmoid_anchors():
@@ -49,4 +50,20 @@ def test_softmax_rows_shift_invariance_and_stability():
     huge = softmax_rows(np.array([[1e4, 1e4 + 1.0]]))
     assert np.isfinite(huge).all()
     np.testing.assert_allclose(huge[0], special.softmax(np.array([0.0, 1.0])), rtol=1e-12)
+
+
+def test_tensor_file_write_failure_keeps_earlier_checkpoint(tmp_path):
+    path = tmp_path / "checkpoint.kmpn"
+    save_checkpoint(init_params(6, 2, 3, h=4, n_layers=1, n_pref=2, n_meta=2, seed=0), path)
+    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.kmpn"]
+    before = path.read_bytes()
+
+    def tensors_then_crash():
+        yield np.ones((3, 4))
+        raise RuntimeError("disk full")
+
+    with pytest.raises(RuntimeError, match="disk full"):
+        write_tensor_file(path, CHECKPOINT_MAGIC, (1, 2, 3), tensors_then_crash())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.kmpn"]
 
