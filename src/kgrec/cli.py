@@ -88,6 +88,10 @@ _DEFAULTS = {
 }
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kgrec",
@@ -97,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, spec in _DEFAULTS.items():
         p = sub.add_parser(command)
         for name, (default, typ) in spec.items():
-            flag = "--" + name.replace("_", "-")
+            flag = _flag(name)
             if typ is bool:
                 p.add_argument(flag, action="store_true", default=False)
             elif typ is int:
@@ -175,12 +179,14 @@ def _write_run_meta(opts: dict, command: str) -> None:
     lines = [f"command={command}"]
     for key in sorted(opts):
         lines.append(f"{key}={opts[key]}")
-    (out_dir / "run.meta").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    from .numeric import write_text_atomic
+
+    write_text_atomic(out_dir / "run.meta", "\n".join(lines) + "\n")
 
 
 def _require(opts: dict, key: str, command: str):
     if not opts.get(key):
-        raise ValueError(f"{command}: --{key.replace('_', '-')} is required")
+        raise ValueError(f"{command}: {_flag(key)} is required")
     return opts[key]
 
 
@@ -224,46 +230,64 @@ def _cmd_synth(opts: dict) -> int:
     return 0
 
 
+# smallest accepted value of every numeric train flag
+_TRAIN_MINIMUMS = {
+    "epochs": 0, "batch_size": 1, "h": 1, "layers": 0, "n_pref": 1, "n_meta": 1,
+    "buckets": 1, "history_size": 1, "negatives": 1, "eval_every": 0,
+    "lr_end": 0, "lambda1": 0, "lambda2": 0, "lambda_cs": 0, "epsilon": 0,
+}
+
+
 def _train_config(opts: dict):
+    """Check every train flag, naming the flag in each error, and build the
+    validated TrainConfig; runs before any data is read."""
     from .losses import LossWeights
     from .optim import TrainConfig
 
+    mode = opts["mode"]
+    if mode not in ("kmpn", "ckmpn", "content"):
+        raise ValueError(f"unknown train mode {mode!r}")
+    for key, low in _TRAIN_MINIMUMS.items():
+        if not opts[key] >= low:
+            raise ValueError(f"train: {_flag(key)} must be >= {low}")
+    if not opts["lr"] >= opts["lr_end"]:
+        raise ValueError("train: --lr must be >= --lr-end")
+    if opts["epsilon"] > 1:
+        raise ValueError("train: --epsilon must be <= 1")
+    if mode == "content" and opts["h"] % 2:
+        raise ValueError("train: --h must be even in --mode content")
+    if mode != "content" and opts["n_pref"] < 2 and opts["lambda2"] != 0.0:
+        raise ValueError(
+            "train: --n-pref must be at least 2 when --lambda2 is nonzero "
+            "(decorrelation needs two preference rows)"
+        )
+    if mode == "ckmpn" and not (opts["content_items"] and opts["content_users"]):
+        raise ValueError("mode ckmpn requires --content-items and --content-users")
     weights = LossWeights(
-        l2=opts["lambda1"],
-        dcorr=opts["lambda2"],
-        cross_system=opts["lambda_cs"],
+        l2=opts["lambda1"], dcorr=opts["lambda2"], cross_system=opts["lambda_cs"],
         pca_keep=opts["epsilon"],
     )
-    return TrainConfig(
-        epochs=opts["epochs"],
-        batch_size=opts["batch_size"],
-        lr_start=opts["lr"],
-        lr_end=opts["lr_end"],
-        weights=weights,
-        seed=opts["seed"],
-        eval_every=opts["eval_every"],
+    config = TrainConfig(
+        epochs=opts["epochs"], batch_size=opts["batch_size"], lr_start=opts["lr"],
+        lr_end=opts["lr_end"], weights=weights, seed=opts["seed"], eval_every=opts["eval_every"],
     )
+    config.validate()
+    return config
 
 
 def _cmd_train(opts: dict) -> int:
     from .content import init_content, read_embeddings, save_content_checkpoint, train_content
     from .data import load_bundle
     from .model import init_params, save_checkpoint
+    from .numeric import write_text_atomic
     from .training import train_ckmpn, train_kmpn
 
     data = _require(opts, "data", "train")
     out = Path(_require(opts, "out", "train"))
     mode = opts["mode"]
-    if mode not in ("kmpn", "ckmpn", "content"):
-        raise ValueError(f"unknown train mode {mode!r}")
-    if mode != "content" and opts["n_pref"] < 2 and opts["lambda2"] != 0.0:
-        raise ValueError(
-            "train: --n-pref must be at least 2 when --lambda2 is nonzero "
-            "(decorrelation needs two preference rows)"
-        )
+    config = _train_config(opts)
     bundle = load_bundle(data)
     out.mkdir(parents=True, exist_ok=True)
-    config = _train_config(opts)
 
     if mode == "content":
         params = init_content(
@@ -287,8 +311,6 @@ def _cmd_train(opts: dict) -> int:
             seed=opts["seed"],
         )
         if mode == "ckmpn":
-            if not opts["content_items"] or not opts["content_users"]:
-                raise ValueError("mode ckmpn requires --content-items and --content-users")
             content = (
                 read_embeddings(opts["content_items"]),
                 read_embeddings(opts["content_users"]),
@@ -298,7 +320,7 @@ def _cmd_train(opts: dict) -> int:
             trained, lines = train_kmpn(bundle, params, config)
         save_checkpoint(trained, out / "checkpoint.kmpn")
 
-    (out / "loss.log").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    write_text_atomic(out / "loss.log", "".join(line + "\n" for line in lines))
     _write_run_meta(opts, "train")
     return 0
 
@@ -308,6 +330,7 @@ def _cmd_eval(opts: dict) -> int:
     from .data import load_bundle
     from .evaluation import evaluate, evaluate_embeddings
     from .model import load_checkpoint
+    from .numeric import write_text_atomic
 
     data = _require(opts, "data", "eval")
     bundle = load_bundle(data)
@@ -331,12 +354,13 @@ def _cmd_eval(opts: dict) -> int:
     if opts.get("out"):
         out = Path(opts["out"])
         out.mkdir(parents=True, exist_ok=True)
-        (out / "report.txt").write_text(text, encoding="utf-8")
+        write_text_atomic(out / "report.txt", text)
         _write_run_meta(opts, "eval")
     return 0
 
 
 def _cmd_gradcheck(opts: dict) -> int:
+    from .numeric import write_text_atomic
     from .training import grad_check
 
     kinds = ("kmpn", "ckmpn", "content") if opts["kind"] == "all" else (opts["kind"],)
@@ -346,7 +370,7 @@ def _cmd_gradcheck(opts: dict) -> int:
     if opts.get("out"):
         out = Path(opts["out"])
         out.mkdir(parents=True, exist_ok=True)
-        (out / "gradcheck.txt").write_text(text, encoding="utf-8")
+        write_text_atomic(out / "gradcheck.txt", text)
         _write_run_meta(opts, "gradcheck")
     return 0 if all(r.passed for r in reports) else 1
 

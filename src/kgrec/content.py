@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import InteractionStore, ItemCorpus
-from .numeric import read_tensor_file, softmax_rows, write_tensor_file
+from .numeric import read_tensor_file, segment_sum, softmax_rows, write_tensor_file
 from .optim import TrainConfig, adam_step, init_adam, lr_at
 from .sampling import build_sampler
 
@@ -108,11 +108,7 @@ class ContentParams:
 
     def copy(self) -> "ContentParams":
         return ContentParams(
-            bucket_emb=self.bucket_emb.copy(),
-            fc1_w=self.fc1_w.copy(),
-            fc1_b=self.fc1_b.copy(),
-            fc2_w=self.fc2_w.copy(),
-            fc2_b=self.fc2_b.copy(),
+            **{k: t.copy() for k, t in self.tensors().items()},
             history_size=self.history_size,
             num_negatives=self.num_negatives,
         )
@@ -170,11 +166,12 @@ def encode_user(history_embs: np.ndarray, params: ContentParams):
     return alpha @ E, alpha
 
 
-def _encode_user_backward(E, H, alpha, params: ContentParams, d_user):
-    """Adjoint of encode_user given cached intermediates.
+def _encode_user_backward(E, alpha, params: ContentParams, d_user):
+    """Adjoint of encode_user given its input and attention weights.
 
     Returns (d_E, d_fc1_w, d_fc1_b, d_fc2_w, d_fc2_b).
     """
+    H = np.tanh(E @ params.fc1_w + params.fc1_b)
     d_E = alpha[:, None] * d_user[None, :]
     d_alpha = E @ d_user  # [B]
     inner = float(alpha @ d_alpha)
@@ -218,11 +215,7 @@ def click_instance(
     e_pos = item_vec(pos_buckets)
     e_negs = np.stack([item_vec(b) for b in neg_buckets])  # [K, h]
 
-    H = np.tanh(E @ params.fc1_w + params.fc1_b)
-    scores_att = (H @ params.fc2_w)[:, 0] + params.fc2_b[0]
-    alpha = softmax_rows(scores_att[None, :])[0]
-    user = alpha @ E
-
+    user, alpha = encode_user(E, params)
     pos_score = float(user @ e_pos)
     neg_scores = e_negs @ user  # [K]
     loss, d_pos, d_negs = click_softmax_loss(
@@ -237,21 +230,16 @@ def click_instance(
     d_e_pos = d_pos * user
     d_e_negs = d_negs[:, None] * user[None, :]
 
-    d_E, d_fc1_w, d_fc1_b, d_fc2_w, d_fc2_b = _encode_user_backward(
-        E, H, alpha, params, d_user
+    d_E, d_fc1_w, d_fc1_b, d_fc2_w, d_fc2_b = _encode_user_backward(E, alpha, params, d_user)
+
+    # item vectors are bucket means: row k of [d_E; d_e_pos; d_e_negs] goes
+    # to every bucket of item k, weighted 1/len(buckets)
+    lists = [*hist_buckets, pos_buckets, *neg_buckets]
+    counts = np.array([len(b) for b in lists])
+    d_items = np.concatenate([d_E, d_e_pos[None, :], d_e_negs]) / np.maximum(counts, 1)[:, None]
+    d_bucket = segment_sum(
+        np.concatenate(lists), np.repeat(d_items, counts, axis=0), params.num_buckets
     )
-
-    d_bucket = np.zeros_like(params.bucket_emb)
-
-    def scatter(buckets, d_vec):
-        if len(buckets):
-            np.add.at(d_bucket, buckets, np.repeat(d_vec[None, :] / len(buckets), len(buckets), axis=0))
-
-    for b, row in zip(hist_buckets, d_E):
-        scatter(b, row)
-    scatter(pos_buckets, d_e_pos)
-    for b, row in zip(neg_buckets, d_e_negs):
-        scatter(b, row)
 
     grads = {
         "bucket_emb": d_bucket,

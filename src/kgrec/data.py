@@ -84,8 +84,7 @@ class InteractionStore:
 
 
 def _as_sorted_unique(items) -> np.ndarray:
-    arr = np.unique(np.asarray(list(items), dtype=np.int64))
-    return arr
+    return np.unique(np.asarray(list(items), dtype=np.int64))
 
 
 def build_store(
@@ -103,13 +102,8 @@ def build_store(
     on sparse user ids, out-of-range items, per-user split overlap, or a
     cold-start user that also appears in train/valid/test.
     """
-    raw = {
-        "train": dict(train or {}),
-        "valid": dict(valid or {}),
-        "test": dict(test or {}),
-        "cold_history": dict(cold_history or {}),
-        "cold_test": dict(cold_test or {}),
-    }
+    given = (train, valid, test, cold_history, cold_test)
+    raw = {name: dict(m or {}) for name, m in zip(SPLIT_NAMES, given)}
     seen_users = set()
     max_item = -1
     for name, mapping in raw.items():
@@ -163,15 +157,7 @@ def build_store(
         if len(splits["cold_test"][u]) and not len(splits["cold_history"][u]):
             raise DatasetError(f"user {u}: cold_test without cold_history")
 
-    return InteractionStore(
-        num_users=n_users,
-        num_items=n_items,
-        train=splits["train"],
-        valid=splits["valid"],
-        test=splits["test"],
-        cold_history=splits["cold_history"],
-        cold_test=splits["cold_test"],
-    )
+    return InteractionStore(num_users=n_users, num_items=n_items, **splits)
 
 
 @dataclass(frozen=True)
@@ -214,29 +200,16 @@ def load_interactions(path, num_items: int | None = None) -> InteractionStore:
     single train-style file (valid/test empty)."""
     path = Path(path)
     if path.is_dir():
-        parts = {}
-        total_dups = 0
-        for name in SPLIT_NAMES:
-            fpath = path / SPLIT_FILES[name]
-            if fpath.exists():
-                parsed = load_split_file(fpath)
-                parts[name] = parsed.items
-                total_dups += parsed.duplicates_collapsed
-            else:
-                parts[name] = {}
         if not (path / SPLIT_FILES["train"]).exists():
             raise DatasetError(f"missing interaction file: {path / SPLIT_FILES['train']}")
-        if total_dups:
-            log.warning("collapsed %d duplicate interactions while loading %s", total_dups, path)
-        return build_store(num_items=num_items, **parts)
-    parsed = load_split_file(path)
-    if parsed.duplicates_collapsed:
-        log.warning(
-            "collapsed %d duplicate interactions while loading %s",
-            parsed.duplicates_collapsed,
-            path,
-        )
-    return build_store(train=parsed.items, num_items=num_items)
+        files = {name: path / SPLIT_FILES[name] for name in SPLIT_NAMES}
+        parsed = {name: load_split_file(f) for name, f in files.items() if f.exists()}
+    else:
+        parsed = {"train": load_split_file(path)}
+    total_dups = sum(p.duplicates_collapsed for p in parsed.values())
+    if total_dups:
+        log.warning("collapsed %d duplicate interactions while loading %s", total_dups, path)
+    return build_store(num_items=num_items, **{name: p.items for name, p in parsed.items()})
 
 
 def save_interactions(store: InteractionStore, out_dir) -> None:

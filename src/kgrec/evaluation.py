@@ -40,18 +40,20 @@ def rank_items(user_emb: np.ndarray, item_embs: np.ndarray, mask, k: int):
     return order[:take], k > avail
 
 
-def recall_at_k(topk, test) -> float:
+def _test_set(test) -> set:
     test = set(int(t) for t in test)
     if not test:
         raise ValueError("empty test set")
-    hits = sum(1 for i in topk if int(i) in test)
-    return hits / len(test)
+    return test
+
+
+def recall_at_k(topk, test) -> float:
+    test = _test_set(test)
+    return sum(1 for i in topk if int(i) in test) / len(test)
 
 
 def ndcg_at_k(topk, test, k: int) -> float:
-    test = set(int(t) for t in test)
-    if not test:
-        raise ValueError("empty test set")
+    test = _test_set(test)
     dcg = 0.0
     for rank, i in enumerate(topk[:k], start=1):
         if int(i) in test:
@@ -61,9 +63,7 @@ def ndcg_at_k(topk, test, k: int) -> float:
 
 
 def hit_ratio_at_k(topk, test) -> float:
-    test = set(int(t) for t in test)
-    if not test:
-        raise ValueError("empty test set")
+    test = _test_set(test)
     return 1.0 if any(int(i) in test for i in topk) else 0.0
 
 
@@ -79,13 +79,8 @@ class MetricsReport:
 
     def render(self) -> str:
         """Tab-separated `metric K value` rows plus a key=value block."""
-        lines = []
-        for k in self.ks:
-            lines.append(f"recall\t{k}\t{self.recall[k]!r}")
-        for k in self.ks:
-            lines.append(f"ndcg\t{k}\t{self.ndcg[k]!r}")
-        for k in self.ks:
-            lines.append(f"hit_ratio\t{k}\t{self.hit[k]!r}")
+        tables = (("recall", self.recall), ("ndcg", self.ndcg), ("hit_ratio", self.hit))
+        lines = [f"{name}\t{k}\t{table[k]!r}" for name, table in tables for k in self.ks]
         lines.append(f"split={self.split}")
         lines.append(f"users_evaluated={self.users_evaluated}")
         lines.append(f"users_skipped={self.users_skipped}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import InteractionStore, KnowledgeGraph
-from .numeric import read_tensor_file, sigmoid, softmax_rows, write_tensor_file
+from .numeric import read_tensor_file, segment_sum, sigmoid, softmax_rows, write_tensor_file
 
 CHECKPOINT_MAGIC = "KMPN1"
 
@@ -87,14 +87,8 @@ class KmpnParams:
                 raise ValueError(f"non-finite values in {name}")
 
     def copy(self) -> "KmpnParams":
-        return KmpnParams(
-            entity_emb=self.entity_emb.copy(),
-            relation_emb=self.relation_emb.copy(),
-            user_emb=self.user_emb.copy(),
-            meta_pref_emb=self.meta_pref_emb.copy(),
-            pref_logits=self.pref_logits.copy(),
-            n_layers=self.n_layers,
-        )
+        tensors = {k: t.copy() for k, t in self.tensors().items()}
+        return KmpnParams(**tensors, n_layers=self.n_layers)
 
 
 def init_params(
@@ -127,23 +121,31 @@ def init_params(
 # ---------------------------------------------------------------------------
 
 
+def _modulated(prev: np.ndarray, relation_emb: np.ndarray) -> np.ndarray:
+    """Relation-modulated entity table X[r*N + j] = rel_r o prev_j, [R*N, h]."""
+    return (relation_emb[:, None, :] * prev[None, :, :]).reshape(-1, prev.shape[1])
+
+
 def conv_layer(graph: KnowledgeGraph, prev: np.ndarray, relation_emb: np.ndarray):
     """One gated convolution sweep over every entity.
 
     out_i = (1/deg_i) * sum over edges (i, r, j) of
             sigmoid(prev_i . rel_r) * (rel_r o prev_j)
 
+    computed in relation-factored form. The gate logits are entries of the
+    small [N, R] product prev @ rel^T, read at (head, rel); the messages
+    are rows of the relation-modulated table X = _modulated(prev, rel):
+
+        w_e = sigmoid((prev @ rel^T)[head_e, rel_e]) / deg(head_e)
+        out = segment_sum(head, w[:, None] * X[rel * N + tail], N)
+
     Isolated entities output zero. Returns (out, per-edge gate values).
     """
-    head_prev = prev[graph.edge_head]  # [E, h]
-    rel_e = relation_emb[graph.edge_rel]  # [E, h]
-    tail_prev = prev[graph.edge_tail]  # [E, h]
-    gates = sigmoid((head_prev * rel_e).sum(axis=1))  # [E]
-    msg = gates[:, None] * rel_e * tail_prev
-    out = np.zeros_like(prev)
-    np.add.at(out, graph.edge_head, msg)
-    out *= graph.inv_degree[:, None]
-    return out, gates
+    n = len(prev)
+    gates = sigmoid((prev @ relation_emb.T)[graph.edge_head, graph.edge_rel])  # [E]
+    w = gates * graph.inv_degree[graph.edge_head]
+    msg = _modulated(prev, relation_emb)[graph.edge_rel * n + graph.edge_tail]  # [E, h]
+    return segment_sum(graph.edge_head, w[:, None] * msg, n), gates
 
 
 def entity_forward(params: KmpnParams, graph: KnowledgeGraph):
@@ -179,17 +181,13 @@ def preference_embeddings(params: KmpnParams):
 
 def _history_arrays(histories, users: np.ndarray):
     """CSR-style concatenation of `histories[u]` for the given user list."""
-    lists = []
-    for u in users:
-        items = histories[int(u)]
-        if len(items) == 0:
-            raise ValueError(f"user {int(u)} has no history")
-        lists.append(items)
+    lists = [histories[int(u)] for u in users]
     counts = np.array([len(v) for v in lists], dtype=np.int64)
-    concat = np.concatenate(lists)
+    if not counts.all():
+        raise ValueError(f"user {int(users[np.argmin(counts)])} has no history")
     seg = np.zeros(len(users), dtype=np.int64)
     np.cumsum(counts[:-1], out=seg[1:])
-    return concat, counts, seg
+    return np.concatenate(lists), counts, seg
 
 
 def user_forward(entity_layers: list, histories, users: np.ndarray, profile: np.ndarray):
@@ -312,21 +310,26 @@ def _conv_backward(
     d_relation: np.ndarray,
 ):
     """Adjoint of conv_layer. Accumulates into d_relation and returns the
-    gradient with respect to `prev`."""
-    g_msg = grad_out[graph.edge_head] * graph.inv_degree[graph.edge_head][:, None]  # [E, h]
-    rel_e = relation_emb[graph.edge_rel]
-    tail_prev = prev[graph.edge_tail]
-    core = rel_e * tail_prev
+    gradient with respect to `prev`.
 
-    d_gate = (g_msg * core).sum(axis=1)  # [E]
-    d_core = g_msg * gates[:, None]
-    d_dot = d_gate * gates * (1.0 - gates)  # sigmoid'
+    With G_e = grad_out[head_e] / deg(head_e) and X = _modulated(prev, rel):
 
-    d_prev = np.zeros_like(prev)
-    np.add.at(d_prev, graph.edge_tail, d_core * rel_e)
-    np.add.at(d_prev, graph.edge_head, d_dot[:, None] * rel_e)
-    np.add.at(d_relation, graph.edge_rel, d_core * tail_prev + d_dot[:, None] * prev[graph.edge_head])
-    return d_prev
+    message path: Y = segment_sum(rel * N + tail, gate_e * G_e, R*N) seen as
+        [R, N, h]; d_prev_j += sum_r Y[r, j] o rel_r and
+        d_rel_r += sum_j Y[r, j] o prev_j.
+    gate path: d_dot_e = gate_e (1 - gate_e) * (G_e . X[rel_e * N + tail_e])
+        is the adjoint of logit (head_e, rel_e); binned into Dm [N, R], it
+        gives d_prev += Dm @ rel and d_rel += Dm^T @ prev.
+    """
+    n, n_rel, h = prev.shape[0], relation_emb.shape[0], prev.shape[1]
+    rows = graph.edge_rel * n + graph.edge_tail
+    g_edge = (grad_out * graph.inv_degree[:, None])[graph.edge_head]  # [E, h]
+    d_dot = np.einsum("eh,eh->e", g_edge, _modulated(prev, relation_emb)[rows])
+    d_dot *= gates * (1.0 - gates)  # sigmoid'
+    y = segment_sum(rows, gates[:, None] * g_edge, n_rel * n).reshape(n_rel, n, h)
+    dm = segment_sum(graph.edge_head * n_rel + graph.edge_rel, d_dot, n * n_rel).reshape(n, n_rel)
+    d_relation += np.einsum("rnh,nh->rh", y, prev) + dm.T @ prev
+    return np.einsum("rnh,rh->nh", y, relation_emb) + dm @ relation_emb
 
 
 def backward(
@@ -362,18 +365,16 @@ def backward(
     d_user_rows = d_pos_scores[:, None] * pos_rows + d_neg_scores[:, None] * neg_rows
     if d_user_agg is not None:
         d_user_rows = d_user_rows + d_user_agg
-    d_entity_agg = np.zeros_like(entity_agg)
-    np.add.at(d_entity_agg, trace.pos_items, d_pos_scores[:, None] * user_rows)
-    np.add.at(d_entity_agg, trace.neg_items, d_neg_scores[:, None] * user_rows)
+    d_item_rows = np.concatenate([d_pos_scores, d_neg_scores])[:, None] * np.tile(user_rows, (2, 1))
     if d_pos_agg is not None:
-        np.add.at(d_entity_agg, trace.pos_items, d_pos_agg)
+        d_item_rows[:B] += d_pos_agg
     if d_neg_agg is not None:
-        np.add.at(d_entity_agg, trace.neg_items, d_neg_agg)
+        d_item_rows[B:] += d_neg_agg
+    items = np.concatenate([trace.pos_items, trace.neg_items])
+    d_entity_agg = segment_sum(items, d_item_rows, len(entity_agg))
 
     # fold batch rows onto unique users
-    U = len(trace.uniq_users)
-    d_uagg = np.zeros((U, params.h), dtype=np.float64)
-    np.add.at(d_uagg, trace.batch_inv, d_user_rows)
+    d_uagg = segment_sum(trace.batch_inv, d_user_rows, len(trace.uniq_users))
 
     # user aggregation: user_agg = msum o profile, profile = alpha @ pref
     profile = trace.alpha @ trace.pref
@@ -390,7 +391,7 @@ def backward(
     d_att_logits = trace.alpha * (d_alpha - inner)  # [U, P]
     uemb_rows = params.user_emb[trace.uniq_users]
     d_user_emb = np.zeros_like(params.user_emb)
-    np.add.at(d_user_emb, trace.uniq_users, d_att_logits @ trace.pref)
+    d_user_emb[trace.uniq_users] = d_att_logits @ trace.pref  # uniq_users is unique
     d_pref_total += d_att_logits.T @ uemb_rows
 
     # preference composition: pref = beta @ meta, beta = row-softmax(logits)
@@ -400,9 +401,8 @@ def backward(
     d_pref_logits = trace.beta * (d_beta - inner_b)
 
     # history means: the same scatter feeds every depth
-    hist_scatter = np.zeros_like(entity_agg)
     weights = np.repeat(d_msum / trace.hist_counts[:, None], trace.hist_counts, axis=0)
-    np.add.at(hist_scatter, trace.hist_concat, weights)
+    hist_scatter = segment_sum(trace.hist_concat, weights, len(entity_agg))
 
     per_depth = d_entity_agg + hist_scatter  # reaches layers[l] for every l
     d_relation = np.zeros_like(params.relation_emb)

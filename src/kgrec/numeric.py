@@ -1,9 +1,11 @@
-"""Shared float64 primitives: stable elementwise functions and the tensor
-file codec used by both checkpoints."""
+"""Shared float64 primitives: stable elementwise functions, the one scatter
+kernel, atomic file writes and the tensor file codec used by both
+checkpoints."""
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -35,21 +37,51 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     return ex / ex.sum(axis=-1, keepdims=True)
 
 
-def write_tensor_file(path, magic: str, header: tuple, tensors) -> None:
-    """ASCII header line `magic n1 n2 ...`, then every tensor as row-major
-    little-endian float64. Written to `<path>.tmp` and renamed over `path`,
-    so a failed write leaves any earlier file intact."""
-    line = " ".join([magic, *(str(int(n)) for n in header)]) + "\n"
+def segment_sum(index, values, n: int) -> np.ndarray:
+    """Scatter-add: out[k] = sum of values[m] over every m with index[m] == k.
+
+    `values` is [M] or [M, h]; the result is [n] or [n, h], zero where no
+    index points. One flat np.bincount over index * h + column, so every
+    bin adds its terms in input order and reruns are bit-identical.
+    """
+    index = np.asarray(index, dtype=np.intp)
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim == 1:
+        return np.bincount(index, weights=values, minlength=n)
+    h = values.shape[1]
+    flat = (index[:, None] * h + np.arange(h)).ravel()
+    return np.bincount(flat, weights=values.ravel(), minlength=n * h).reshape(n, h)
+
+
+@contextmanager
+def atomic_open(path):
+    """Binary file handle on `<path>.tmp`, renamed over `path` on success
+    and removed on failure, so a failed write leaves any earlier file
+    intact."""
     tmp = Path(f"{path}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(line.encode("ascii"))
-            for t in tensors:
-                fh.write(np.ascontiguousarray(t, dtype="<f8").tobytes())
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_text_atomic(path, text: str) -> None:
+    """UTF-8 `text` written through atomic_open."""
+    with atomic_open(path) as fh:
+        fh.write(text.encode("utf-8"))
+
+
+def write_tensor_file(path, magic: str, header: tuple, tensors) -> None:
+    """ASCII header line `magic n1 n2 ...`, then every tensor as row-major
+    little-endian float64, written through atomic_open."""
+    line = " ".join([magic, *(str(int(n)) for n in header)]) + "\n"
+    with atomic_open(path) as fh:
+        fh.write(line.encode("ascii"))
+        for t in tensors:
+            fh.write(np.ascontiguousarray(t, dtype="<f8").tobytes())
 
 
 def read_tensor_file(path, magic: str, n_header: int, shapes):

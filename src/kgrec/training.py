@@ -128,14 +128,10 @@ def _validate_content_pair(content, store: InteractionStore, h: int) -> None:
     for emb in (item_set, user_set):
         if emb.dim != h:
             raise ValueError(f"content embedding dim {emb.dim} != model h {h}")
-    item_ids = set(int(i) for i in item_set.ids)
-    for i in range(store.num_items):
-        if i not in item_ids:
-            raise ValueError(f"content item file missing item {i}")
-    user_ids = set(int(u) for u in user_set.ids)
-    for u in range(store.num_users):
-        if u not in user_ids:
-            raise ValueError(f"content user file missing user {u}")
+    for emb, n in ((item_set, store.num_items), (user_set, store.num_users)):
+        missing = np.setdiff1d(np.arange(n), emb.ids)
+        if len(missing):
+            raise ValueError(f"content {emb.kind} file missing {emb.kind} {int(missing[0])}")
 
 
 def _format_log_line(epoch, parts_sum, lr) -> str:
@@ -404,19 +400,10 @@ def grad_check(kind: str, tolerance: float = 1e-4, seed: int = 0) -> GradCheckRe
         )
 
         def value_fn():
-            total, _, _, _ = kmpn_loss_and_grads(
-                params,
-                graph,
-                store,
-                users,
-                pos,
-                neg,
-                weights,
-                content=content,
-                frozen_basis=basis,
-                compute_grads=False,
-            )
-            return total
+            return kmpn_loss_and_grads(
+                params, graph, store, users, pos, neg, weights,
+                content=content, frozen_basis=basis, compute_grads=False,
+            )[0]
 
         entries = _fd_sweep(params.tensors(), grads, value_fn, tolerance, FD_STEP)
     elif kind == "content":

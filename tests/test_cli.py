@@ -145,6 +145,28 @@ def test_train_n_pref_one_rejected_before_loading_data(tmp_path):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--batch-size", 0], "--batch-size must be >= 1"),
+        (["--epochs", -1], "--epochs must be >= 0"),
+        (["--h", 0], "--h must be >= 1"),
+        (["--layers", -1], "--layers must be >= 0"),
+        (["--n-meta", 0], "--n-meta must be >= 1"),
+        (["--mode", "content", "--buckets", 0], "--buckets must be >= 1"),
+        (["--mode", "content", "--h", 7], "--h must be even in --mode content"),
+        (["--lambda1", -1.0], "--lambda1 must be >= 0"),
+        (["--lr", 1e-4, "--lr-end", 1e-3], "--lr must be >= --lr-end"),
+        (["--epsilon", 1.5], "--epsilon must be <= 1"),
+    ],
+)
+def test_train_flags_checked_before_loading_data(tmp_path, flags, message):
+    res = run_cli("train", "--data", tmp_path / "does-not-exist", "--out", tmp_path / "x", *flags)
+    assert res.returncode == 2
+    assert res.stderr == f"error: train: {message}\n"
+    assert not (tmp_path / "x").exists()
+
+
 def test_config_file_merge_explicit_flags_win(cli_dataset, tmp_path):
     d, _ = cli_dataset
     cfg = tmp_path / "run.cfg"

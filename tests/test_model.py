@@ -5,6 +5,7 @@ import pytest
 
 from kgrec.data import build_store, kg_from_triplets
 from kgrec.model import (
+    _conv_backward,
     aggregate_layers,
     backward,
     conv_layer,
@@ -118,6 +119,57 @@ def test_conv_is_equivariant_under_entity_relabeling():
     prev_p[perm] = prev
     out_p, _ = conv_layer(g_p, prev_p, rel)
     np.testing.assert_allclose(out_p[perm], out, rtol=1e-12)
+
+
+def loop_graph():
+    """Random 3-relation graph with a self-loop (entity 2) and an isolated
+    entity (7)."""
+    rng = np.random.default_rng(11)
+    triplets = [(2, 1, 2)]
+    while len(triplets) < 12:
+        h, t = (int(x) for x in rng.integers(0, 7, size=2))
+        triplets.append((h, int(rng.integers(3)), t))
+    return kg_from_triplets(triplets, num_relations_raw=3, num_entities=8)
+
+
+def per_edge_conv(g, prev, rel, grad_out, d_rel):
+    """conv_layer and its adjoint, one edge at a time."""
+    out = np.zeros_like(prev)
+    d_prev = np.zeros_like(prev)
+    gates = []
+    for i, r, j in zip(g.edge_head, g.edge_rel, g.edge_tail):
+        w = 1.0 / g.degrees[i]
+        s = 1.0 / (1.0 + math.exp(-float(prev[i] @ rel[r])))
+        gates.append(s)
+        out[i] += w * s * rel[r] * prev[j]
+        d_dot = w * float(grad_out[i] @ (rel[r] * prev[j])) * s * (1.0 - s)
+        d_prev[j] += w * s * grad_out[i] * rel[r]
+        d_rel[r] += w * s * grad_out[i] * prev[j]
+        d_prev[i] += d_dot * rel[r]
+        d_rel[r] += d_dot * prev[i]
+    return out, np.array(gates), d_prev
+
+
+def test_conv_and_adjoint_match_per_edge_loop():
+    g = loop_graph()
+    assert g.degrees[7] == 0 and ((g.edge_head == 2) & (g.edge_tail == 2)).any()
+    rng = np.random.default_rng(12)
+    prev = rng.normal(size=(8, 5))
+    rel = rng.normal(size=(g.num_relations, 5))
+    grad_out = rng.normal(size=(8, 5))
+    start = rng.normal(size=rel.shape)  # d_relation accumulates into a nonzero buffer
+
+    d_rel_want = start.copy()
+    out_want, gates_want, d_prev_want = per_edge_conv(g, prev, rel, grad_out, d_rel_want)
+    out, gates = conv_layer(g, prev, rel)
+    d_rel = start.copy()
+    d_prev = _conv_backward(g, prev, rel, gates, grad_out, d_rel)
+
+    np.testing.assert_allclose(out, out_want, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(gates, gates_want, rtol=1e-13)
+    np.testing.assert_allclose(d_prev, d_prev_want, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(d_rel, d_rel_want, rtol=1e-12, atol=1e-15)
+    assert np.all(out[7] == 0.0)
 
 
 def test_entity_forward_layer_count_and_depth_zero():

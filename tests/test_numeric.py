@@ -5,7 +5,14 @@ import pytest
 from scipy import special
 
 from kgrec.model import CHECKPOINT_MAGIC, init_params, save_checkpoint
-from kgrec.numeric import sigmoid, softmax_rows, softplus, write_tensor_file
+from kgrec.numeric import (
+    segment_sum,
+    sigmoid,
+    softmax_rows,
+    softplus,
+    write_tensor_file,
+    write_text_atomic,
+)
 
 
 def test_sigmoid_anchors():
@@ -67,3 +74,37 @@ def test_tensor_file_write_failure_keeps_earlier_checkpoint(tmp_path):
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.kmpn"]
 
+
+
+def add_at_reference(index, values, n):
+    out = np.zeros((n,) + np.shape(values)[1:])
+    np.add.at(out, np.asarray(index, dtype=np.int64), values)
+    return out
+
+
+@pytest.mark.parametrize("width", [None, 1, 4])
+def test_segment_sum_matches_add_at(width):
+    rng = np.random.default_rng(5)
+    index = np.array([3, 0, 3, 3, 5, 0, 3])  # repeats; rows 1, 2, 4, 6 never hit
+    shape = (len(index),) if width is None else (len(index), width)
+    values = rng.normal(size=shape)
+    out = segment_sum(index, values, 7)
+    assert out.shape == (7,) + shape[1:]
+    np.testing.assert_allclose(out, add_at_reference(index, values, 7), rtol=1e-14)
+    assert np.all(out[[1, 2, 4, 6]] == 0.0)
+
+
+def test_segment_sum_empty_index():
+    out = segment_sum(np.array([], dtype=np.int64), np.zeros((0, 3)), 4)
+    np.testing.assert_array_equal(out, np.zeros((4, 3)))
+    np.testing.assert_array_equal(segment_sum([], np.zeros(0), 2), np.zeros(2))
+
+
+def test_text_write_failure_keeps_earlier_file(tmp_path):
+    path = tmp_path / "loss.log"
+    write_text_atomic(path, "1\t0.5\n")
+    assert path.read_bytes() == b"1\t0.5\n"
+    with pytest.raises(UnicodeEncodeError):
+        write_text_atomic(path, "2\t\ud800\n")  # a lone surrogate cannot be encoded
+    assert path.read_bytes() == b"1\t0.5\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["loss.log"]

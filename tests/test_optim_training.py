@@ -4,10 +4,12 @@ import pytest
 from kgrec.content import EmbeddingMatrixFile
 from kgrec.data import DatasetBundle, ItemCorpus, build_store, kg_from_triplets
 from kgrec.losses import LossWeights
-from kgrec.model import init_params
+from kgrec.model import backward, forward, init_params
 from kgrec.optim import AdamState, TrainConfig, adam_step, init_adam, lr_at
 from kgrec.training import (
+    FD_STEP,
     LossParts,
+    _fd_sweep,
     grad_check,
     kmpn_loss_and_grads,
     train_ckmpn,
@@ -315,3 +317,56 @@ def test_grad_check_render_shape():
     assert lines[-1].startswith("max_rel_err=")
     with pytest.raises(ValueError, match="unknown gradcheck kind"):
         grad_check("bogus")
+
+
+# -- degenerate shapes -----------------------------------------------------------------
+
+
+def degenerate_instance(seed, n_layers):
+    """Random tiny instance with an isolated entity (9), an item without KG
+    edges (5), one-item users (0 and 2) and a repeated batch user."""
+    rng = np.random.default_rng(seed)
+    linked = [0, 1, 2, 3, 4, 6, 7, 8]
+    triplets = [
+        (int(rng.choice(linked)), int(rng.integers(2)), int(rng.choice(linked))) for _ in range(10)
+    ]
+    graph = kg_from_triplets(triplets, num_relations_raw=2, num_entities=10)
+    train = {0: [int(rng.integers(6))], 1: [0, 2], 2: [5], 3: [int(rng.integers(5)), 5]}
+    store = build_store(train, num_users=4, num_items=6)
+    params = init_params(10, graph.num_relations, 4, h=3, n_layers=n_layers, n_pref=2, n_meta=3,
+                         seed=seed)
+    users = np.array([0, 1, 2, 3, 0])
+    pos = np.array([train[int(u)][-1] for u in users])
+    neg = np.array([5, 4, 1, 0, 3])
+    return params, graph, store, (users, pos, neg)
+
+
+@pytest.mark.parametrize("n_layers", [0, 2])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_degenerate_shapes_finite_and_gradchecked(seed, n_layers):
+    params, graph, store, (users, pos, neg) = degenerate_instance(seed, n_layers)
+    assert graph.degrees[5] == 0 and graph.degrees[9] == 0
+    trace, pos_s, neg_s = forward(params, graph, store, users, pos, neg)
+    assert len(trace.layers) == n_layers + 1
+    for layer in trace.layers:
+        assert layer.shape == (10, 3) and np.isfinite(layer).all()
+        assert layer is trace.layers[0] or np.all(layer[[5, 9]] == 0.0)
+    assert pos_s.shape == neg_s.shape == (5,)
+    assert np.isfinite(pos_s).all() and np.isfinite(neg_s).all()
+    grads = backward(params, graph, trace, np.ones(5), -np.ones(5))
+    for name, t in params.tensors().items():
+        assert grads[name].shape == t.shape and np.isfinite(grads[name]).all(), name
+    assert np.all(grads["entity_emb"][9] == 0.0)  # reached by no edge, history or batch row
+    if n_layers == 0:
+        assert np.all(grads["relation_emb"] == 0.0)
+
+    weights = LossWeights(l2=0.05, dcorr=0.0, cross_system=0.0)
+    _, grads, _, _ = kmpn_loss_and_grads(params, graph, store, users, pos, neg, weights)
+
+    def value_fn():
+        return kmpn_loss_and_grads(
+            params, graph, store, users, pos, neg, weights, compute_grads=False
+        )[0]
+
+    entries = _fd_sweep(params.tensors(), grads, value_fn, 1e-4, FD_STEP)
+    assert all(e.passed for e in entries), entries
