@@ -325,6 +325,25 @@ def _cmd_train(opts: dict) -> int:
     return 0
 
 
+def _eval_ks(opts: dict) -> tuple:
+    """Check every eval flag, naming the flag in each error, and return the
+    cutoffs; runs before any data is read."""
+    if opts["split"] not in ("test", "valid", "cold_start"):
+        raise ValueError("eval: --split must be one of test, valid, cold_start")
+    try:
+        ks = tuple(int(x) for x in str(opts["k"]).split(",") if x.strip())
+    except ValueError:
+        ks = ()
+    if not ks or min(ks) < 1:
+        raise ValueError("eval: --k must be a comma-separated list of integers >= 1")
+    if not opts["checkpoint"]:
+        if not (opts["content_items"] and opts["content_users"]):
+            raise ValueError("eval: need --checkpoint or both --content-items/--content-users")
+        if opts["split"] == "cold_start":
+            raise ValueError("eval: --split cold_start needs --checkpoint, not exchange files")
+    return ks
+
+
 def _cmd_eval(opts: dict) -> int:
     from .content import read_embeddings
     from .data import load_bundle
@@ -333,22 +352,14 @@ def _cmd_eval(opts: dict) -> int:
     from .numeric import write_text_atomic
 
     data = _require(opts, "data", "eval")
+    ks = _eval_ks(opts)
     bundle = load_bundle(data)
-    ks = tuple(int(x) for x in str(opts["k"]).split(",") if x.strip())
     split = opts["split"]
     if opts["checkpoint"]:
-        params = load_checkpoint(opts["checkpoint"])
-        report = evaluate(params, bundle, split, ks=ks)
-    elif opts["content_items"] and opts["content_users"]:
-        report = evaluate_embeddings(
-            read_embeddings(opts["content_users"]),
-            read_embeddings(opts["content_items"]),
-            bundle,
-            split,
-            ks=ks,
-        )
+        report = evaluate(load_checkpoint(opts["checkpoint"]), bundle, split, ks=ks)
     else:
-        raise ValueError("eval: need --checkpoint or both --content-items/--content-users")
+        users, items = read_embeddings(opts["content_users"]), read_embeddings(opts["content_items"])
+        report = evaluate_embeddings(users, items, bundle, split, ks=ks)
     text = report.render()
     sys.stdout.write(text)
     if opts.get("out"):

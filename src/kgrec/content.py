@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import InteractionStore, ItemCorpus
-from .numeric import read_tensor_file, segment_sum, softmax_rows, write_tensor_file
+from .numeric import atomic_open, read_tensor_file, segment_sum, softmax_rows, write_tensor_file
 from .optim import TrainConfig, adam_step, init_adam, lr_at
 from .sampling import build_sampler
 
@@ -359,14 +359,15 @@ class EmbeddingMatrixFile:
 
 
 def write_embeddings_text(emb: EmbeddingMatrixFile, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{EMB_TEXT_MAGIC} {emb.kind} {emb.count} {emb.dim}\n")
+    with atomic_open(path) as fh:
+        fh.write(f"{EMB_TEXT_MAGIC} {emb.kind} {emb.count} {emb.dim}\n".encode("utf-8"))
         for i, vec in zip(emb.ids, emb.vectors):
-            fh.write(str(int(i)) + " " + " ".join(f"{float(v):.9g}" for v in vec) + "\n")
+            line = str(int(i)) + " " + " ".join(f"{float(v):.9g}" for v in vec) + "\n"
+            fh.write(line.encode("utf-8"))
 
 
 def write_embeddings_binary(emb: EmbeddingMatrixFile, path) -> None:
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(EMB_BIN_MAGIC)
         fh.write(struct.pack("<IBQI", 1, KIND_CODES[emb.kind], emb.count, emb.dim))
         for i, vec in zip(emb.ids, emb.vectors):

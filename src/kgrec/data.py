@@ -59,10 +59,6 @@ class InteractionStore:
             raise DatasetError(f"unknown split {name!r}")
         return getattr(self, name)
 
-    @property
-    def cold_users(self) -> list[int]:
-        return [u for u in range(self.num_users) if len(self.cold_history[u])]
-
     def train_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """All (user, item) train interactions, user-major order."""
         users = np.repeat(
@@ -234,18 +230,17 @@ def save_interactions(store: InteractionStore, out_dir) -> None:
 
 @dataclass(frozen=True)
 class KnowledgeGraph:
-    """Immutable relational graph in compressed (CSR) adjacency form.
+    """Immutable relational graph as flat edge arrays.
 
     The raw relation set is doubled: each raw triplet (h, r, t) also stores
-    the inverse edge (t, r + num_relations_raw, h). Adjacency lists are
-    sorted by (relation, tail) so traversal order is deterministic. Item id
-    i maps to entity id i.
+    the inverse edge (t, r + num_relations_raw, h). Edges are sorted by
+    (head, relation, tail) so traversal order is deterministic. Item id i
+    maps to entity id i.
     """
 
     num_entities: int
     num_relations_raw: int
     num_triplets_raw: int
-    indptr: np.ndarray  # (num_entities + 1,)
     edge_rel: np.ndarray  # (num_edges,)
     edge_tail: np.ndarray  # (num_edges,)
     edge_head: np.ndarray  # (num_edges,) expanded head per edge
@@ -259,10 +254,6 @@ class KnowledgeGraph:
     @property
     def num_edges(self) -> int:
         return len(self.edge_rel)
-
-    def neighbors(self, entity: int) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.indptr[entity], self.indptr[entity + 1]
-        return self.edge_rel[lo:hi], self.edge_tail[lo:hi]
 
     def raw_triplets(self) -> np.ndarray:
         """The deduplicated raw triplets (relation < num_relations_raw),
@@ -308,8 +299,6 @@ def kg_from_triplets(
     heads, rels, tails = heads[order], rels[order], tails[order]
 
     degrees = np.bincount(heads, minlength=n_ent).astype(np.int64)
-    indptr = np.zeros(n_ent + 1, dtype=np.int64)
-    np.cumsum(degrees, out=indptr[1:])
     inv_degree = np.zeros(n_ent, dtype=np.float64)
     nz = degrees > 0
     inv_degree[nz] = 1.0 / degrees[nz]
@@ -318,7 +307,6 @@ def kg_from_triplets(
         num_entities=n_ent,
         num_relations_raw=num_relations_raw,
         num_triplets_raw=len(trip),
-        indptr=indptr,
         edge_rel=rels,
         edge_tail=tails,
         edge_head=heads,

@@ -3,7 +3,8 @@
 Every item is scored for every evaluated user (no sampled candidates);
 seen items are masked out of the ranking; ties break toward the smaller
 item id. Users whose test list for the chosen split is empty are skipped
-and counted separately.
+and counted separately. One kernel, `rank_block`, ranks a block of users
+and scores their lists; `evaluate` and `evaluate_embeddings` both feed it.
 """
 
 from __future__ import annotations
@@ -17,54 +18,56 @@ from .model import KmpnParams, aggregate_layers, entity_forward, preference_embe
 from .numeric import softmax_rows
 
 DEFAULT_KS = (20, 60, 100)
+BLOCK_SCORES = 1 << 20  # scores per ranking block; rows = this // catalog size
 
 
-def rank_items(user_emb: np.ndarray, item_embs: np.ndarray, mask, k: int):
-    """Top-k item ids by dot-product score, masked items excluded.
+def rank_block(user_vecs, item_embs, seen, test, ks):
+    """Rank the catalog for a block of users and score their top-K lists.
 
-    Returns (ids, exhausted) where exhausted flags k exceeding the unmasked
-    catalog (all unmasked ids are returned in that case).
+    `seen` and `test` are flat per-user lists `(concatenation, counts)`,
+    one count per row of `user_vecs`; seen lists may be empty, test lists
+    may not. Seen items score -inf. The top kk = min(max(ks), catalog) ids
+    per row are exact under (score desc, id asc): `np.partition` finds the
+    kk-th score and every candidate at or above it is lexsorted, so equal
+    scores straddling the boundary still break toward the smaller id.
+    Positions past the unmasked catalog read -1.
+
+    Returns (ids [B, kk], metrics [3, len(ks), B]): recall, ndcg and hit
+    ratio at each k.
     """
-    if k < 1:
+    if min(ks) < 1:
         raise ValueError("k must be >= 1")
-    scores = item_embs @ np.asarray(user_emb, dtype=np.float64)
-    n = len(scores)
-    mask_arr = np.zeros(n, dtype=bool)
-    mask_ids = np.asarray(list(mask), dtype=np.int64) if mask is not None else None
-    if mask_ids is not None and len(mask_ids):
-        mask_arr[mask_ids] = True
-    avail = int(n - mask_arr.sum())
-    scores = np.where(mask_arr, -np.inf, scores)
-    order = np.lexsort((np.arange(n), -scores))  # score desc, id asc
-    take = min(k, avail)
-    return order[:take], k > avail
+    neg = np.asarray(user_vecs, dtype=np.float64) @ -np.asarray(item_embs, dtype=np.float64).T
+    n_rows, n_items = neg.shape
+    kk = min(max(ks), n_items)
+    neg[np.repeat(np.arange(n_rows), seen[1]), seen[0]] = np.inf
 
+    cut = np.partition(neg, kk - 1, axis=1)[:, kk - 1 : kk]
+    row, col = np.nonzero(neg <= cut)
+    key = neg[row, col]
+    order = np.lexsort((col, key, row))  # row, score desc, id asc
+    top = order[np.searchsorted(row, np.arange(n_rows))[:, None] + np.arange(kk)]
+    ids = np.where(key[top] == np.inf, -1, col[top])
 
-def _test_set(test) -> set:
-    test = set(int(t) for t in test)
-    if not test:
+    # column n_items stays False, so the -1 padding never counts as a hit
+    relevant = np.zeros((n_rows, n_items + 1), dtype=bool)
+    relevant[np.repeat(np.arange(n_rows), test[1]), test[0]] = True
+    n_test = relevant.sum(axis=1)
+    if not n_test.all():
         raise ValueError("empty test set")
-    return test
+    hits = np.take_along_axis(relevant, ids, axis=1)
+    discount = 1.0 / np.log2(np.arange(2, kk + 2))
+    hit_count = np.cumsum(hits, axis=1)
+    dcg = np.cumsum(np.where(hits, discount, 0.0), axis=1)
+    ideal = np.cumsum(discount)
 
-
-def recall_at_k(topk, test) -> float:
-    test = _test_set(test)
-    return sum(1 for i in topk if int(i) in test) / len(test)
-
-
-def ndcg_at_k(topk, test, k: int) -> float:
-    test = _test_set(test)
-    dcg = 0.0
-    for rank, i in enumerate(topk[:k], start=1):
-        if int(i) in test:
-            dcg += 1.0 / np.log2(rank + 1)
-    ideal = sum(1.0 / np.log2(r + 1) for r in range(1, min(k, len(test)) + 1))
-    return float(dcg / ideal)
-
-
-def hit_ratio_at_k(topk, test) -> float:
-    test = _test_set(test)
-    return 1.0 if any(int(i) in test for i in topk) else 0.0
+    out = np.empty((3, len(ks), n_rows))
+    for j, k in enumerate(ks):
+        at = min(k, kk) - 1
+        out[0, j] = hit_count[:, at] / n_test
+        out[1, j] = dcg[:, at] / ideal[np.minimum(k, n_test) - 1]
+        out[2, j] = hit_count[:, at] > 0
+    return ids, out
 
 
 @dataclass(frozen=True)
@@ -118,28 +121,23 @@ def _split_users(seen_lists, test_lists, split: str):
     return users, int((has_seen ^ has_test).sum())
 
 
+def _flat(lists, users):
+    """(concatenation, counts) of `lists[u]` over `users`."""
+    rows = [lists[u] for u in users]
+    return np.concatenate(rows), np.array([len(v) for v in rows], dtype=np.int64)
+
+
 def _rank_users(user_vecs, users, skipped, item_embs, seen_lists, test_lists, split, ks):
-    """Rank the catalog for each row of `user_vecs`, masking the user's
-    seen items, and average the per-user metrics."""
-    per_user = {name: {k: [] for k in ks} for name in ("recall", "ndcg", "hit")}
-    for u, vec in zip(users, user_vecs):
-        topk, _ = rank_items(vec, item_embs, seen_lists[u], max(ks))
-        test = test_lists[u]
-        for k in ks:
-            head = topk[:k]
-            per_user["recall"][k].append(recall_at_k(head, test))
-            per_user["ndcg"][k].append(ndcg_at_k(head, test, k))
-            per_user["hit"][k].append(hit_ratio_at_k(head, test))
-    mean = {name: {k: float(np.mean(v)) for k, v in t.items()} for name, t in per_user.items()}
-    return MetricsReport(
-        split=split,
-        ks=ks,
-        recall=mean["recall"],
-        ndcg=mean["ndcg"],
-        hit=mean["hit"],
-        users_evaluated=len(users),
-        users_skipped=skipped,
-    )
+    """Run `rank_block` over blocks of about BLOCK_SCORES scores, masking each
+    user's seen items, and average every metric over the users in order."""
+    rows = max(1, BLOCK_SCORES // len(item_embs))
+    per_user = np.empty((3, len(ks), len(users)))
+    for a in range(0, len(users), rows):
+        block = users[a : a + rows]
+        seen, test = _flat(seen_lists, block), _flat(test_lists, block)
+        _, per_user[:, :, a : a + rows] = rank_block(user_vecs[a : a + rows], item_embs, seen, test, ks)
+    recall, ndcg, hit = ({k: float(np.mean(m[j])) for j, k in enumerate(ks)} for m in per_user)
+    return MetricsReport(split, ks, recall, ndcg, hit, users_evaluated=len(users), users_skipped=skipped)
 
 
 def evaluate(params: KmpnParams, bundle: DatasetBundle, split: str, ks=DEFAULT_KS) -> MetricsReport:
@@ -178,9 +176,9 @@ def evaluate_embeddings(
     ks = _sorted_ks(ks)
     store = bundle.store
     test_lists = _check_split(store, split)
-    item_embs = item_set.rows(np.arange(store.num_items, dtype=np.int64))
     if split == "cold_start":
         raise DatasetError("cold_start evaluation needs model parameters, not embedding files")
+    item_embs = item_set.rows(np.arange(store.num_items, dtype=np.int64))
     users, skipped = _split_users(store.train, test_lists, split)
     user_vecs = user_set.rows(users)
     return _rank_users(user_vecs, users, skipped, item_embs, store.train, test_lists, split, ks)

@@ -230,6 +230,27 @@ def test_eval_needs_checkpoint_or_embeddings(cli_dataset):
     assert "need --checkpoint or both" in res.stderr
 
 
+BAD_K = "--k must be a comma-separated list of integers >= 1"
+EXCHANGE = ["--content-items", "items.txt", "--content-users", "users.txt"]
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--split", "bogus", "--checkpoint", "x.kmpn"], "--split must be one of test, valid, cold_start"),
+        (["--k", "abc", "--checkpoint", "x.kmpn"], BAD_K),
+        (["--k", "20,0", "--checkpoint", "x.kmpn"], BAD_K),
+        (EXCHANGE[:2], "need --checkpoint or both --content-items/--content-users"),
+        (["--split", "cold_start", *EXCHANGE], "--split cold_start needs --checkpoint, not exchange files"),
+    ],
+)
+def test_eval_flags_checked_before_loading_data(tmp_path, flags, message):
+    res = run_cli("eval", "--data", tmp_path / "does-not-exist", "--out", tmp_path / "x", *flags)
+    assert res.returncode == 2
+    assert res.stderr == f"error: eval: {message}\n"
+    assert not (tmp_path / "x").exists()
+
+
 def test_eval_split_absent_error(cli_dataset, tmp_path):
     d, _ = cli_dataset
     # a dataset without cold files

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -290,6 +291,19 @@ def test_binary_round_trip_is_byte_stable(tmp_path):
     np.testing.assert_array_equal(back.vectors, emb.vectors)
     write_embeddings_binary(back, f2)
     assert f1.read_bytes() == f2.read_bytes()
+
+
+@pytest.mark.parametrize("write", [write_embeddings_text, write_embeddings_binary])
+def test_failed_embedding_write_keeps_earlier_file(tmp_path, write):
+    path = tmp_path / "e"
+    write(_emb(n=2, dim=2), path)
+    before = path.read_bytes()
+    # the third id is not an integer, so the write fails after two rows
+    broken = SimpleNamespace(kind="item", count=3, dim=2, ids=[0, 1, "x"], vectors=np.ones((3, 2)))
+    with pytest.raises(ValueError):
+        write(broken, path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]  # no .tmp left behind
 
 
 def test_text_and_binary_carry_identical_payloads(tmp_path):

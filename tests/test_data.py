@@ -95,17 +95,17 @@ def test_kg_inverse_doubling_and_dedup():
     assert g.num_edges == 4  # each raw edge plus its inverse
     assert g.num_relations == 4
     check_inverse_closure(g)
-    rels, tails = g.neighbors(2)
+    at_2 = g.edge_head == 2
+    edges = set(zip(g.edge_rel[at_2].tolist(), g.edge_tail[at_2].tolist()))
     # inverse of (0,1,2) is (2, 1+2, 0); raw edge (2,0,1) also present
-    assert (0, 1) in set(zip(rels.tolist(), tails.tolist()))
-    assert (3, 0) in set(zip(rels.tolist(), tails.tolist()))
+    assert edges == {(0, 1), (3, 0)}
 
 
 def test_kg_degrees_and_isolated_nodes():
     g = kg_from_triplets([(0, 0, 1)], num_relations_raw=1, num_entities=4)
     assert g.degrees.tolist() == [1, 1, 0, 0]
     assert g.inv_degree[2] == 0.0
-    assert g.indptr.tolist() == [0, 1, 2, 2, 2]
+    assert g.edge_head.tolist() == [0, 1]  # edges sorted by head; 2 and 3 have none
 
 
 def test_kg_rejects_bad_relation_and_entity():
@@ -199,11 +199,12 @@ def test_synthetic_shape_and_cold_carveout(synth_bundle):
     spec = SyntheticSpec()
     assert store.num_users == spec.n_users
     assert store.num_items == spec.n_items
-    n_cold = len(store.cold_users)
+    cold_users = [u for u, hist in enumerate(store.cold_history) if len(hist)]
+    n_cold = len(cold_users)
     assert n_cold == round(spec.cold_user_fraction * spec.n_users)
     # cold users are exactly the top ids and have an 80/20-ish split
-    assert store.cold_users == list(range(spec.n_users - n_cold, spec.n_users))
-    for u in store.cold_users:
+    assert cold_users == list(range(spec.n_users - n_cold, spec.n_users))
+    for u in cold_users:
         hist, test = len(store.cold_history[u]), len(store.cold_test[u])
         assert hist >= 1
         if hist + test >= 5:

@@ -11,69 +11,114 @@ from kgrec.data import (
     build_store,
     kg_from_triplets,
 )
-from kgrec.evaluation import (
-    evaluate,
-    evaluate_embeddings,
-    hit_ratio_at_k,
-    ndcg_at_k,
-    rank_items,
-    recall_at_k,
-)
+from kgrec import evaluation
+from kgrec.evaluation import evaluate, evaluate_embeddings, rank_block
 from kgrec.model import entity_forward, init_params
+
+
+def flat(lists):
+    """Flat per-user lists (concatenation, counts), the kernel's row format."""
+    rows = [np.asarray(v, dtype=np.int64) for v in lists]
+    return np.concatenate(rows), np.array([len(v) for v in rows], dtype=np.int64)
+
+
+def rank_one(user, item_embs, mask=(), ks=(1,), test=(0,)):
+    """One user through the kernel: (ids, {metric: {k: value}})."""
+    ids, out = rank_block(np.asarray(user)[None], item_embs, flat([mask]), flat([test]), ks)
+    names = ("recall", "ndcg", "hit")
+    return ids[0], {name: {k: out[m, j, 0] for j, k in enumerate(ks)} for m, name in enumerate(names)}
+
+
+def ranked_as(order, n):
+    """[n, 1] item embeddings under which `order` heads the ranking for user [1.0]."""
+    embs = np.full((n, 1), -1.0)
+    embs[list(order), 0] = np.arange(len(order), 0, -1)
+    return embs
+
+
+def metrics_of(order, test, k, n=12):
+    return rank_one([1.0], ranked_as(order, n), ks=(k,), test=sorted(test))[1]
 
 
 # -- ranking ------------------------------------------------------------------
 
 
-def test_rank_items_orders_by_score_then_id():
+def test_rank_block_orders_by_score_then_id():
     item_embs = np.array([[3.0], [5.0], [4.0]])
-    user = np.array([1.0])
-    ids, exhausted = rank_items(user, item_embs, mask=None, k=2)
-    assert ids.tolist() == [1, 2] and not exhausted
-    ids, _ = rank_items(user, item_embs, mask=None, k=3)
+    ids, _ = rank_one([1.0], item_embs, ks=(2,))
+    assert ids.tolist() == [1, 2]
+    ids, _ = rank_one([1.0], item_embs, ks=(3,))
     assert ids.tolist() == [1, 2, 0]
 
 
-def test_rank_items_breaks_ties_toward_small_id():
+def test_rank_block_breaks_ties_toward_small_id():
     item_embs = np.ones((4, 2))
-    ids, _ = rank_items(np.array([0.5, 0.5]), item_embs, mask=None, k=3)
+    ids, _ = rank_one([0.5, 0.5], item_embs, ks=(3,))
     assert ids.tolist() == [0, 1, 2]
-    ids, _ = rank_items(np.array([0.5, 0.5]), item_embs, mask=[0, 2], k=2)
+    ids, _ = rank_one([0.5, 0.5], item_embs, mask=[0, 2], ks=(2,))
     assert ids.tolist() == [1, 3]
 
 
-def test_rank_items_masks_and_exhaustion():
+def test_rank_block_masks_and_pads_past_the_catalog():
     item_embs = np.array([[3.0], [5.0], [4.0]])
-    ids, exhausted = rank_items(np.array([1.0]), item_embs, mask=[1], k=2)
-    assert ids.tolist() == [2, 0] and not exhausted
-    ids, exhausted = rank_items(np.array([1.0]), item_embs, mask=[0, 1], k=3)
-    assert ids.tolist() == [2] and exhausted
+    ids, _ = rank_one([1.0], item_embs, mask=[1], ks=(2,))
+    assert ids.tolist() == [2, 0]
+    ids, metrics = rank_one([1.0], item_embs, mask=[0, 1], ks=(3, 50), test=[2])
+    assert ids.tolist() == [2, -1, -1]  # k beyond the catalog: kk = 3, masked slots read -1
+    assert metrics["recall"] == {3: 1.0, 50: 1.0} and metrics["ndcg"][50] == 1.0
     with pytest.raises(ValueError, match="k must be"):
-        rank_items(np.array([1.0]), item_embs, None, 0)
+        rank_one([1.0], item_embs, ks=(0,))
 
 
-def test_rank_items_score_shift_changes_nothing():
+def test_rank_block_score_scale_changes_nothing():
     rng = np.random.default_rng(0)
     item_embs = rng.normal(size=(20, 4))
     user = rng.normal(size=4)
-    base, _ = rank_items(user, item_embs, mask=[3, 7], k=10)
-    shifted, _ = rank_items(user * 2.0, item_embs, mask=[3, 7], k=10)
-    assert base.tolist() == shifted.tolist()  # positive scaling is rank-safe
+    base, _ = rank_one(user, item_embs, mask=[3, 7], ks=(10,))
+    scaled, _ = rank_one(user * 2.0, item_embs, mask=[3, 7], ks=(10,))
+    assert base.tolist() == scaled.tolist()  # positive scaling is rank-safe
 
 
-# -- single-list metrics --------------------------------------------------------
+def test_rank_block_tie_heavy_matches_brute_oracle():
+    # small-integer embeddings: scores repeat, so equal scores straddle the
+    # top-K boundary in most rows
+    rng = np.random.default_rng(4)
+    ks = (1, 3, 8, 15)  # kk = 15 stays below the catalog, so the cut is a real one
+    for _ in range(20):
+        n, users = int(rng.integers(20, 60)), int(rng.integers(1, 9))
+        item_embs = rng.integers(-1, 2, size=(n, 2)).astype(np.float64)
+        user_vecs = rng.integers(-1, 2, size=(users, 2)).astype(np.float64)
+        masks = [rng.choice(n, size=int(rng.integers(0, n // 2)), replace=False) for _ in range(users)]
+        tests = [rng.choice(n, size=int(rng.integers(1, 5)), replace=False) for _ in range(users)]
+        ids, out = rank_block(user_vecs, item_embs, flat(masks), flat(tests), ks)
+        for u in range(users):
+            scores = item_embs @ user_vecs[u]
+            order = sorted(set(range(n)) - set(masks[u].tolist()), key=lambda i: (-scores[i], i))
+            want = order[: max(ks)]
+            assert ids[u].tolist() == want + [-1] * (max(ks) - len(want))
+            test = set(tests[u].tolist())
+            for j, k in enumerate(ks):
+                hits = [r + 1 for r, i in enumerate(order[:k]) if i in test]
+                dcg = sum(1.0 / math.log2(r + 1) for r in hits)
+                ideal = sum(1.0 / math.log2(r + 1) for r in range(1, min(k, len(test)) + 1))
+                assert out[0, j, u] == pytest.approx(len(hits) / len(test), abs=1e-12)
+                assert out[1, j, u] == pytest.approx(dcg / ideal, abs=1e-12)
+                assert out[2, j, u] == (1.0 if hits else 0.0)
+
+
+# -- per-list metrics -------------------------------------------------------------
 
 
 def test_recall_anchor():
-    assert recall_at_k([1, 2, 3], {2, 9}) == 0.5
-    assert recall_at_k([1, 2, 3], {7}) == 0.0
-    assert recall_at_k([1, 2], {1, 2}) == 1.0
+    assert metrics_of([1, 2, 3], {2, 9}, k=3)["recall"][3] == 0.5
+    assert metrics_of([1, 2, 3], {7}, k=3)["recall"][3] == 0.0
+    assert metrics_of([1, 2], {1, 2}, k=2)["recall"][2] == 1.0
     with pytest.raises(ValueError, match="empty test"):
-        recall_at_k([1], set())
+        rank_one([1.0], ranked_as([1], 3), test=[])
 
 
 def test_ndcg_single_hit_at_rank_two():
-    got = ndcg_at_k([5, 9, 4], {9}, k=3)
+    got = metrics_of([5, 9, 4], {9}, k=3)["ndcg"][3]
     assert got == pytest.approx(1.0 / math.log2(3.0), rel=1e-14)
 
 
@@ -83,36 +128,33 @@ def test_ndcg_two_hits_with_three_relevant():
     test = {10, 11, 12}
     dcg = 1.0 + 1.0 / math.log2(5.0)
     ideal = 1.0 + 1.0 / math.log2(3.0) + 1.0 / math.log2(4.0)
-    assert ndcg_at_k(topk, test, k=5) == pytest.approx(dcg / ideal, rel=1e-14)
+    assert metrics_of(topk, test, k=5, n=13)["ndcg"][5] == pytest.approx(dcg / ideal, rel=1e-14)
 
 
 def test_ndcg_is_one_exactly_when_prefix_is_ideal():
-    assert ndcg_at_k([0, 1, 5], {0, 1}, k=3) == pytest.approx(1.0)
-    assert ndcg_at_k([0, 5, 1], {0, 1}, k=3) < 1.0
+    assert metrics_of([0, 1, 5], {0, 1}, k=3)["ndcg"][3] == pytest.approx(1.0)
+    assert metrics_of([0, 5, 1], {0, 1}, k=3)["ndcg"][3] < 1.0
     # more relevant items than k: a fully relevant prefix is still ideal
-    assert ndcg_at_k([0, 1], {0, 1, 2}, k=2) == pytest.approx(1.0)
+    assert metrics_of([0, 1], {0, 1, 2}, k=2)["ndcg"][2] == pytest.approx(1.0)
 
 
 def test_hit_ratio_anchor():
-    assert hit_ratio_at_k([1, 2], {2}) == 1.0
-    assert hit_ratio_at_k([1, 2], {3}) == 0.0
+    assert metrics_of([1, 2], {2}, k=2)["hit"][2] == 1.0
+    assert metrics_of([1, 2], {3}, k=2)["hit"][2] == 0.0
     with pytest.raises(ValueError):
-        hit_ratio_at_k([1], set())
+        rank_one([1.0], ranked_as([1], 3), ks=(2,), test=[])
 
 
 def test_recall_and_hit_monotone_in_k():
     rng = np.random.default_rng(1)
     item_embs = rng.normal(size=(30, 3))
     user = rng.normal(size=3)
-    test = {4, 9, 17}
-    full, _ = rank_items(user, item_embs, mask=None, k=30)
-    prev_r, prev_h = 0.0, 0.0
-    for k in range(1, 31):
-        r = recall_at_k(full[:k], test)
-        h = hit_ratio_at_k(full[:k], test)
-        assert r >= prev_r and h >= prev_h
-        prev_r, prev_h = r, h
-    assert prev_r == 1.0 and prev_h == 1.0
+    ks = tuple(range(1, 31))
+    _, metrics = rank_one(user, item_embs, ks=ks, test=[4, 9, 17])
+    recall = [metrics["recall"][k] for k in ks]
+    hit = [metrics["hit"][k] for k in ks]
+    assert recall == sorted(recall) and hit == sorted(hit)
+    assert recall[-1] == 1.0 and hit[-1] == 1.0
 
 
 # -- full evaluation with exchange embeddings -------------------------------------
@@ -311,8 +353,32 @@ def test_evaluate_cold_start_uses_uniform_attention(synth_bundle):
     assert report.recall[10] == pytest.approx(np.mean(manual[10]["recall"]), abs=1e-12)
     assert report.ndcg[10] == pytest.approx(np.mean(manual[10]["ndcg"]), abs=1e-12)
     # cold-start users never consult their (untrained) query vectors
-    p.user_emb[synth_bundle.store.cold_users] = 50.0
+    cold_users = [u for u, hist in enumerate(synth_bundle.store.cold_history) if len(hist)]
+    p.user_emb[cold_users] = 50.0
     assert evaluate(p, synth_bundle, "cold_start", ks=ks) == report
+
+
+def test_report_does_not_depend_on_block_size(synth_bundle, monkeypatch):
+    store = synth_bundle.store
+    p = init_params(
+        synth_bundle.graph.num_entities, synth_bundle.graph.num_relations, store.num_users,
+        h=8, n_layers=2, n_pref=4, n_meta=6, seed=3,
+    )
+    rng = np.random.default_rng(6)  # integer exchange vectors: many tied scores
+    items = EmbeddingMatrixFile("item", np.arange(store.num_items), rng.integers(-2, 3, (store.num_items, 4)))
+    users = EmbeddingMatrixFile("user", np.arange(store.num_users), rng.integers(-2, 3, (store.num_users, 4)))
+
+    def reports():
+        return (
+            evaluate(p, synth_bundle, "test"),
+            evaluate(p, synth_bundle, "cold_start"),
+            evaluate_embeddings(users, items, synth_bundle, "valid"),
+        )
+
+    assert evaluation.BLOCK_SCORES // store.num_items >= store.num_users  # one block
+    single = reports()
+    monkeypatch.setattr(evaluation, "BLOCK_SCORES", 7 * store.num_items)  # 7 users a block
+    assert reports() == single
 
 
 def test_evaluate_cold_start_masks_history_not_train():

@@ -91,7 +91,8 @@ def test_conv_matches_per_entity_loop():
     out, _ = conv_layer(g, prev, rel)
 
     for i in range(g.num_entities):
-        rels, tails = g.neighbors(i)
+        at_i = g.edge_head == i
+        rels, tails = g.edge_rel[at_i], g.edge_tail[at_i]
         acc = np.zeros(4)
         for r, j in zip(rels, tails):
             s = 1.0 / (1.0 + math.exp(-float(prev[i] @ rel[r])))
