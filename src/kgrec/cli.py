@@ -49,7 +49,7 @@ _DEFAULTS = {
         **_SHARED,
         "mode": ("kmpn", str),
         "epochs": (300, int),
-        "batch_size": (1024, int),
+        "batch_size": (None, int),  # graph modes; unset means TrainConfig's default
         "lr": (1e-3, float),
         "lr_end": (0.0, float),
         "h": (64, int),
@@ -239,14 +239,18 @@ _TRAIN_MINIMUMS = {
 
 
 def _train_config(opts: dict):
-    """Check every train flag, naming the flag in each error, and build the
-    validated TrainConfig; runs before any data is read."""
+    """Check every train flag (naming it in each error), fill in an unset
+    --batch-size and build the validated TrainConfig, before data is read."""
     from .losses import LossWeights
     from .optim import TrainConfig
 
     mode = opts["mode"]
     if mode not in ("kmpn", "ckmpn", "content"):
         raise ValueError(f"unknown train mode {mode!r}")
+    if opts["batch_size"] is None:
+        opts["batch_size"] = TrainConfig.batch_size
+    elif mode == "content":
+        raise ValueError("train: --batch-size does not apply to --mode content")
     for key, low in _TRAIN_MINIMUMS.items():
         if not opts[key] >= low:
             raise ValueError(f"train: {_flag(key)} must be >= {low}")

@@ -16,12 +16,13 @@ from __future__ import annotations
 import logging
 import re
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .data import InteractionStore, ItemCorpus
+from .losses import click_softmax_loss
 from .numeric import atomic_open, read_tensor_file, segment_sum, softmax_rows, write_tensor_file
 from .optim import TrainConfig, adam_step, init_adam, lr_at
 from .sampling import build_sampler
@@ -107,11 +108,7 @@ class ContentParams:
                 raise ValueError(f"non-finite values in {name}")
 
     def copy(self) -> "ContentParams":
-        return ContentParams(
-            **{k: t.copy() for k, t in self.tensors().items()},
-            history_size=self.history_size,
-            num_negatives=self.num_negatives,
-        )
+        return replace(self, **{k: t.copy() for k, t in self.tensors().items()})
 
 
 def init_content(
@@ -204,8 +201,6 @@ def click_instance(
     item; `pos_buckets` is a single array. Items with no tokens encode to
     zero and receive no gradient.
     """
-    from .losses import click_softmax_loss
-
     def item_vec(buckets):
         if len(buckets) == 0:
             return np.zeros(params.h)
@@ -230,7 +225,7 @@ def click_instance(
     d_e_pos = d_pos * user
     d_e_negs = d_negs[:, None] * user[None, :]
 
-    d_E, d_fc1_w, d_fc1_b, d_fc2_w, d_fc2_b = _encode_user_backward(E, alpha, params, d_user)
+    d_E, *d_scorer = _encode_user_backward(E, alpha, params, d_user)
 
     # item vectors are bucket means: row k of [d_E; d_e_pos; d_e_negs] goes
     # to every bucket of item k, weighted 1/len(buckets)
@@ -240,15 +235,7 @@ def click_instance(
     d_bucket = segment_sum(
         np.concatenate(lists), np.repeat(d_items, counts, axis=0), params.num_buckets
     )
-
-    grads = {
-        "bucket_emb": d_bucket,
-        "fc1_w": d_fc1_w,
-        "fc1_b": d_fc1_b,
-        "fc2_w": d_fc2_w,
-        "fc2_b": d_fc2_b,
-    }
-    return loss, grads
+    return loss, dict(zip(params.tensors(), (d_bucket, *d_scorer)))  # same order as tensors()
 
 
 def train_content(
@@ -265,6 +252,11 @@ def train_content(
     epoch draws the negatives of every instance in one call to the uniform
     sampler (`build_sampler(store, uniform=True)`).
 
+    Adam runs over the corpus's active buckets only: instances step a copy
+    whose bucket_emb holds just the rows item tokens hash to, written back
+    at the end. This is exact, as a bucket no token reaches always gets a
+    zero gradient, so its Adam moments and its update stay zero.
+
     Returns (params, log_lines).
     """
     config.validate()
@@ -277,15 +269,16 @@ def train_content(
         return params, []
 
     buckets = [bucketize(corpus.text(i), params.num_buckets) for i in range(corpus.num_items)]
-    train_users = np.array(
-        [u for u in range(store.num_users) if len(store.train[u])], dtype=np.int64
-    )
+    active = np.unique(np.concatenate(buckets))
+    buckets = [np.searchsorted(active, b) for b in buckets]  # compact bucket ids
+    compact = replace(params, bucket_emb=params.bucket_emb[active])  # other tensors shared
+    train_users = np.flatnonzero([len(items) for items in store.train])
     if len(train_users) == 0:
         raise ValueError("no user has train interactions")
     sampler = build_sampler(store, uniform=True)
 
     rng = np.random.default_rng(config.seed)
-    state = init_adam(params.tensors())
+    state = init_adam(compact.tensors())
     lines = []
     for epoch in range(1, config.epochs + 1):
         lr = lr_at(config, epoch - 1, config.epochs)
@@ -297,18 +290,14 @@ def train_content(
             pos = int(items[rng.integers(len(items))])
             rest = items[items != pos]
             pool = rest if len(rest) else items
-            n_hist = min(params.history_size, len(pool))
-            hist = rng.choice(pool, size=n_hist, replace=False)
+            hist = rng.choice(pool, size=min(params.history_size, len(pool)), replace=False)
             loss, grads = click_instance(
-                params,
-                [buckets[int(i)] for i in hist],
-                buckets[pos],
-                [buckets[n] for n in negs],
+                compact, [buckets[int(i)] for i in hist], buckets[pos], [buckets[n] for n in negs]
             )
-            adam_step(params.tensors(), grads, state, lr, config)
+            adam_step(compact.tensors(), grads, state, lr, config)
             total += loss
-        mean_loss = total / len(train_users)
-        lines.append(f"{epoch}\t{mean_loss!r}\t{lr!r}")
+        lines.append(f"{epoch}\t{total / len(train_users)!r}\t{lr!r}")
+    params.bucket_emb[active] = compact.bucket_emb
     return params, lines
 
 
@@ -332,11 +321,12 @@ class EmbeddingMatrixFile:
         self.vectors = np.asarray(self.vectors, dtype=np.float32)
         if self.vectors.ndim != 2 or len(self.ids) != len(self.vectors):
             raise ValueError("ids/vectors shape mismatch")
-        if len(np.unique(self.ids)) != len(self.ids):
+        self._order = np.argsort(self.ids)
+        self._sorted_ids = self.ids[self._order]
+        if (self._sorted_ids[1:] == self._sorted_ids[:-1]).any():
             raise ValueError("duplicate ids in embedding set")
         if not np.isfinite(self.vectors).all():
             raise ValueError("non-finite embedding values")
-        self._index = {int(i): k for k, i in enumerate(self.ids)}
 
     @property
     def count(self) -> int:
@@ -349,13 +339,14 @@ class EmbeddingMatrixFile:
     def rows(self, wanted) -> np.ndarray:
         """float64 matrix for the requested ids; errors name the first
         missing id."""
-        out = np.empty((len(wanted), self.dim), dtype=np.float64)
-        for k, i in enumerate(wanted):
-            pos = self._index.get(int(i))
-            if pos is None:
-                raise ValueError(f"embedding file ({self.kind}) is missing id {int(i)}")
-            out[k] = self.vectors[pos]
-        return out
+        wanted = np.asarray(wanted, dtype=np.int64)
+        pos = np.searchsorted(self._sorted_ids, wanted)
+        found = pos < self.count
+        found[found] = self._sorted_ids[pos[found]] == wanted[found]
+        if not found.all():
+            first = wanted[np.argmin(found)]
+            raise ValueError(f"embedding file ({self.kind}) is missing id {first}")
+        return self.vectors[self._order[pos]].astype(np.float64)
 
 
 def write_embeddings_text(emb: EmbeddingMatrixFile, path) -> None:

@@ -22,6 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .numeric import atomic_open
+
 log = logging.getLogger(__name__)
 
 SPLIT_NAMES = ("train", "valid", "test", "cold_history", "cold_test")
@@ -217,10 +219,10 @@ def save_interactions(store: InteractionStore, out_dir) -> None:
         lists = store.split(name)
         if name.startswith("cold") and not any(len(v) for v in lists):
             continue
-        with open(out_dir / SPLIT_FILES[name], "w", encoding="utf-8") as fh:
+        with atomic_open(out_dir / SPLIT_FILES[name]) as fh:
             for u in range(store.num_users):
                 if len(lists[u]):
-                    fh.write(f"{u} " + " ".join(str(int(i)) for i in lists[u]) + "\n")
+                    fh.write((f"{u} " + " ".join(str(int(i)) for i in lists[u]) + "\n").encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +348,9 @@ def load_kg(
 
 def save_kg(graph: KnowledgeGraph, path) -> None:
     """Write the raw (non-inverse) triplets, sorted, one per line."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for h, r, t in graph.raw_triplets():
-            fh.write(f"{h} {r} {t}\n")
+            fh.write(f"{h} {r} {t}\n".encode("utf-8"))
 
 
 def check_inverse_closure(graph: KnowledgeGraph) -> None:
@@ -403,12 +405,12 @@ def load_items(path, num_items: int | None = None) -> ItemCorpus:
 
 
 def save_items(corpus: ItemCorpus, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for i in range(corpus.num_items):
             text = corpus.text(i)
             if "\t" in text or "\n" in text:
                 raise DatasetError(f"item {i}: text contains tab or newline")
-            fh.write(f"{i}\t{text}\n")
+            fh.write(f"{i}\t{text}\n".encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,14 @@ def init_adam(tensors: dict) -> AdamState:
 
 
 def adam_step(tensors: dict, grads: dict, state: AdamState, lr: float, config: TrainConfig) -> None:
-    """One bias-corrected Adam update, in place on `tensors`."""
+    """One bias-corrected Adam update, in place on `tensors`; a bad gradient
+    is raised before any tensor, moment or the step count changes."""
+    for name, param in tensors.items():
+        g = grads[name]
+        if g.shape != param.shape:
+            raise ValueError(f"gradient shape mismatch for {name}")
+        if not np.isfinite(g).all():
+            raise ValueError(f"non-finite gradient in {name}")
     state.step += 1
     t = state.step
     b1, b2, eps = config.beta1, config.beta2, config.adam_eps
@@ -65,10 +72,6 @@ def adam_step(tensors: dict, grads: dict, state: AdamState, lr: float, config: T
     c2 = 1.0 - b2**t
     for name, param in tensors.items():
         g = grads[name]
-        if g.shape != param.shape:
-            raise ValueError(f"gradient shape mismatch for {name}")
-        if not np.isfinite(g).all():
-            raise ValueError(f"non-finite gradient in {name}")
         m = state.m[name]
         v = state.v[name]
         m *= b1

@@ -145,6 +145,9 @@ def test_train_n_pref_one_rejected_before_loading_data(tmp_path):
     assert not (tmp_path / "x").exists()
 
 
+_CONTENT_BATCH_SIZE = "--batch-size does not apply to --mode content"
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
@@ -158,12 +161,24 @@ def test_train_n_pref_one_rejected_before_loading_data(tmp_path):
         (["--lambda1", -1.0], "--lambda1 must be >= 0"),
         (["--lr", 1e-4, "--lr-end", 1e-3], "--lr must be >= --lr-end"),
         (["--epsilon", 1.5], "--epsilon must be <= 1"),
+        (["--mode", "content", "--batch-size", 64], _CONTENT_BATCH_SIZE),
     ],
 )
 def test_train_flags_checked_before_loading_data(tmp_path, flags, message):
     res = run_cli("train", "--data", tmp_path / "does-not-exist", "--out", tmp_path / "x", *flags)
     assert res.returncode == 2
     assert res.stderr == f"error: train: {message}\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_content_mode_rejects_batch_size_config_key(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mode=content\nbatch-size=1024\n")
+    res = run_cli(
+        "train", "--data", tmp_path / "does-not-exist", "--out", tmp_path / "x", "--config", cfg,
+    )
+    assert res.returncode == 2
+    assert res.stderr == f"error: train: {_CONTENT_BATCH_SIZE}\n"
     assert not (tmp_path / "x").exists()
 
 

@@ -22,7 +22,8 @@ from kgrec.content import (
     write_embeddings_text,
 )
 from kgrec.data import ItemCorpus, build_store
-from kgrec.optim import TrainConfig
+from kgrec.optim import TrainConfig, adam_step, init_adam, lr_at
+from kgrec.sampling import build_sampler
 
 
 # -- hashing and tokenization ---------------------------------------------------
@@ -241,6 +242,87 @@ def test_train_content_validates_corpus_store_pairing():
         train_content(ItemCorpus(num_items=5, texts={}), store, p, TrainConfig(epochs=1))
 
 
+def _dense_train_content(corpus, store, params, config):
+    """Reference loop: click_instance and adam_step over the full
+    [num_buckets, h] tensors, with the RNG calls of train_content."""
+    params = params.copy()
+    buckets = [bucketize(corpus.text(i), params.num_buckets) for i in range(corpus.num_items)]
+    users = np.array([u for u in range(store.num_users) if len(store.train[u])], dtype=np.int64)
+    sampler = build_sampler(store, uniform=True)
+    rng = np.random.default_rng(config.seed)
+    state = init_adam(params.tensors())
+    lines = []
+    for epoch in range(1, config.epochs + 1):
+        lr = lr_at(config, epoch - 1, config.epochs)
+        order = rng.permutation(users)
+        negatives = sampler.sample_negatives(rng, np.repeat(order, params.num_negatives))
+        total = 0.0
+        for u, negs in zip(order, negatives.reshape(len(order), params.num_negatives)):
+            items = store.train[u]
+            pos = int(items[rng.integers(len(items))])
+            rest = items[items != pos]
+            pool = rest if len(rest) else items
+            hist = rng.choice(pool, size=min(params.history_size, len(pool)), replace=False)
+            loss, grads = click_instance(
+                params, [buckets[int(i)] for i in hist], buckets[pos], [buckets[n] for n in negs]
+            )
+            assert grads["bucket_emb"].shape == (params.num_buckets, params.h)
+            adam_step(params.tensors(), grads, state, lr, config)
+            total += loss
+        lines.append(f"{epoch}\t{total / len(users)!r}\t{lr!r}")
+    return params, lines
+
+
+def _sparse_dataset():
+    """Eight items over a few tokens (one item has none): at most 9 of 256
+    buckets are hit."""
+    texts = {0: "alpha axe", 1: "alpha bolt bolt", 2: "alpha coal", 3: "beta dire",
+             4: "beta echo", 5: "beta fang", 6: "", 7: "alpha beta"}
+    corpus = ItemCorpus(num_items=8, texts=texts)
+    store = build_store(
+        {0: [0, 1, 2, 6], 1: [0, 1, 7], 2: [3, 4, 5], 3: [3, 4, 6, 7], 4: [2]}, num_items=8
+    )
+    return corpus, store
+
+
+def test_train_content_equals_dense_reference_loop():
+    corpus, store = _sparse_dataset()
+    p = init_content(h=8, num_buckets=256, history_size=2, num_negatives=3, seed=1)
+    cfg = TrainConfig(epochs=6, lr_start=0.05, lr_end=0.01, seed=5)
+    out, lines = train_content(corpus, store, p, cfg)
+    ref, ref_lines = _dense_train_content(corpus, store, p, cfg)
+    assert lines == ref_lines
+    for name, t in ref.tensors().items():
+        assert out.tensors()[name].shape == t.shape
+        np.testing.assert_array_equal(out.tensors()[name], t, err_msg=name)
+    assert not np.array_equal(out.bucket_emb, p.bucket_emb)
+
+
+def test_train_content_leaves_unhit_bucket_rows_bit_identical():
+    corpus, store = _sparse_dataset()
+    p = init_content(h=8, num_buckets=256, history_size=2, num_negatives=3, seed=2)
+    out, _ = train_content(corpus, store, p, TrainConfig(epochs=4, lr_start=0.05, seed=6))
+    hit = np.zeros(p.num_buckets, dtype=bool)
+    for i in range(corpus.num_items):
+        hit[bucketize(corpus.text(i), p.num_buckets)] = True
+    assert 0 < hit.sum() < p.num_buckets // 20
+    np.testing.assert_array_equal(out.bucket_emb[~hit], p.bucket_emb[~hit])
+    assert (out.bucket_emb[hit] != p.bucket_emb[hit]).any(axis=1).all()
+
+
+def test_train_content_with_no_tokens_anywhere():
+    corpus = ItemCorpus(num_items=4, texts={0: "", 1: "  --  ", 2: "..."})
+    store = build_store({0: [0, 1], 1: [2, 3]}, num_items=4)
+    p = init_content(h=4, num_buckets=16, history_size=2, num_negatives=2, seed=3)
+    out, lines = train_content(corpus, store, p, TrainConfig(epochs=2, lr_start=0.05, seed=1))
+    assert len(lines) == 2
+    for name, t in out.tensors().items():
+        assert np.isfinite(t).all(), name
+        # every item encodes to zero, so every gradient is zero
+        np.testing.assert_array_equal(t, p.tensors()[name], err_msg=name)
+    assert float(lines[0].split("\t")[1]) == pytest.approx(math.log(3))
+
+
 # -- exchange files ---------------------------------------------------------------
 
 
@@ -269,6 +351,16 @@ def test_embedding_rows_lookup_and_missing_id():
     np.testing.assert_array_equal(rows[0], emb.vectors[3].astype(np.float64))
     with pytest.raises(ValueError, match="missing id 9"):
         emb.rows([0, 9])
+
+
+def test_embedding_rows_names_first_missing_id_in_wanted_order():
+    emb = EmbeddingMatrixFile("user", np.array([7, 2, 5]), np.arange(6, dtype=np.float32).reshape(3, 2))
+    np.testing.assert_array_equal(emb.rows([5, 7, 2]), [[4.0, 5.0], [0.0, 1.0], [2.0, 3.0]])
+    assert emb.rows([]).shape == (0, 2)
+    with pytest.raises(ValueError, match=r"\(user\) is missing id 9$"):
+        emb.rows([2, 9, 1, 8])  # 9 sorts past every id, 1 before them; 9 comes first
+    with pytest.raises(ValueError, match=r"missing id 3$"):
+        emb.rows([7, 3, 99])
 
 
 def test_text_round_trip_is_byte_stable(tmp_path):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,26 @@ def test_items_round_trip_and_errors(tmp_path):
         load_items(bad)
     with pytest.raises(DatasetError, match="tab or newline"):
         save_items(ItemCorpus(num_items=1, texts={0: "a\tb"}), tmp_path / "x.tsv")
+
+
+def _fails_after(rows):
+    yield from rows
+    raise OSError("disk full")
+
+
+def test_failed_dataset_writes_keep_earlier_files(tmp_path):
+    save_interactions(build_store({0: [0, 1], 1: [2]}, num_items=3), tmp_path)
+    save_kg(kg_from_triplets([(0, 0, 1)], num_relations_raw=1), tmp_path / "kg.txt")
+    save_items(ItemCorpus(num_items=2, texts={0: "red lamp"}), tmp_path / "items.tsv")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    with pytest.raises(TypeError):  # user 1's list breaks after user 0 is written
+        save_interactions(SimpleNamespace(num_users=2, split=lambda name: [[2], None]), tmp_path)
+    with pytest.raises(OSError, match="disk full"):
+        save_kg(SimpleNamespace(raw_triplets=lambda: _fails_after([(1, 0, 2)])), tmp_path / "kg.txt")
+    with pytest.raises(DatasetError, match="tab or newline"):
+        save_items(ItemCorpus(num_items=2, texts={0: "ok", 1: "a\tb"}), tmp_path / "items.tsv")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_load_bundle_missing_kg(tmp_path):

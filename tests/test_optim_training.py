@@ -112,6 +112,23 @@ def test_adam_error_messages_name_tensor():
         )
 
 
+def test_adam_bad_last_gradient_touches_nothing():
+    rng = np.random.default_rng(4)
+    tensors = {name: rng.normal(size=(3, 2)) for name in ("entity_emb", "relation_emb", "user_emb")}
+    state = init_adam(tensors)
+    cfg = TrainConfig()
+    adam_step(tensors, {k: rng.normal(size=(3, 2)) for k in tensors}, state, lr=0.1, config=cfg)
+    snapshot = [{k: t.copy() for k, t in d.items()} for d in (tensors, state.m, state.v)]
+    grads = {k: rng.normal(size=(3, 2)) for k in tensors}
+    grads["user_emb"][1, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite gradient in user_emb"):
+        adam_step(tensors, grads, state, lr=0.1, config=cfg)
+    assert state.step == 1
+    for before, after in zip(snapshot, (tensors, state.m, state.v)):
+        for name in tensors:
+            np.testing.assert_array_equal(after[name], before[name])
+
+
 def test_adam_state_moments_track_shapes():
     tensors = {"a": np.zeros((2, 3)), "b": np.zeros(4)}
     state = init_adam(tensors)
