@@ -272,7 +272,7 @@ def train_content(
     active = np.unique(np.concatenate(buckets))
     buckets = [np.searchsorted(active, b) for b in buckets]  # compact bucket ids
     compact = replace(params, bucket_emb=params.bucket_emb[active])  # other tensors shared
-    train_users = np.flatnonzero([len(items) for items in store.train])
+    train_users = np.flatnonzero(store.train.counts())
     if len(train_users) == 0:
         raise ValueError("no user has train interactions")
     sampler = build_sampler(store, uniform=True)
@@ -294,7 +294,10 @@ def train_content(
             loss, grads = click_instance(
                 compact, [buckets[int(i)] for i in hist], buckets[pos], [buckets[n] for n in negs]
             )
-            adam_step(compact.tensors(), grads, state, lr, config)
+            try:
+                adam_step(compact.tensors(), grads, state, lr, config)
+            except ValueError as exc:
+                raise ValueError(f"epoch {epoch} user {u}: {exc}") from exc
             total += loss
         lines.append(f"{epoch}\t{total / len(train_users)!r}\t{lr!r}")
     params.bucket_emb[active] = compact.bucket_emb
@@ -449,19 +452,12 @@ def export_embeddings(
     if n_empty:
         log.warning("export: %d items had no tokens; wrote zero vectors", n_empty)
 
-    user_vecs = np.zeros((store.num_users, params.h), dtype=np.float64)
+    user_vecs = np.zeros((store.num_users, params.h), dtype=np.float64)  # cold-start users stay zero
     B = params.history_size
-    for u in range(store.num_users):
+    for u in np.flatnonzero(store.train.counts()):
         items = store.train[u]
-        if len(items) == 0:
-            continue  # cold-start user: zero vector
-        chunk_outs = []
-        for lo in range(0, len(items), B):
-            chunk = items[lo : lo + B]
-            E = item_vecs[chunk]
-            vec, _ = encode_user(E, params)
-            chunk_outs.append(vec)
-        user_vecs[u] = np.mean(chunk_outs, axis=0)
+        chunks = [encode_user(item_vecs[items[lo : lo + B]], params)[0] for lo in range(0, len(items), B)]
+        user_vecs[u] = np.mean(chunks, axis=0)
 
     item_set = EmbeddingMatrixFile(
         kind="item", ids=np.arange(corpus.num_items, dtype=np.int64), vectors=item_vecs

@@ -11,12 +11,15 @@ Tab and single-space separators are both accepted; trailing whitespace is
 ignored. Item ids double as entity ids (items occupy the low entity-id
 range). Every returned object is immutable after construction and safe to
 share across threads.
+
+In memory each interaction split is one CSR `Split` (offsets plus one item
+array). Split files and `build_store` mappings both become (user, item)
+columns, which `_assemble` validates by array operations on int64 keys.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,50 +42,111 @@ class DatasetError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+class Split:
+    """One interaction split in CSR form: user u's items are
+    `items[indptr[u]:indptr[u + 1]]`, sorted, unique and read-only. `split[u]`
+    is a view; iterating yields each user's row until the IndexError past the last."""
+
+    def __init__(self, indptr: np.ndarray, items: np.ndarray):
+        self.indptr, self.items = indptr, items
+        indptr.flags.writeable = items.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def __getitem__(self, user) -> np.ndarray:
+        return self.items[self.indptr[user] : self.indptr[user + 1]]
+
+    def counts(self) -> np.ndarray:
+        return np.diff(self.indptr)
+
+    def rows(self, users) -> tuple[np.ndarray, np.ndarray]:
+        """(concatenation, counts) of the item lists of `users`, in order."""
+        users = np.asarray(users, dtype=np.int64)
+        start = self.indptr[users]
+        counts = self.indptr[users + 1] - start
+        shift = np.repeat(start - (np.cumsum(counts) - counts), counts)
+        return self.items[np.arange(len(shift)) + shift], counts
+
+
 @dataclass(frozen=True)
 class InteractionStore:
     """Per-user positive item lists, split into train/valid/test plus a
     cold-start carve-out (users absent from training entirely).
 
-    Each split is a tuple of sorted, deduplicated int64 arrays indexed by
-    user id; arrays are owned by the store and must not be mutated.
+    Each split is a `Split` with one row per user id. A split given as a
+    per-user sequence of sorted, deduplicated arrays is converted, unchecked.
     """
 
     num_users: int
     num_items: int
-    train: tuple
-    valid: tuple
-    test: tuple
-    cold_history: tuple
-    cold_test: tuple
+    train: Split
+    valid: Split
+    test: Split
+    cold_history: Split
+    cold_test: Split
 
-    def split(self, name: str) -> tuple:
+    def __post_init__(self):
+        for name in SPLIT_NAMES:
+            rows = getattr(self, name)
+            if not isinstance(rows, Split):
+                indptr = np.concatenate(([0], np.cumsum([len(v) for v in rows], dtype=np.int64)))
+                items = np.concatenate([*rows, np.empty(0, dtype=np.int64)]).astype(np.int64, copy=False)
+                object.__setattr__(self, name, Split(indptr, items))
+
+    def split(self, name: str) -> Split:
         if name not in SPLIT_NAMES:
             raise DatasetError(f"unknown split {name!r}")
         return getattr(self, name)
 
     def train_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """All (user, item) train interactions, user-major order."""
-        users = np.repeat(
-            np.arange(self.num_users, dtype=np.int64),
-            [len(self.train[u]) for u in range(self.num_users)],
-        )
-        items = (
-            np.concatenate([self.train[u] for u in range(self.num_users)])
-            if self.num_users
-            else np.empty(0, dtype=np.int64)
-        )
-        return users, items.astype(np.int64)
-
-    def interaction_count(self, name: str) -> int:
-        return int(sum(len(v) for v in self.split(name)))
+        users = np.repeat(np.arange(self.num_users, dtype=np.int64), self.train.counts())
+        return users, self.train.items
 
     def total_interactions(self) -> int:
-        return sum(self.interaction_count(name) for name in SPLIT_NAMES)
+        return sum(len(self.split(name).items) for name in SPLIT_NAMES)
 
 
-def _as_sorted_unique(items) -> np.ndarray:
-    return np.unique(np.asarray(list(items), dtype=np.int64))
+def _assemble(columns: dict, num_users: int | None, num_items: int | None) -> InteractionStore:
+    """Validate (user, item) columns per split and build the store. Ids are
+    range-checked before anything is sized by them. One `np.unique` of the
+    `user * num_items + item` keys (below 2**63) sorts and dedups each split,
+    and the cross-split rules run as set operations. Of several faults the
+    lowest user's is reported, in rule order for one user."""
+    cols = {name: columns.get(name, (np.empty(0, dtype=np.int64),) * 2) for name in SPLIT_NAMES}
+    seen = np.unique(np.concatenate([u for u, _ in cols.values()]))
+    gap = int((seen == np.arange(len(seen))).sum())  # seen[k] - k never falls: a prefix matches
+    n_users = num_users if num_users is not None else (int(seen[-1]) + 1 if len(seen) else 0)
+    if gap < n_users:
+        raise DatasetError(f"user ids not dense: user {gap} has no interactions")
+    if len(seen) and seen[-1] >= n_users:
+        raise DatasetError(f"user id {int(seen[-1])} out of range for declared num_users={n_users}")
+
+    max_item = max((int(i.max()) for _, i in cols.values() if len(i)), default=-1)
+    n_items = num_items if num_items is not None else max_item + 1
+    if max_item >= n_items:
+        raise DatasetError(f"item id {max_item} out of range for declared num_items={n_items}")
+    if max(n_users, 1) * n_items >= 2**63:
+        raise DatasetError(f"num_users={n_users} times num_items={n_items} overflows int64 interaction keys")
+
+    keys = {name: np.unique(u * n_items + i) for name, (u, i) in cols.items()}
+    pairs = {name: np.divmod(k, max(n_items, 1)) for name, k in keys.items()}
+    users = {name: np.unique(u) for name, (u, _) in pairs.items()}
+    faults = []
+    for a, b in (("train", "valid"), ("train", "test"), ("valid", "test"), ("cold_history", "cold_test")):
+        for u, i in zip(*np.divmod(np.intersect1d(keys[a], keys[b], assume_unique=True)[:1], n_items)):
+            faults.append((u, f"user {u}: item {i} in both {a} and {b}"))
+    warm = np.union1d(np.union1d(users["train"], users["valid"]), users["test"])
+    for u in np.intersect1d(warm, np.union1d(users["cold_history"], users["cold_test"]))[:1]:
+        faults.append((u, f"user {u} is cold-start but also appears in train/valid/test"))
+    for u in np.setdiff1d(users["cold_test"], users["cold_history"], assume_unique=True)[:1]:
+        faults.append((u, f"user {u}: cold_test without cold_history"))
+    if faults:
+        raise DatasetError(min(faults, key=lambda f: f[0])[1])
+
+    splits = {name: Split(np.searchsorted(u, np.arange(n_users + 1)), i) for name, (u, i) in pairs.items()}
+    return InteractionStore(num_users=n_users, num_items=n_items, **splits)
 
 
 def build_store(
@@ -100,97 +164,44 @@ def build_store(
     on sparse user ids, out-of-range items, per-user split overlap, or a
     cold-start user that also appears in train/valid/test.
     """
-    given = (train, valid, test, cold_history, cold_test)
-    raw = {name: dict(m or {}) for name, m in zip(SPLIT_NAMES, given)}
-    seen_users = set()
-    max_item = -1
-    for name, mapping in raw.items():
-        for u, its in mapping.items():
-            if u < 0:
-                raise DatasetError(f"{name}: negative user id {u}")
-            arr = _as_sorted_unique(its)
-            if len(arr) and arr[0] < 0:
-                raise DatasetError(f"{name}: negative item id for user {u}")
-            mapping[u] = arr
-            if len(arr):
-                seen_users.add(u)
-                max_item = max(max_item, int(arr[-1]))
-
-    n_users = num_users if num_users is not None else (max(seen_users) + 1 if seen_users else 0)
-    for u in range(n_users):
-        if u not in seen_users:
-            raise DatasetError(f"user ids not dense: user {u} has no interactions")
-    if seen_users and max(seen_users) >= n_users:
-        raise DatasetError(
-            f"user id {max(seen_users)} out of range for declared num_users={n_users}"
-        )
-
-    n_items = num_items if num_items is not None else max_item + 1
-    if max_item >= n_items:
-        raise DatasetError(f"item id {max_item} out of range for declared num_items={n_items}")
-
-    splits = {
-        name: tuple(mapping.get(u, np.empty(0, dtype=np.int64)) for u in range(n_users))
-        for name, mapping in raw.items()
-    }
-
-    for u in range(n_users):
-        tr, va, te = splits["train"][u], splits["valid"][u], splits["test"][u]
-        for a_name, a, b_name, b in (
-            ("train", tr, "valid", va),
-            ("train", tr, "test", te),
-            ("valid", va, "test", te),
-            ("cold_history", splits["cold_history"][u], "cold_test", splits["cold_test"][u]),
-        ):
-            common = np.intersect1d(a, b)
-            if len(common):
-                raise DatasetError(
-                    f"user {u}: item {int(common[0])} in both {a_name} and {b_name}"
-                )
-        if len(splits["cold_history"][u]) or len(splits["cold_test"][u]):
-            if len(tr) or len(va) or len(te):
-                raise DatasetError(
-                    f"user {u} is cold-start but also appears in train/valid/test"
-                )
-        if len(splits["cold_test"][u]) and not len(splits["cold_history"][u]):
-            raise DatasetError(f"user {u}: cold_test without cold_history")
-
-    return InteractionStore(num_users=n_users, num_items=n_items, **splits)
+    columns = {}
+    for name, mapping in zip(SPLIT_NAMES, (train, valid, test, cold_history, cold_test)):
+        lists = [np.asarray(list(its), dtype=np.int64).reshape(-1) for its in (mapping or {}).values()]
+        users = np.fromiter(mapping or {}, dtype=np.int64)
+        owner = np.repeat(np.arange(len(users)), [len(v) for v in lists])  # mapping position of each item
+        items = np.concatenate([*lists, np.empty(0, dtype=np.int64)])
+        for u in users[np.union1d(np.flatnonzero(users < 0), owner[items < 0])[:1]]:
+            what = f"negative user id {u}" if u < 0 else f"negative item id for user {u}"
+            raise DatasetError(f"{name}: {what}")
+        columns[name] = users[owner], items
+    return _assemble(columns, num_users, num_items)
 
 
-@dataclass(frozen=True)
-class SplitFile:
-    """Raw parse of one split file, before cross-file validation."""
-
-    items: dict
-    duplicates_collapsed: int
-
-
-def load_split_file(path) -> SplitFile:
-    """Parse one `user item item ...` file; duplicates within a line are
-    collapsed and counted."""
+def load_split_file(path) -> tuple[np.ndarray, np.ndarray]:
+    """Parse one `user item item ...` file into (user, item) columns in file
+    order, duplicates kept. Non-integer, negative or out-of-int64 ids and a
+    second line for one user are errors that name the line."""
     path = Path(path)
-    mapping: dict[int, np.ndarray] = {}
-    dups = 0
+    users, items, seen = [], [], set()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip()
-            if not line:
+            fields = line.split()
+            if not fields:
                 continue
-            fields = line.replace("\t", " ").split()
             try:
-                ids = [int(tok) for tok in fields]
+                ids = list(map(int, fields))
             except ValueError:
                 raise DatasetError(f"{path}:{lineno}: non-integer field") from None
-            if any(v < 0 for v in ids):
+            if min(ids) < 0:
                 raise DatasetError(f"{path}:{lineno}: negative id")
-            user, items = ids[0], ids[1:]
-            if user in mapping:
-                raise DatasetError(f"{path}:{lineno}: duplicate line for user {user}")
-            arr = _as_sorted_unique(items)
-            dups += len(items) - len(arr)
-            mapping[user] = arr
-    return SplitFile(items=mapping, duplicates_collapsed=dups)
+            if max(ids) >= 2**63:
+                raise DatasetError(f"{path}:{lineno}: id {max(ids)} does not fit in int64")
+            if ids[0] in seen:
+                raise DatasetError(f"{path}:{lineno}: duplicate line for user {ids[0]}")
+            seen.add(ids[0])
+            users += ids[:1] * (len(ids) - 1)
+            items += ids[1:]
+    return np.array(users, dtype=np.int64), np.array(items, dtype=np.int64)
 
 
 def load_interactions(path, num_items: int | None = None) -> InteractionStore:
@@ -200,14 +211,14 @@ def load_interactions(path, num_items: int | None = None) -> InteractionStore:
     if path.is_dir():
         if not (path / SPLIT_FILES["train"]).exists():
             raise DatasetError(f"missing interaction file: {path / SPLIT_FILES['train']}")
-        files = {name: path / SPLIT_FILES[name] for name in SPLIT_NAMES}
-        parsed = {name: load_split_file(f) for name, f in files.items() if f.exists()}
+        parsed = {name: load_split_file(path / f) for name, f in SPLIT_FILES.items() if (path / f).exists()}
     else:
         parsed = {"train": load_split_file(path)}
-    total_dups = sum(p.duplicates_collapsed for p in parsed.values())
-    if total_dups:
-        log.warning("collapsed %d duplicate interactions while loading %s", total_dups, path)
-    return build_store(num_items=num_items, **{name: p.items for name, p in parsed.items()})
+    store = _assemble(parsed, None, num_items)
+    duplicates = sum(len(users) for users, _ in parsed.values()) - store.total_interactions()
+    if duplicates:
+        log.warning("collapsed %d duplicate interactions while loading %s", duplicates, path)
+    return store
 
 
 def save_interactions(store: InteractionStore, out_dir) -> None:

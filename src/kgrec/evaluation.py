@@ -99,43 +99,37 @@ def _sorted_ks(ks) -> tuple:
 
 def _check_split(store, split: str):
     if split in ("valid", "test"):
-        lists = store.split(split)
-        if not any(len(v) for v in lists):
+        test = store.split(split)
+        if not len(test.items):
             raise DatasetError(f"split absent: no {split} interactions in dataset")
-        return lists
+        return test
     if split == "cold_start":
-        if not any(len(v) for v in store.cold_test) or not any(len(v) for v in store.cold_history):
+        if not len(store.cold_test.items) or not len(store.cold_history.items):
             raise DatasetError("split absent: dataset has no cold-start files")
         return store.cold_test
     raise DatasetError(f"unknown split {split!r}")
 
 
-def _split_users(seen_lists, test_lists, split: str):
+def _split_users(seen, test, split: str):
     """Users with both seen and test items, plus the number skipped: users
     with only one of the two (users with neither are not counted)."""
-    has_seen = np.array([len(v) > 0 for v in seen_lists])
-    has_test = np.array([len(v) > 0 for v in test_lists])
+    has_seen, has_test = seen.counts() > 0, test.counts() > 0
     users = np.flatnonzero(has_seen & has_test)
     if len(users) == 0:
         raise DatasetError(f"split {split!r} has no evaluable users")
     return users, int((has_seen ^ has_test).sum())
 
 
-def _flat(lists, users):
-    """(concatenation, counts) of `lists[u]` over `users`."""
-    rows = [lists[u] for u in users]
-    return np.concatenate(rows), np.array([len(v) for v in rows], dtype=np.int64)
-
-
-def _rank_users(user_vecs, users, skipped, item_embs, seen_lists, test_lists, split, ks):
+def _rank_users(user_vecs, users, skipped, item_embs, seen, test, split, ks):
     """Run `rank_block` over blocks of about BLOCK_SCORES scores, masking each
-    user's seen items, and average every metric over the users in order."""
+    user's `seen` items, and average every metric over the users in order."""
     rows = max(1, BLOCK_SCORES // len(item_embs))
     per_user = np.empty((3, len(ks), len(users)))
     for a in range(0, len(users), rows):
         block = users[a : a + rows]
-        seen, test = _flat(seen_lists, block), _flat(test_lists, block)
-        _, per_user[:, :, a : a + rows] = rank_block(user_vecs[a : a + rows], item_embs, seen, test, ks)
+        _, per_user[:, :, a : a + rows] = rank_block(
+            user_vecs[a : a + rows], item_embs, seen.rows(block), test.rows(block), ks
+        )
     recall, ndcg, hit = ({k: float(np.mean(m[j])) for j, k in enumerate(ks)} for m in per_user)
     return MetricsReport(split, ks, recall, ndcg, hit, users_evaluated=len(users), users_skipped=skipped)
 
@@ -149,7 +143,7 @@ def evaluate(params: KmpnParams, bundle: DatasetBundle, split: str, ks=DEFAULT_K
     """
     ks = _sorted_ks(ks)
     store = bundle.store
-    test_lists = _check_split(store, split)
+    test = _check_split(store, split)
     if bundle.graph.num_entities != params.num_entities:
         raise DatasetError("checkpoint/graph entity count mismatch")
     if store.num_users != params.num_users:
@@ -158,14 +152,14 @@ def evaluate(params: KmpnParams, bundle: DatasetBundle, split: str, ks=DEFAULT_K
     layers, _ = entity_forward(params, bundle.graph)
     item_embs = aggregate_layers(layers)[: store.num_items]
     _, pref = preference_embeddings(params)
-    seen_lists = store.cold_history if split == "cold_start" else store.train
-    users, skipped = _split_users(seen_lists, test_lists, split)
+    seen = store.cold_history if split == "cold_start" else store.train
+    users, skipped = _split_users(seen, test, split)
     if split == "cold_start":
         profile = pref.mean(axis=0)  # uniform alpha = 1/P
     else:
         profile = softmax_rows(params.user_emb[users] @ pref.T) @ pref
-    _, user_vecs, _, _ = user_forward(layers, seen_lists, users, profile)
-    return _rank_users(user_vecs, users, skipped, item_embs, seen_lists, test_lists, split, ks)
+    _, user_vecs, _, _ = user_forward(layers, seen, users, profile)
+    return _rank_users(user_vecs, users, skipped, item_embs, seen, test, split, ks)
 
 
 def evaluate_embeddings(
@@ -175,10 +169,10 @@ def evaluate_embeddings(
     (content-model evaluation or comparison hooks)."""
     ks = _sorted_ks(ks)
     store = bundle.store
-    test_lists = _check_split(store, split)
+    test = _check_split(store, split)
     if split == "cold_start":
         raise DatasetError("cold_start evaluation needs model parameters, not embedding files")
     item_embs = item_set.rows(np.arange(store.num_items, dtype=np.int64))
-    users, skipped = _split_users(store.train, test_lists, split)
+    users, skipped = _split_users(store.train, test, split)
     user_vecs = user_set.rows(users)
-    return _rank_users(user_vecs, users, skipped, item_embs, store.train, test_lists, split, ks)
+    return _rank_users(user_vecs, users, skipped, item_embs, store.train, test, split, ks)

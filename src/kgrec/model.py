@@ -179,23 +179,12 @@ def preference_embeddings(params: KmpnParams):
     return beta, beta @ params.meta_pref_emb
 
 
-def _history_arrays(histories, users: np.ndarray):
-    """CSR-style concatenation of `histories[u]` for the given user list."""
-    lists = [histories[int(u)] for u in users]
-    counts = np.array([len(v) for v in lists], dtype=np.int64)
-    if not counts.all():
-        raise ValueError(f"user {int(users[np.argmin(counts)])} has no history")
-    seg = np.zeros(len(users), dtype=np.int64)
-    np.cumsum(counts[:-1], out=seg[1:])
-    return np.concatenate(lists), counts, seg
-
-
 def user_forward(entity_layers: list, histories, users: np.ndarray, profile: np.ndarray):
     """Aggregated vectors for `users` from their interaction histories.
 
     u = (sum over depths l of mean_{i in histories[u]} e_i^(l)) o profile_u
 
-    `histories` is indexed by user id (store.train or store.cold_history).
+    `histories` is the `Split` to read (store.train or store.cold_history).
     `profile` is one preference mix per user, alpha_u @ pref [U, h], or a
     single row shared by all of them (uniform attention: pref.mean(axis=0)).
     The factorized product equals the per-preference sum
@@ -204,7 +193,10 @@ def user_forward(entity_layers: list, histories, users: np.ndarray, profile: np.
     Returns (summed history means [U, h], user vectors [U, h], and the
     history concatenation and counts that the backward pass scatters over).
     """
-    concat, counts, seg = _history_arrays(histories, users)
+    concat, counts = histories.rows(users)
+    if not counts.all():
+        raise ValueError(f"user {int(users[np.argmin(counts)])} has no history")
+    seg = np.cumsum(counts) - counts
     msum = sum(np.add.reduceat(m[concat], seg, axis=0) / counts[:, None] for m in entity_layers)
     return msum, msum * profile, concat, counts
 

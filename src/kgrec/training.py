@@ -168,7 +168,7 @@ def _train_cf(
         lr = lr_at(config, epoch - 1, config.epochs)
         perm = rng.permutation(len(users_all))
         sums = np.zeros(5)  # total bpr l2 dcorr cs
-        for lo in range(0, len(perm), config.batch_size):
+        for batch, lo in enumerate(range(0, len(perm), config.batch_size), start=1):
             idx = perm[lo : lo + config.batch_size]
             u = users_all[idx]
             p = pos_all[idx]
@@ -176,13 +176,16 @@ def _train_cf(
             total, grads, parts, _ = kmpn_loss_and_grads(
                 params, graph, store, u, p, n, config.weights, content=active_content
             )
-            adam_step(params.tensors(), grads, state, lr, config)
+            try:
+                adam_step(params.tensors(), grads, state, lr, config)
+            except ValueError as exc:
+                raise ValueError(f"epoch {epoch} batch {batch}: {exc}") from exc
             sums += (total, parts.bpr, parts.l2, parts.dcorr, parts.cs)
         lines.append(_format_log_line(epoch, [float(x) for x in sums], lr))
         if config.eval_every > 0 and epoch % config.eval_every == 0:
             from .evaluation import evaluate
 
-            if any(len(v) for v in store.valid):
+            if len(store.valid.items):
                 report = evaluate(params, bundle, "valid", ks=(20,))
                 log.info("epoch %d valid recall@20 %.6f", epoch, report.recall[20])
     return params, lines

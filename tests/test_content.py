@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from kgrec import content
 from kgrec.content import (
     EmbeddingMatrixFile,
     bucketize,
@@ -233,6 +234,23 @@ def test_train_content_deterministic_and_learns_clusters():
     assert last < math.log(p.num_negatives + 1)  # better than uniform guessing
     assert len(lines1) == 60
     assert lines1[0].split("\t")[0] == "1"
+
+
+def test_train_content_non_finite_gradient_names_epoch_and_user(monkeypatch):
+    corpus, store = _cluster_dataset()  # 4 train users: one instance each per epoch
+    real, calls = content.click_instance, []
+
+    def poisoned(*args, **kwargs):
+        loss, grads = real(*args, **kwargs)
+        calls.append(1)
+        if len(calls) == 6:
+            grads["fc2_b"][0] = np.inf
+        return loss, grads
+
+    monkeypatch.setattr(content, "click_instance", poisoned)
+    p = init_content(h=8, num_buckets=32, history_size=2, num_negatives=2, seed=0)
+    with pytest.raises(ValueError, match="^epoch 2 user [0-3]: non-finite gradient in fc2_b$"):
+        train_content(corpus, store, p, TrainConfig(epochs=3, lr_start=0.05, seed=3))
 
 
 def test_train_content_validates_corpus_store_pairing():

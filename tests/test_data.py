@@ -1,11 +1,15 @@
+import logging
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from kgrec.data import (
+    SPLIT_NAMES,
     DatasetError,
     ItemCorpus,
+    Split,
     SyntheticSpec,
     build_store,
     check_inverse_closure,
@@ -22,13 +26,18 @@ from kgrec.data import (
 )
 
 
-def test_split_file_parse_and_duplicate_collapse(tmp_path):
+def test_split_file_parse_and_duplicate_collapse(tmp_path, caplog):
     p = tmp_path / "train.txt"
     p.write_text("0 3 1 3\n2\t7 7 5\n")
-    parsed = load_split_file(p)
-    assert parsed.duplicates_collapsed == 2
-    assert parsed.items[0].tolist() == [1, 3]
-    assert parsed.items[2].tolist() == [5, 7]
+    users, items = load_split_file(p)  # raw columns in file order, duplicates kept
+    assert users.tolist() == [0, 0, 0, 2, 2, 2]
+    assert items.tolist() == [3, 1, 3, 7, 7, 5]
+    p.write_text("0 3 1 3\n1\t7 7 5\n")
+    with caplog.at_level(logging.WARNING, logger="kgrec.data"):
+        store = load_interactions(p)
+    assert "collapsed 2 duplicate interactions" in caplog.text
+    assert store.train[0].tolist() == [1, 3]
+    assert store.train[1].tolist() == [5, 7]
 
 
 @pytest.mark.parametrize(
@@ -48,9 +57,85 @@ def test_split_file_errors_carry_line_numbers(tmp_path, content, fragment):
     assert "bad.txt" in str(err.value)
 
 
-def test_build_store_rejects_split_overlap():
-    with pytest.raises(DatasetError, match="both train and test"):
-        build_store({0: [1, 2]}, test={0: [2]}, num_items=3)
+@pytest.mark.parametrize(
+    "a,b", [("train", "valid"), ("train", "test"), ("valid", "test"), ("cold_history", "cold_test")]
+)
+def test_build_store_rejects_split_overlap(a, b):
+    splits = {a: {0: [1, 2], 1: [0]}, b: {0: [2], 1: [0, 1]}}
+    with pytest.raises(DatasetError, match=f"^user 0: item 2 in both {a} and {b}$"):
+        build_store(**{"train": {}, **splits}, num_items=3)
+
+
+@pytest.mark.parametrize(
+    "splits,message",
+    [
+        # user 1 overlaps, user 0 is cold and warm: the lower user is reported
+        (dict(train={0: [0], 1: [1, 2]}, test={1: [2]}, cold_history={0: [1]}),
+         "user 0 is cold-start but also appears in train/valid/test"),
+        # one user with two faults: the overlap check comes first
+        (dict(train={0: [3], 1: [0, 2]}, test={1: [0, 2]}, cold_history={1: [1]}),
+         "user 1: item 0 in both train and test"),
+        (dict(train={0: [1]}, cold_history={1: [0], 2: [2]}, cold_test={1: [0], 2: [0]}),
+         "user 1: item 0 in both cold_history and cold_test"),
+        (dict(train={0: [1], 3: [1]}, cold_history={1: [1]}, cold_test={2: [0], 3: [0]}),
+         "user 2: cold_test without cold_history"),
+    ],
+)
+def test_build_store_reports_the_lowest_faulty_user(splits, message):
+    with pytest.raises(DatasetError, match=f"^{message}$"):
+        build_store(**splits, num_items=4)
+
+
+def _reference_fault(splits, num_users, num_items):
+    """The first fault by a per-user loop over the store rules, or None."""
+    sets = {name: {u: set(v) for u, v in splits.get(name, {}).items()} for name in SPLIT_NAMES}
+    seen = {u for m in sets.values() for u, v in m.items() if v}
+    n_users = num_users if num_users is not None else max(seen, default=-1) + 1
+    for u in range(n_users):
+        if u not in seen:
+            return f"user ids not dense: user {u} has no interactions"
+    if seen and max(seen) >= n_users:
+        return f"user id {max(seen)} out of range for declared num_users={n_users}"
+    max_item = max((max(v) for m in sets.values() for v in m.values() if v), default=-1)
+    n_items = num_items if num_items is not None else max_item + 1
+    if max_item >= n_items:
+        return f"item id {max_item} out of range for declared num_items={n_items}"
+    for u in range(n_users):
+        tr, va, te, ch, ct = (sets[name].get(u, set()) for name in SPLIT_NAMES)
+        for a, b, common in (("train", "valid", tr & va), ("train", "test", tr & te),
+                             ("valid", "test", va & te), ("cold_history", "cold_test", ch & ct)):
+            if common:
+                return f"user {u}: item {min(common)} in both {a} and {b}"
+        if (ch or ct) and (tr or va or te):
+            return f"user {u} is cold-start but also appears in train/valid/test"
+        if ct and not ch:
+            return f"user {u}: cold_test without cold_history"
+    return None
+
+
+def test_build_store_matches_per_user_reference():
+    rng = np.random.default_rng(0)
+    faults = 0
+    for _ in range(400):
+        n_users, n_items = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        splits = {
+            name: {u: rng.integers(0, n_items + 1, size=rng.integers(0, 4)).tolist()
+                   for u in range(n_users + int(rng.random() < 0.2)) if rng.random() < 0.5}
+            for name in SPLIT_NAMES if rng.random() < 0.6
+        }
+        sizes = {"num_users": None if rng.random() < 0.7 else int(rng.integers(0, n_users + 2)),
+                 "num_items": None if rng.random() < 0.7 else int(rng.integers(0, n_items + 2))}
+        want = _reference_fault(splits, **sizes)
+        if want is not None:
+            faults += 1
+            with pytest.raises(DatasetError, match=f"^{want}$"):
+                build_store(**{"train": {}, **splits}, **sizes)
+            continue
+        store = build_store(**{"train": {}, **splits}, **sizes)
+        for name in SPLIT_NAMES:
+            for u in range(store.num_users):
+                assert store.split(name)[u].tolist() == sorted(set(splits.get(name, {}).get(u, [])))
+    assert 200 < faults < 340  # both outcomes are exercised
 
 
 def test_build_store_rejects_cold_user_in_train():
@@ -61,6 +146,45 @@ def test_build_store_rejects_cold_user_in_train():
 def test_build_store_rejects_user_id_gap():
     with pytest.raises(DatasetError, match="user ids not dense"):
         build_store({0: [1], 2: [1]}, num_items=2)
+
+
+def test_sparse_huge_user_id_fails_before_sizing_anything(tmp_path):
+    p = tmp_path / "train.txt"
+    p.write_text("0 1\n1 1\n2 1\n3 1\n1000000000000 1\n")
+    with pytest.raises(DatasetError, match="^user ids not dense: user 4 has no interactions$"):
+        load_interactions(p)
+
+
+def test_build_store_rejects_int64_key_overflow():
+    with pytest.raises(DatasetError, match="num_users=2 times num_items=4611686018427387905"):
+        build_store({0: [2**62], 1: [0]})
+    build_store({0: [2**62 - 2], 1: [0]})  # keys below 2 * (2**62 - 1) still fit
+
+
+def test_split_file_rejects_id_beyond_int64(tmp_path):
+    p = tmp_path / "train.txt"
+    p.write_text(f"0 1\n1 {2**63}\n")
+    with pytest.raises(DatasetError, match="train.txt:2: id 9223372036854775808 does not fit in int64"):
+        load_split_file(p)
+
+
+def test_split_rows_gather_matches_per_user_concatenation():
+    split = Split(np.array([0, 2, 2, 3, 6]), np.array([1, 4, 0, 2, 3, 5]))
+    assert len(split) == 4 and split.counts().tolist() == [2, 0, 1, 3]
+    for users in ([3, 0, 1, 3], [1], [], [2, 2]):
+        concat, counts = split.rows(np.array(users, dtype=np.int64))
+        assert counts.tolist() == [len(split[u]) for u in users]
+        want = np.concatenate([split[u] for u in users] + [np.empty(0, dtype=np.int64)])
+        assert concat.dtype == np.int64 and concat.tolist() == want.tolist()
+    assert [v.tolist() for v in split] == [[1, 4], [], [0], [2, 3, 5]]
+
+
+def test_store_converts_per_user_tuples_to_splits():
+    store = build_store({0: [2, 1], 1: [0]}, valid={1: [2]}, num_items=3)
+    rebuilt = replace(store, train=tuple(np.array(v) for v in ([1, 2], [0])))
+    assert isinstance(rebuilt.train, Split) and rebuilt.valid is store.valid
+    assert rebuilt.train.indptr.tolist() == store.train.indptr.tolist()
+    assert rebuilt.train.items.tolist() == store.train.items.tolist()
 
 
 def test_build_store_rejects_out_of_range_item():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -261,11 +262,14 @@ def test_user_forward_rejects_empty_history():
     p = small_params(g)
     # user 1 appears only in the validation split, so it has no train rows
     store = build_store({0: [1]}, valid={1: [2]}, num_items=6)
+    # the same rows given per user, converted by the store
+    as_tuple = replace(store, train=(np.array([1]), np.empty(0, dtype=np.int64)))
     layers, _ = entity_forward(p, g)
-    with pytest.raises(ValueError, match="user 1 has no history"):
-        user_forward(layers, store.train, np.array([1]), np.ones(p.h))
-    with pytest.raises(ValueError, match="user 1 has no history"):
-        forward(p, g, store, [0, 1], [1, 3], [2, 0])
+    for s in (store, as_tuple):
+        with pytest.raises(ValueError, match="user 1 has no history"):
+            user_forward(layers, s.train, np.array([1]), np.ones(p.h))
+        with pytest.raises(ValueError, match="user 1 has no history"):
+            forward(p, g, s, [0, 1], [1, 3], [2, 0])
 
 
 # -- batched forward ----------------------------------------------------------

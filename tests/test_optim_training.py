@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from kgrec import training
 from kgrec.content import EmbeddingMatrixFile
 from kgrec.data import DatasetBundle, ItemCorpus, build_store, kg_from_triplets
+from kgrec.evaluation import evaluate
 from kgrec.losses import LossWeights
 from kgrec.model import backward, forward, init_params
 from kgrec.optim import AdamState, TrainConfig, adam_step, init_adam, lr_at
@@ -249,6 +253,47 @@ def test_train_is_deterministic_and_logs_every_epoch():
         assert fields[0] == str(k + 1)
         assert float(fields[2]) > 0  # ranking term present
         assert fields[5] == "0.0"  # no alignment term in the plain run
+
+
+def test_non_finite_gradient_names_epoch_and_batch(monkeypatch):
+    b = tiny_bundle()  # 8 train interactions: 3 batches of at most 3 per epoch
+    real, calls = training.kmpn_loss_and_grads, []
+
+    def poisoned(*args, **kwargs):
+        total, grads, parts, basis = real(*args, **kwargs)
+        calls.append(1)
+        if len(calls) == 5:
+            grads["pref_logits"][0, 0] = np.nan
+        return total, grads, parts, basis
+
+    monkeypatch.setattr(training, "kmpn_loss_and_grads", poisoned)
+    with pytest.raises(ValueError, match="^epoch 2 batch 2: non-finite gradient in pref_logits$"):
+        train_kmpn(b, tiny_params(b), TrainConfig(epochs=3, batch_size=3, lr_start=0.01, seed=5))
+
+
+def test_per_user_tuple_store_trains_and_evaluates_like_build_store(synth_bundle):
+    """A store rebuilt with `replace(store, train=<tuple of arrays>)`, as the
+    benchmark shards it, behaves as the build_store store of the same rows."""
+    store = synth_bundle.store
+    empty = np.empty(0, dtype=np.int64)
+    rows = tuple(np.array(store.train[u]) if u % 3 else empty for u in range(store.num_users))
+    held = (store.valid, store.test, store.cold_history, store.cold_test)
+    built = build_store(
+        *({u: v for u, v in enumerate(split) if len(v)} for split in (rows, *held)),
+        num_users=store.num_users,
+        num_items=store.num_items,
+    )
+    bundles = [replace(synth_bundle, store=replace(store, train=rows)), replace(synth_bundle, store=built)]
+    g = synth_bundle.graph
+    p = init_params(g.num_entities, g.num_relations, store.num_users, h=8, n_layers=2, seed=3)
+    cfg = TrainConfig(epochs=2, batch_size=256, lr_start=0.01, seed=4)
+    (out_a, lines_a), (out_b, lines_b) = (train_kmpn(b, p, cfg) for b in bundles)
+    assert lines_a == lines_b
+    for name, t in out_a.tensors().items():
+        np.testing.assert_array_equal(t, out_b.tensors()[name], err_msg=name)
+    for split in ("test", "cold_start"):
+        reports = [evaluate(out_a, b, split).render() for b in bundles]
+        assert reports[0] == reports[1]
 
 
 def test_train_with_zero_alignment_weight_matches_plain_run():
