@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -241,6 +242,30 @@ def save_interactions(store: InteractionStore, out_dir) -> None:
 # ---------------------------------------------------------------------------
 
 
+CHUNK_EDGES = 1024  # edges per EdgePlan chunk; a head of higher degree gets a chunk alone
+
+
+@dataclass(frozen=True)
+class EdgePlan:
+    """The edges regrouped for cache-blocked convolution sweeps.
+
+    Position p of the plan holds graph edge `edge[p]`. Edges are stably
+    sorted by the degree of their head, so the d edges of a degree-d head
+    are one contiguous run, in graph order. `inverse[p]` is the graph index
+    of the inverse of edge `edge[p]`. `chunks` lists (lo, hi, d): the plan
+    positions [lo, hi) hold (hi - lo) / d whole heads of degree d, about
+    CHUNK_EDGES edges in all, so a head reduction over a chunk is a
+    reshape to [heads, d, h] and a sum over axis 1.
+    """
+
+    edge: np.ndarray
+    head: np.ndarray
+    rel: np.ndarray
+    tail: np.ndarray
+    inverse: np.ndarray
+    chunks: tuple
+
+
 @dataclass(frozen=True)
 class KnowledgeGraph:
     """Immutable relational graph as flat edge arrays.
@@ -277,6 +302,23 @@ class KnowledgeGraph:
         )
         order = np.lexsort((trip[:, 2], trip[:, 1], trip[:, 0]))
         return trip[order]
+
+    @cached_property
+    def plan(self) -> EdgePlan:
+        """The EdgePlan of this graph, built on first use and kept."""
+        inverse = check_inverse_closure(self)
+        edge = np.argsort(self.degrees[self.edge_head], kind="stable")
+        head = self.edge_head[edge]
+        degree = self.degrees[head]
+        values, starts = np.unique(degree, return_index=True)
+        chunks = []
+        for d, lo, hi in zip(values.tolist(), starts.tolist(), [*starts[1:].tolist(), len(degree)]):
+            step = d * max(1, CHUNK_EDGES // d)
+            chunks += [(a, min(a + step, hi), d) for a in range(lo, hi, step)]
+        return EdgePlan(
+            edge=edge, head=head, rel=self.edge_rel[edge], tail=self.edge_tail[edge],
+            inverse=inverse[edge], chunks=tuple(chunks),
+        )
 
 
 def kg_from_triplets(
@@ -344,11 +386,17 @@ def load_kg(
             if len(fields) != 3:
                 raise DatasetError(f"{path}:{lineno}: expected 3 fields, got {len(fields)}")
             try:
-                h, r, t = (int(tok) for tok in fields)
+                h, r, t = map(int, fields)
             except ValueError:
                 raise DatasetError(f"{path}:{lineno}: non-integer field") from None
-            if min(h, r, t) < 0:
-                raise DatasetError(f"{path}:{lineno}: negative id")
+            if not (0 <= h < 2**63 and 0 <= r < 2**63 and 0 <= t < 2**63):
+                if min(h, r, t) < 0:
+                    raise DatasetError(f"{path}:{lineno}: negative id")
+                raise DatasetError(f"{path}:{lineno}: id {max(h, r, t)} does not fit in int64")
+            if num_entities is not None and max(h, t) >= num_entities:
+                raise DatasetError(
+                    f"{path}:{lineno}: entity id {max(h, t)} out of range for num_entities={num_entities}"
+                )
             if num_relations_raw is not None and r >= num_relations_raw:
                 raise DatasetError(f"{path}:{lineno}: relation {r} >= {num_relations_raw}")
             rows.append((h, r, t))
@@ -364,13 +412,24 @@ def save_kg(graph: KnowledgeGraph, path) -> None:
             fh.write(f"{h} {r} {t}\n".encode("utf-8"))
 
 
-def check_inverse_closure(graph: KnowledgeGraph) -> None:
-    """Full-scan check that every raw edge has its inverse stored."""
-    edges = set(zip(graph.edge_head.tolist(), graph.edge_rel.tolist(), graph.edge_tail.tolist()))
-    raw = graph.num_relations_raw
-    for h, r, t in edges:
-        if r < raw and (t, r + raw, h) not in edges:
-            raise DatasetError(f"missing inverse edge for triplet ({h}, {r}, {t})")
+def check_inverse_closure(graph: KnowledgeGraph) -> np.ndarray:
+    """Graph index of the inverse (t, r -/+ num_relations_raw, h) of every
+    edge (h, r, t), found by one searchsorted over the sorted edge keys.
+    An edge without one raises DatasetError naming the smallest raw
+    triplet that lacks its inverse (or, failing that, the smallest edge)."""
+    n, n_rel, raw = graph.num_entities, graph.num_relations, graph.num_relations_raw
+    if n * n * max(n_rel, 1) >= 2**63:
+        raise DatasetError(f"num_entities={n} and num_relations={n_rel} overflow int64 edge keys")
+    head, rel, tail = graph.edge_head, graph.edge_rel, graph.edge_tail
+    keys = (head * n_rel + rel) * n + tail  # ascending: edges are sorted by (head, rel, tail)
+    want = (tail * n_rel + np.where(rel < raw, rel + raw, rel - raw)) * n + head
+    pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    missing = keys[pos] != want
+    if missing.any():
+        raw_missing = missing & (rel < raw)
+        e = int(np.argmax(raw_missing if raw_missing.any() else missing))
+        raise DatasetError(f"missing inverse edge for triplet ({head[e]}, {rel[e]}, {tail[e]})")
+    return pos
 
 
 # ---------------------------------------------------------------------------

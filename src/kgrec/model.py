@@ -121,31 +121,30 @@ def init_params(
 # ---------------------------------------------------------------------------
 
 
-def _modulated(prev: np.ndarray, relation_emb: np.ndarray) -> np.ndarray:
-    """Relation-modulated entity table X[r*N + j] = rel_r o prev_j, [R*N, h]."""
-    return (relation_emb[:, None, :] * prev[None, :, :]).reshape(-1, prev.shape[1])
-
-
 def conv_layer(graph: KnowledgeGraph, prev: np.ndarray, relation_emb: np.ndarray):
     """One gated convolution sweep over every entity.
 
     out_i = (1/deg_i) * sum over edges (i, r, j) of
             sigmoid(prev_i . rel_r) * (rel_r o prev_j)
 
-    computed in relation-factored form. The gate logits are entries of the
-    small [N, R] product prev @ rel^T, read at (head, rel); the messages
-    are rows of the relation-modulated table X = _modulated(prev, rel):
-
-        w_e = sigmoid((prev @ rel^T)[head_e, rel_e]) / deg(head_e)
-        out = segment_sum(head, w[:, None] * X[rel * N + tail], N)
-
-    Isolated entities output zero. Returns (out, per-edge gate values).
+    The gate logits are entries of the small [N, R] product prev @ rel^T,
+    read at (head, rel). The messages run in cache-sized chunks of
+    graph.plan, each a run of whole degree-d heads: a chunk gathers
+    w_e * (rel_r o prev_j) for its edges and sums every head's d rows in
+    graph edge order, as one np.bincount over the edges would, so no
+    [E, h] array is ever made. Isolated entities output zero. Returns
+    (out, per-edge gate values in graph edge order).
     """
-    n = len(prev)
+    plan, h = graph.plan, prev.shape[1]
     gates = sigmoid((prev @ relation_emb.T)[graph.edge_head, graph.edge_rel])  # [E]
-    w = gates * graph.inv_degree[graph.edge_head]
-    msg = _modulated(prev, relation_emb)[graph.edge_rel * n + graph.edge_tail]  # [E, h]
-    return segment_sum(graph.edge_head, w[:, None] * msg, n), gates
+    w = gates[plan.edge] * graph.inv_degree[plan.head]
+    out = np.zeros(prev.shape)
+    for lo, hi, d in plan.chunks:
+        m = prev[plan.tail[lo:hi]]
+        m *= relation_emb[plan.rel[lo:hi]]
+        m *= w[lo:hi, None]
+        out[plan.head[lo:hi:d]] = m.reshape(-1, d, h).sum(axis=1)
+    return out, gates
 
 
 def entity_forward(params: KmpnParams, graph: KnowledgeGraph):
@@ -304,24 +303,45 @@ def _conv_backward(
     """Adjoint of conv_layer. Accumulates into d_relation and returns the
     gradient with respect to `prev`.
 
-    With G_e = grad_out[head_e] / deg(head_e) and X = _modulated(prev, rel):
+    With G = grad_out / deg and, for edge e = (i, r, j) of gate g_e,
+    q_e = G_i o prev_j, one pass over the chunks of graph.plan gives
 
-    message path: Y = segment_sum(rel * N + tail, gate_e * G_e, R*N) seen as
-        [R, N, h]; d_prev_j += sum_r Y[r, j] o rel_r and
-        d_rel_r += sum_j Y[r, j] o prev_j.
-    gate path: d_dot_e = gate_e (1 - gate_e) * (G_e . X[rel_e * N + tail_e])
-        is the adjoint of logit (head_e, rel_e); binned into Dm [N, R], it
-        gives d_prev += Dm @ rel and d_rel += Dm^T @ prev.
+    message path to rel: d_rel_r += sum of g_e q_e over edges of relation r
+        (a [R, c] by [c, h] product per chunk).
+    message path to prev: d_prev_j += sum over edges (i, r, j) of
+        g_e G_i o rel_r. Summed over the inverse edges (j, r', i) of j's own
+        run, this is a head reduction like the forward's, not a scatter
+        over tails.
+    gate path: d_dot_e = g_e (1 - g_e) (q_e . rel_r) is the adjoint of
+        logit (i, r); binned into Dm [N, R], it gives d_prev += Dm @ rel
+        and d_rel += Dm^T @ prev.
     """
+    plan = graph.plan
     n, n_rel, h = prev.shape[0], relation_emb.shape[0], prev.shape[1]
-    rows = graph.edge_rel * n + graph.edge_tail
-    g_edge = (grad_out * graph.inv_degree[:, None])[graph.edge_head]  # [E, h]
-    d_dot = np.einsum("eh,eh->e", g_edge, _modulated(prev, relation_emb)[rows])
-    d_dot *= gates * (1.0 - gates)  # sigmoid'
-    y = segment_sum(rows, gates[:, None] * g_edge, n_rel * n).reshape(n_rel, n, h)
-    dm = segment_sum(graph.edge_head * n_rel + graph.edge_rel, d_dot, n * n_rel).reshape(n, n_rel)
-    d_relation += np.einsum("rnh,nh->rh", y, prev) + dm.T @ prev
-    return np.einsum("rnh,rh->nh", y, relation_emb) + dm @ relation_emb
+    g_scaled = grad_out * graph.inv_degree[:, None]
+    g_plan = gates[plan.edge]
+    g_inverse = gates[plan.inverse]
+    rel_inverse = graph.edge_rel[plan.inverse]
+    d_dot = np.empty(len(g_plan))
+    d_prev = np.zeros(prev.shape)
+    for lo, hi, d in plan.chunks:
+        heads, tails, rels = plan.head[lo:hi:d], plan.tail[lo:hi], plan.rel[lo:hi]
+        rows = np.arange(hi - lo)
+        q = prev[tails]
+        q.reshape(-1, d, h)[...] *= g_scaled[heads][:, None, :]
+        d_dot[lo:hi] = (q @ relation_emb.T)[rows, rels]
+        one_hot = np.zeros((hi - lo, n_rel))
+        one_hot[rows, rels] = g_plan[lo:hi]
+        d_relation += one_hot.T @ q
+        v = g_scaled[tails]
+        v *= relation_emb[rel_inverse[lo:hi]]
+        v *= g_inverse[lo:hi, None]
+        d_prev[heads] = v.reshape(-1, d, h).sum(axis=1)
+    d_dot *= g_plan * (1.0 - g_plan)  # sigmoid'
+    dm = np.bincount(plan.head * n_rel + plan.rel, weights=d_dot, minlength=n * n_rel).reshape(n, n_rel)
+    d_relation += dm.T @ prev
+    d_prev += dm @ relation_emb
+    return d_prev
 
 
 def backward(

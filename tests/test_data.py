@@ -9,6 +9,7 @@ from kgrec.data import (
     SPLIT_NAMES,
     DatasetError,
     ItemCorpus,
+    KnowledgeGraph,
     Split,
     SyntheticSpec,
     build_store,
@@ -262,6 +263,61 @@ def test_kg_file_errors(tmp_path):
     p.write_text("0 1 1\n0 x 1\n")
     with pytest.raises(DatasetError, match="kg.txt:2: non-integer field"):
         load_kg(p)
+
+
+def test_kg_file_rejects_id_beyond_int64(tmp_path):
+    p = tmp_path / "kg.txt"
+    p.write_text("0 0 1\n1 0 99999999999999999999\n")
+    with pytest.raises(DatasetError, match="kg.txt:2: id 99999999999999999999 does not fit in int64"):
+        load_kg(p)
+
+
+def test_kg_file_entity_out_of_range_names_file_and_line(tmp_path):
+    p = tmp_path / "kg.txt"
+    p.write_text("0 0 1\n2 0 5\n")
+    with pytest.raises(DatasetError, match="kg.txt:2: entity id 5 out of range for num_entities=3"):
+        load_kg(p, num_entities=3)
+
+
+def without_edges(g, drop):
+    """`g` with the edges selected by the boolean mask `drop` removed."""
+    keep = ~drop
+    head = g.edge_head[keep]
+    degrees = np.bincount(head, minlength=g.num_entities)
+    inv_degree = np.divide(1.0, degrees, out=np.zeros(g.num_entities), where=degrees > 0)
+    return KnowledgeGraph(
+        g.num_entities, g.num_relations_raw, g.num_triplets_raw,
+        g.edge_rel[keep], g.edge_tail[keep], head, degrees, inv_degree,
+    )
+
+
+def test_inverse_closure_maps_every_edge_to_its_inverse():
+    g = kg_from_triplets([(0, 0, 1), (1, 1, 2), (2, 0, 3), (3, 1, 0), (2, 0, 2)], num_relations_raw=2)
+    inverse = check_inverse_closure(g)
+    assert inverse.tolist() != list(range(g.num_edges))
+    np.testing.assert_array_equal(inverse[inverse], np.arange(g.num_edges))
+    np.testing.assert_array_equal(g.edge_head[inverse], g.edge_tail)
+    np.testing.assert_array_equal(g.edge_tail[inverse], g.edge_head)
+    np.testing.assert_array_equal((g.edge_rel[inverse] - g.edge_rel) % 4, np.full(g.num_edges, 2))
+    assert check_inverse_closure(kg_from_triplets([], num_relations_raw=1, num_entities=2)).size == 0
+    empty = np.empty(0, dtype=np.int64)
+    huge = KnowledgeGraph(2**32, 1, 0, empty, empty, empty, empty, np.empty(0))
+    with pytest.raises(DatasetError, match="overflow int64 edge keys"):
+        check_inverse_closure(huge)
+
+
+def test_missing_inverse_names_smallest_raw_triplet():
+    g = kg_from_triplets([(0, 0, 1), (1, 1, 2), (2, 0, 3), (3, 1, 0)], num_relations_raw=2)
+    # drop the inverses (3, 2, 2) of (2, 0, 3) and (2, 3, 1) of (1, 1, 2)
+    drop = ((g.edge_head == 3) & (g.edge_rel == 2)) | ((g.edge_head == 2) & (g.edge_rel == 3))
+    broken = without_edges(g, drop)
+    for check in (check_inverse_closure, lambda graph: graph.plan):
+        with pytest.raises(DatasetError, match=r"^missing inverse edge for triplet \(1, 1, 2\)$"):
+            check(broken)
+    # every raw triplet closed, but inverse edge (1, 2, 0) lost its raw (0, 0, 1)
+    orphan = without_edges(g, (g.edge_head == 0) & (g.edge_rel == 0))
+    with pytest.raises(DatasetError, match=r"^missing inverse edge for triplet \(1, 2, 0\)$"):
+        check_inverse_closure(orphan)
 
 
 def test_kg_infers_relation_count(tmp_path):

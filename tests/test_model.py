@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from kgrec import data
 from kgrec.data import build_store, kg_from_triplets
 from kgrec.model import (
     _conv_backward,
@@ -18,6 +20,7 @@ from kgrec.model import (
     save_checkpoint,
     user_forward,
 )
+from kgrec.numeric import sigmoid
 
 
 def small_graph(num_entities=6):
@@ -172,6 +175,97 @@ def test_conv_and_adjoint_match_per_edge_loop():
     np.testing.assert_allclose(d_prev, d_prev_want, rtol=1e-12, atol=1e-15)
     np.testing.assert_allclose(d_rel, d_rel_want, rtol=1e-12, atol=1e-15)
     assert np.all(out[7] == 0.0)
+
+
+def bucket_graph():
+    """Heads of degree 1 to 12 in several buckets, some with many heads: a
+    hub (entity 0), a self-loop (entity 5) and an isolated entity (13)."""
+    triplets = [(0, k % 3, k) for k in range(1, 13)]
+    triplets += [(5, 0, 5), (1, 1, 2), (2, 2, 3), (3, 0, 4), (4, 1, 2), (6, 2, 7), (7, 0, 8)]
+    return kg_from_triplets(triplets, num_relations_raw=3, num_entities=14)
+
+
+def bincount_conv(g, prev, rel):
+    """conv_layer as one flat np.bincount over every edge in graph order."""
+    n, h = prev.shape
+    gates = sigmoid((prev @ rel.T)[g.edge_head, g.edge_rel])
+    w = gates * g.inv_degree[g.edge_head]
+    values = w[:, None] * (rel[g.edge_rel] * prev[g.edge_tail])
+    flat = (g.edge_head[:, None] * h + np.arange(h)).ravel()
+    return np.bincount(flat, weights=values.ravel(), minlength=n * h).reshape(n, h)
+
+
+@pytest.mark.parametrize("chunk_edges", [1, 4, 1024])
+def test_plan_chunks_match_per_edge_loop(monkeypatch, chunk_edges):
+    monkeypatch.setattr(data, "CHUNK_EDGES", chunk_edges)
+    g = bucket_graph()
+    plan = g.plan
+    assert g.degrees[13] == 0 and g.degrees[0] == 12 and ((g.edge_head == 5) & (g.edge_tail == 5)).any()
+    bounds = [(lo, hi) for lo, hi, _ in plan.chunks]
+    assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]] and bounds[-1][1] == g.num_edges
+    np.testing.assert_array_equal(np.sort(plan.edge), np.arange(g.num_edges))
+    for lo, hi, d in plan.chunks:
+        heads = plan.head[lo:hi].reshape(-1, d)
+        assert (heads == heads[:, :1]).all() and (g.degrees[heads[:, 0]] == d).all()
+        assert hi - lo <= max(chunk_edges, d)
+    degrees = [d for _, _, d in plan.chunks]
+    if chunk_edges == 4:  # a bucket split across chunks and a head past the chunk size
+        assert any(degrees.count(d) > 1 for d in degrees) and 12 in degrees
+
+    rng = np.random.default_rng(13)
+    prev = rng.normal(size=(14, 5))
+    rel = rng.normal(size=(g.num_relations, 5))
+    grad_out = rng.normal(size=(14, 5))
+    d_rel_want = np.zeros_like(rel)
+    out_want, gates_want, d_prev_want = per_edge_conv(g, prev, rel, grad_out, d_rel_want)
+    out, gates = conv_layer(g, prev, rel)
+    d_rel = np.zeros_like(rel)
+    d_prev = _conv_backward(g, prev, rel, gates, grad_out, d_rel)
+
+    assert np.array_equal(out, bincount_conv(g, prev, rel))
+    np.testing.assert_allclose(out, out_want, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(gates, gates_want, rtol=1e-13)
+    np.testing.assert_allclose(d_prev, d_prev_want, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(d_rel, d_rel_want, rtol=1e-12, atol=1e-15)
+    assert np.all(out[13] == 0.0) and np.all(d_prev[13] == 0.0)
+
+
+def test_conv_sweep_makes_no_edge_width_temporary():
+    rng = np.random.default_rng(5)
+    n, h = 1000, 64
+    triplets = np.stack([rng.integers(0, n, 8000), rng.integers(0, 4, 8000), rng.integers(0, n, 8000)], axis=1)
+    g = kg_from_triplets(triplets, num_relations_raw=4, num_entities=n)
+    assert g.num_edges >= 8 * n
+    prev = rng.normal(size=(n, h))
+    rel = rng.normal(size=(g.num_relations, h))
+    grad_out = rng.normal(size=(n, h))
+    d_rel = np.zeros_like(rel)
+    tracemalloc.start()
+    try:
+        _, gates = conv_layer(g, prev, rel)  # also builds the plan
+        _conv_backward(g, prev, rel, gates, grad_out, d_rel)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < g.num_edges * h * 8, f"traced peak {peak} B reaches one [E, h] array"
+
+
+def test_edgeless_graph_forward_and_backward_equal_depth_zero():
+    g = kg_from_triplets([], num_relations_raw=1, num_entities=6)
+    assert g.num_edges == 0 and g.plan.chunks == ()
+    p = small_params(g, n_layers=2)
+    layers, gates = entity_forward(p, g)
+    assert all(np.all(m == 0.0) for m in layers[1:]) and all(len(x) == 0 for x in gates)
+    batch = ([0, 1, 2], [1, 2, 3], [4, 5, 0])
+    trace, pos, neg = forward(p, g, small_store(), *batch)
+    grads = backward(p, g, trace, np.ones(3), -np.ones(3))
+    p0 = replace(p, n_layers=0)
+    trace0, pos0, neg0 = forward(p0, g, small_store(), *batch)
+    grads0 = backward(p0, g, trace0, np.ones(3), -np.ones(3))
+    assert np.array_equal(pos, pos0) and np.array_equal(neg, neg0)
+    for name in grads:
+        assert np.array_equal(grads[name], grads0[name]), name
+    assert np.all(grads["relation_emb"] == 0.0)
 
 
 def test_entity_forward_layer_count_and_depth_zero():
