@@ -352,6 +352,20 @@ class EmbeddingMatrixFile:
         return self.vectors[self._order[pos]].astype(np.float64)
 
 
+def check_exchange_pair(item_set: EmbeddingMatrixFile, user_set: EmbeddingMatrixFile, h=None) -> None:
+    """An exchange pair is an item file then a user file of one dim (the
+    model's `h` when given); anything else fails before it is scored."""
+    if (item_set.kind, user_set.kind) != ("item", "user"):
+        raise ValueError(
+            f"content pair must be (item file, user file), got ({item_set.kind} file, {user_set.kind} file)"
+        )
+    for emb in (item_set, user_set):
+        if h is not None and emb.dim != h:
+            raise ValueError(f"content embedding dim {emb.dim} != model h {h}")
+    if item_set.dim != user_set.dim:
+        raise ValueError(f"content pair dims differ: item file {item_set.dim}, user file {user_set.dim}")
+
+
 def write_embeddings_text(emb: EmbeddingMatrixFile, path) -> None:
     with atomic_open(path) as fh:
         fh.write(f"{EMB_TEXT_MAGIC} {emb.kind} {emb.count} {emb.dim}\n".encode("utf-8"))

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .content import check_exchange_pair
 from .data import DatasetBundle, DatasetError
 from .model import KmpnParams, aggregate_layers, entity_forward, preference_embeddings, user_forward
 from .numeric import softmax_rows
@@ -28,34 +29,47 @@ def rank_block(user_vecs, item_embs, seen, test, ks):
     one count per row of `user_vecs`; seen lists may be empty, test lists
     may not. Seen items score -inf. The top kk = min(max(ks), catalog) ids
     per row are exact under (score desc, id asc): `np.partition` finds the
-    kk-th score and every candidate at or above it is lexsorted, so equal
-    scores straddling the boundary still break toward the smaller id.
-    Positions past the unmasked catalog read -1.
+    kk-th score and every unmasked candidate at or above it goes into a
+    small per-row table, ids ascending and padded with +inf keys and id -1;
+    a stable argsort of each row then breaks equal scores that straddle
+    the cut toward the smaller id. Positions past the unmasked catalog
+    read -1.
 
     Returns (ids [B, kk], metrics [3, len(ks), B]): recall, ndcg and hit
     ratio at each k.
     """
     if min(ks) < 1:
         raise ValueError("k must be >= 1")
-    neg = np.asarray(user_vecs, dtype=np.float64) @ -np.asarray(item_embs, dtype=np.float64).T
+    # negating the small side is exact, so these are the negated scores bit for bit
+    neg = -np.asarray(user_vecs, dtype=np.float64) @ np.asarray(item_embs, dtype=np.float64).T
     n_rows, n_items = neg.shape
     kk = min(max(ks), n_items)
-    neg[np.repeat(np.arange(n_rows), seen[1]), seen[0]] = np.inf
+    rows = np.arange(n_rows)
+    neg[np.repeat(rows, seen[1]), seen[0]] = np.inf
 
-    cut = np.partition(neg, kk - 1, axis=1)[:, kk - 1 : kk]
-    row, col = np.nonzero(neg <= cut)
-    key = neg[row, col]
-    order = np.lexsort((col, key, row))  # row, score desc, id asc
-    top = order[np.searchsorted(row, np.arange(n_rows))[:, None] + np.arange(kk)]
-    ids = np.where(key[top] == np.inf, -1, col[top])
+    cut = np.partition(neg, kk - 1, axis=1)[:, kk - 1].copy()  # frees the partitioned copy
+    flat = np.flatnonzero(neg <= cut[:, None])  # row-major: rows ascending, ids ascending within
+    key = neg.ravel()[flat]
+    live = key != np.inf  # masked items only ever pad
+    flat, key = flat[live], key[live]
+    row = flat // n_items
+    counts = np.bincount(row, minlength=n_rows)
+    slot = np.arange(len(flat)) - (np.cumsum(counts) - counts)[row]
+    keys = np.full((n_rows, max(kk, int(counts.max(initial=0)))), np.inf)
+    cand = np.full(keys.shape, -1)
+    keys[row, slot] = key
+    cand[row, slot] = flat - row * n_items
+    ids = np.take_along_axis(cand, np.argsort(keys, axis=1, kind="stable")[:, :kk], axis=1)
 
-    # column n_items stays False, so the -1 padding never counts as a hit
-    relevant = np.zeros((n_rows, n_items + 1), dtype=bool)
-    relevant[np.repeat(np.arange(n_rows), test[1]), test[0]] = True
-    n_test = relevant.sum(axis=1)
+    # hits: sorted unique (row, item) keys of the test lists; id -1 maps to
+    # slot n_items of the row before, which no test item reaches
+    width = n_items + 1
+    tested = np.unique(np.repeat(rows, test[1]) * width + test[0])
+    n_test = np.bincount(tested // width, minlength=n_rows)
     if not n_test.all():
         raise ValueError("empty test set")
-    hits = np.take_along_axis(relevant, ids, axis=1)
+    probe = rows[:, None] * width + ids
+    hits = tested[np.minimum(np.searchsorted(tested, probe), len(tested) - 1)] == probe
     discount = 1.0 / np.log2(np.arange(2, kk + 2))
     hit_count = np.cumsum(hits, axis=1)
     dcg = np.cumsum(np.where(hits, discount, 0.0), axis=1)
@@ -150,7 +164,7 @@ def evaluate(params: KmpnParams, bundle: DatasetBundle, split: str, ks=DEFAULT_K
         raise DatasetError("checkpoint/dataset user count mismatch")
 
     layers, _ = entity_forward(params, bundle.graph)
-    item_embs = aggregate_layers(layers)[: store.num_items]
+    entity_agg = aggregate_layers(layers)
     _, pref = preference_embeddings(params)
     seen = store.cold_history if split == "cold_start" else store.train
     users, skipped = _split_users(seen, test, split)
@@ -158,15 +172,17 @@ def evaluate(params: KmpnParams, bundle: DatasetBundle, split: str, ks=DEFAULT_K
         profile = pref.mean(axis=0)  # uniform alpha = 1/P
     else:
         profile = softmax_rows(params.user_emb[users] @ pref.T) @ pref
-    _, user_vecs, _, _ = user_forward(layers, seen, users, profile)
-    return _rank_users(user_vecs, users, skipped, item_embs, seen, test, split, ks)
+    _, user_vecs, _, _ = user_forward(entity_agg, seen, users, profile)
+    return _rank_users(user_vecs, users, skipped, entity_agg[: store.num_items], seen, test, split, ks)
 
 
 def evaluate_embeddings(
     user_set, item_set, bundle: DatasetBundle, split: str, ks=DEFAULT_KS
 ) -> MetricsReport:
     """Same protocol but scoring directly with exchange-file embeddings
-    (content-model evaluation or comparison hooks)."""
+    (content-model evaluation or comparison hooks). The pair is checked
+    (kinds, one dim) before anything is scored."""
+    check_exchange_pair(item_set, user_set)
     ks = _sorted_ks(ks)
     store = bundle.store
     test = _check_split(store, split)

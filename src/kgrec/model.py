@@ -178,25 +178,27 @@ def preference_embeddings(params: KmpnParams):
     return beta, beta @ params.meta_pref_emb
 
 
-def user_forward(entity_layers: list, histories, users: np.ndarray, profile: np.ndarray):
+def user_forward(entity_agg: np.ndarray, histories, users: np.ndarray, profile: np.ndarray):
     """Aggregated vectors for `users` from their interaction histories.
 
-    u = (sum over depths l of mean_{i in histories[u]} e_i^(l)) o profile_u
+    u = (mean_{i in histories[u]} sum over depths l of e_i^(l)) o profile_u
 
-    `histories` is the `Split` to read (store.train or store.cold_history).
-    `profile` is one preference mix per user, alpha_u @ pref [U, h], or a
-    single row shared by all of them (uniform attention: pref.mean(axis=0)).
-    The factorized product equals the per-preference sum
-    sum_p alpha_p * (hist_mean o pref_p).
+    `entity_agg` is the depth-summed entity table (aggregate_layers); a
+    mean is linear, so averaging it once equals summing the per-depth
+    history means up to rounding order. `histories` is the `Split` to read
+    (store.train or store.cold_history). `profile` is one preference mix
+    per user, alpha_u @ pref [U, h], or a single row shared by all of them
+    (uniform attention: pref.mean(axis=0)). The factorized product equals
+    the per-preference sum sum_p alpha_p * (hist_mean o pref_p).
 
-    Returns (summed history means [U, h], user vectors [U, h], and the
-    history concatenation and counts that the backward pass scatters over).
+    Returns (history means of the summed table [U, h], user vectors [U, h],
+    and the history concatenation and counts that the backward pass
+    scatters over).
     """
     concat, counts = histories.rows(users)
     if not counts.all():
         raise ValueError(f"user {int(users[np.argmin(counts)])} has no history")
-    seg = np.cumsum(counts) - counts
-    msum = sum(np.add.reduceat(m[concat], seg, axis=0) / counts[:, None] for m in entity_layers)
+    msum = np.add.reduceat(entity_agg[concat], np.cumsum(counts) - counts, axis=0) / counts[:, None]
     return msum, msum * profile, concat, counts
 
 
@@ -220,7 +222,7 @@ class ForwardTrace:
     batch_inv: np.ndarray  # [B] -> index into uniq_users
     hist_concat: np.ndarray = field(repr=False, default=None)
     hist_counts: np.ndarray = field(repr=False, default=None)
-    hist_msum: np.ndarray = field(repr=False, default=None)  # depth-summed history means [U, h]
+    hist_msum: np.ndarray = field(repr=False, default=None)  # history means of entity_agg [U, h]
 
     def user_rows(self) -> np.ndarray:
         """Aggregated user vectors expanded to batch order [B, h]."""
@@ -261,7 +263,7 @@ def forward(
 
     uniq, inv = np.unique(users, return_inverse=True)
     alpha = softmax_rows(params.user_emb[uniq] @ pref.T)
-    msum, user_agg, concat, counts = user_forward(layers, store.train, uniq, alpha @ pref)
+    msum, user_agg, concat, counts = user_forward(entity_agg, store.train, uniq, alpha @ pref)
 
     user_rows = user_agg[inv]
     pos_scores = (user_rows * entity_agg[pos_items]).sum(axis=1)

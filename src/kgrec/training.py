@@ -20,6 +20,7 @@ import numpy as np
 
 import logging
 
+from .content import EmbeddingMatrixFile, bucketize, check_exchange_pair, click_instance, init_content
 from .data import DatasetBundle, InteractionStore, KnowledgeGraph, kg_from_triplets
 from .losses import LossWeights, bpr_loss, cross_system_loss, soft_dcorr_loss
 from .model import KmpnParams, backward, forward, init_params
@@ -123,11 +124,7 @@ def kmpn_loss_and_grads(
 
 def _validate_content_pair(content, store: InteractionStore, h: int) -> None:
     item_set, user_set = content
-    if item_set.kind != "item" or user_set.kind != "user":
-        raise ValueError("content pair must be (item file, user file)")
-    for emb in (item_set, user_set):
-        if emb.dim != h:
-            raise ValueError(f"content embedding dim {emb.dim} != model h {h}")
+    check_exchange_pair(item_set, user_set, h)
     for emb, n in ((item_set, store.num_items), (user_set, store.num_users)):
         missing = np.setdiff1d(np.arange(n), emb.ids)
         if len(missing):
@@ -362,8 +359,6 @@ def _kmpn_instance(seed: int, with_content: bool):
     weights = LossWeights(l2=0.05, dcorr=0.5, cross_system=0.3 if with_content else 0.0, pca_keep=0.5)
     content = None
     if with_content:
-        from .content import EmbeddingMatrixFile
-
         item_vecs = rng.normal(0.0, 0.5, size=(num_items, params.h))
         user_vecs = rng.normal(0.0, 0.5, size=(num_users, params.h))
         content = (
@@ -374,8 +369,6 @@ def _kmpn_instance(seed: int, with_content: bool):
 
 
 def _content_instance(seed: int):
-    from .content import bucketize, init_content
-
     rng = np.random.default_rng(seed)
     params = init_content(h=8, num_buckets=16, history_size=3, num_negatives=2, seed=seed + 1)
     vocab = ["red", "blue", "green", "disk", "lamp", "rope", "tent", "mug9"]
@@ -410,8 +403,6 @@ def grad_check(kind: str, tolerance: float = 1e-4, seed: int = 0) -> GradCheckRe
 
         entries = _fd_sweep(params.tensors(), grads, value_fn, tolerance, FD_STEP)
     elif kind == "content":
-        from .content import click_instance
-
         params, hist, pos, negs = _content_instance(seed)
         _, grads = click_instance(params, hist, pos, negs)
 

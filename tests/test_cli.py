@@ -310,6 +310,14 @@ def test_content_train_export_eval_pipeline(cli_dataset, tmp_path):
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.startswith("recall\t10\t")
+    # the files swapped: named by kind, before any scoring
+    res = run_cli(
+        "eval", "--data", d, "--split", "test", "--k", "10",
+        "--content-items", emb / "content_users.txt",
+        "--content-users", emb / "content_items.txt",
+    )
+    assert res.returncode == 2
+    assert res.stderr.strip() == "error: content pair must be (item file, user file), got (user file, item file)"
 
     # alignment-mode training accepts the exported pair
     ck = tmp_path / "ck_run"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,6 +107,72 @@ def test_rank_block_tie_heavy_matches_brute_oracle():
                 assert out[2, j, u] == (1.0 if hits else 0.0)
 
 
+def lexsort_rank_block(user_vecs, item_embs, seen, test, ks):
+    """Reference kernel: every candidate at or above the kk-th score found by
+    2-D nonzero, lexsorted by (row, score desc, id asc), and hits read off a
+    dense [rows, items + 1] relevant table."""
+    neg = np.asarray(user_vecs, dtype=np.float64) @ -np.asarray(item_embs, dtype=np.float64).T
+    n_rows, n_items = neg.shape
+    kk = min(max(ks), n_items)
+    neg[np.repeat(np.arange(n_rows), seen[1]), seen[0]] = np.inf
+    cut = np.partition(neg, kk - 1, axis=1)[:, kk - 1 : kk]
+    row, col = np.nonzero(neg <= cut)
+    key = neg[row, col]
+    order = np.lexsort((col, key, row))
+    top = order[np.searchsorted(row, np.arange(n_rows))[:, None] + np.arange(kk)]
+    ids = np.where(key[top] == np.inf, -1, col[top])
+    relevant = np.zeros((n_rows, n_items + 1), dtype=bool)
+    relevant[np.repeat(np.arange(n_rows), test[1]), test[0]] = True
+    n_test = relevant.sum(axis=1)
+    hits = np.take_along_axis(relevant, ids, axis=1)
+    discount = 1.0 / np.log2(np.arange(2, kk + 2))
+    hit_count = np.cumsum(hits, axis=1)
+    dcg = np.cumsum(np.where(hits, discount, 0.0), axis=1)
+    ideal = np.cumsum(discount)
+    out = np.empty((3, len(ks), n_rows))
+    for j, k in enumerate(ks):
+        at = min(k, kk) - 1
+        out[0, j] = hit_count[:, at] / n_test
+        out[1, j] = dcg[:, at] / ideal[np.minimum(k, n_test) - 1]
+        out[2, j] = hit_count[:, at] > 0
+    return ids, out
+
+
+def test_rank_block_matches_lexsort_reference():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        n, users = int(rng.integers(1, 40)), int(rng.integers(1, 8))
+        item_embs = rng.integers(-1, 2, size=(n, 2)).astype(np.float64)
+        user_vecs = rng.integers(-1, 2, size=(users, 2)).astype(np.float64)
+        user_vecs[rng.integers(users)] = 0.0  # every item ties in this row
+        masks = [rng.choice(n, size=int(rng.integers(0, n)), replace=False) for _ in range(users)]
+        masks[rng.integers(users)] = rng.permutation(n)[1:]  # every item but one masked
+        # unsorted, often duplicated test lists
+        tests = [rng.integers(0, n, size=int(rng.integers(1, 6))) for _ in range(users)]
+        ks = tuple(sorted({int(k) for k in rng.integers(1, 50, size=3)}))  # max(ks) often past n
+        args = (user_vecs, item_embs, flat(masks), flat(tests), ks)
+        want_ids, want = lexsort_rank_block(*args)
+        ids, got = rank_block(*args)
+        np.testing.assert_array_equal(ids, want_ids)
+        np.testing.assert_array_equal(got, want)
+
+
+def test_rank_block_memory_stays_near_the_score_block():
+    rng = np.random.default_rng(5)
+    rows, n, h = 131, 8000, 16
+    user_vecs, item_embs = rng.normal(size=(rows, h)), rng.normal(size=(n, h))
+    seen = flat([rng.choice(n, size=12, replace=False) for _ in range(rows)])
+    test = flat([rng.choice(n, size=3, replace=False) for _ in range(rows)])
+    tracemalloc.start()
+    try:
+        rank_block(user_vecs, item_embs, seen, test, (20, 60, 100))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = rows * n * 8
+    assert peak < 3 * block, f"traced peak {peak / block:.2f}x one [rows, items] float64 block"
+
+
 # -- per-list metrics -------------------------------------------------------------
 
 
@@ -202,6 +269,28 @@ def test_evaluate_embeddings_skip_accounting():
     report = evaluate_embeddings(users, items, b, "test", ks=(2,))
     assert report.users_evaluated == 1
     assert report.users_skipped == 2  # trained users with nothing to test
+
+
+def test_evaluate_embeddings_rejects_a_swapped_pair():
+    # as many users as items: every id resolves, so only the kinds tell the
+    # files apart
+    store = build_store({0: [0], 1: [1], 2: [2]}, test={0: [1], 1: [2], 2: [0]}, num_items=3)
+    b = DatasetBundle(store=store, graph=kg_from_triplets([(0, 0, 1)], 1, num_entities=3), corpus=ItemCorpus(3, {}))
+    rng = np.random.default_rng(4)
+    items = EmbeddingMatrixFile("item", np.arange(3), rng.normal(size=(3, 2)))
+    users = EmbeddingMatrixFile("user", np.arange(3), rng.normal(size=(3, 2)))
+    with pytest.raises(ValueError, match=r"^content pair must be \(item file, user file\), got \(user file, item file\)$"):
+        evaluate_embeddings(items, users, b, "test")
+    with pytest.raises(ValueError, match=r"got \(item file, item file\)$"):
+        evaluate_embeddings(items, items, b, "test")
+
+
+def test_evaluate_embeddings_rejects_a_dim_mismatch():
+    b = one_hot_bundle()
+    items = EmbeddingMatrixFile("item", np.arange(5), np.eye(5, dtype=np.float32))
+    users = EmbeddingMatrixFile("user", np.arange(3), np.ones((3, 4), dtype=np.float32))
+    with pytest.raises(ValueError, match=r"^content pair dims differ: item file 5, user file 4$"):
+        evaluate_embeddings(users, items, b, "test")
 
 
 def test_evaluate_embeddings_random_scores_match_chance_level(synth_bundle):

@@ -334,7 +334,7 @@ def test_user_forward_matches_per_preference_sum():
 
     # one shared profile row broadcasts over every user
     shared = pref.mean(axis=0)
-    msum, vecs, _, _ = user_forward(layers, store.train, users, shared)
+    msum, vecs, _, _ = user_forward(aggregate_layers(layers), store.train, users, shared)
     np.testing.assert_allclose(vecs, msum * shared[None, :], rtol=1e-15)
     np.testing.assert_array_equal(msum, trace.hist_msum)
 
@@ -358,10 +358,10 @@ def test_user_forward_rejects_empty_history():
     store = build_store({0: [1]}, valid={1: [2]}, num_items=6)
     # the same rows given per user, converted by the store
     as_tuple = replace(store, train=(np.array([1]), np.empty(0, dtype=np.int64)))
-    layers, _ = entity_forward(p, g)
+    entity_agg = aggregate_layers(entity_forward(p, g)[0])
     for s in (store, as_tuple):
         with pytest.raises(ValueError, match="user 1 has no history"):
-            user_forward(layers, s.train, np.array([1]), np.ones(p.h))
+            user_forward(entity_agg, s.train, np.array([1]), np.ones(p.h))
         with pytest.raises(ValueError, match="user 1 has no history"):
             forward(p, g, s, [0, 1], [1, 3], [2, 0])
 
