@@ -201,14 +201,16 @@ def click_instance(
     item; `pos_buckets` is a single array. Items with no tokens encode to
     zero and receive no gradient.
     """
-    def item_vec(buckets):
-        if len(buckets) == 0:
-            return np.zeros(params.h)
-        return params.bucket_emb[buckets].mean(axis=0)
-
-    E = np.stack([item_vec(b) for b in hist_buckets])  # [B, h]
-    e_pos = item_vec(pos_buckets)
-    e_negs = np.stack([item_vec(b) for b in neg_buckets])  # [K, h]
+    # every item vector is the mean of its bucket rows: one gather and one
+    # segment sum over the items' concatenated bucket lists
+    lists = [*hist_buckets, pos_buckets, *neg_buckets]
+    counts = np.array([len(b) for b in lists])
+    concat = np.concatenate(lists)
+    sizes = np.maximum(counts, 1)[:, None]
+    item_of = np.repeat(np.arange(len(lists)), counts)
+    items = segment_sum(item_of, params.bucket_emb[concat], len(lists)) / sizes
+    B = len(hist_buckets)
+    E, e_pos, e_negs = items[:B], items[B], items[B + 1 :]  # [B, h], [h], [K, h]
 
     user, alpha = encode_user(E, params)
     pos_score = float(user @ e_pos)
@@ -227,14 +229,10 @@ def click_instance(
 
     d_E, *d_scorer = _encode_user_backward(E, alpha, params, d_user)
 
-    # item vectors are bucket means: row k of [d_E; d_e_pos; d_e_negs] goes
-    # to every bucket of item k, weighted 1/len(buckets)
-    lists = [*hist_buckets, pos_buckets, *neg_buckets]
-    counts = np.array([len(b) for b in lists])
-    d_items = np.concatenate([d_E, d_e_pos[None, :], d_e_negs]) / np.maximum(counts, 1)[:, None]
-    d_bucket = segment_sum(
-        np.concatenate(lists), np.repeat(d_items, counts, axis=0), params.num_buckets
-    )
+    # row k of [d_E; d_e_pos; d_e_negs] goes to every bucket of item k,
+    # weighted 1/len(buckets)
+    d_items = np.concatenate([d_E, d_e_pos[None, :], d_e_negs]) / sizes
+    d_bucket = segment_sum(concat, np.repeat(d_items, counts, axis=0), params.num_buckets)
     return loss, dict(zip(params.tensors(), (d_bucket, *d_scorer)))  # same order as tensors()
 
 
@@ -328,6 +326,8 @@ class EmbeddingMatrixFile:
         self._sorted_ids = self.ids[self._order]
         if (self._sorted_ids[1:] == self._sorted_ids[:-1]).any():
             raise ValueError("duplicate ids in embedding set")
+        if self.count and self._sorted_ids[0] < 0:
+            raise ValueError(f"negative id {self._sorted_ids[0]} in embedding set")
         if not np.isfinite(self.vectors).all():
             raise ValueError("non-finite embedding values")
 
@@ -374,67 +374,92 @@ def write_embeddings_text(emb: EmbeddingMatrixFile, path) -> None:
             fh.write(line.encode("utf-8"))
 
 
+def _record_dtype(dim: int) -> np.dtype:
+    """One binary exchange record: a u64 id then `dim` float32 values."""
+    return np.dtype([("id", "<u8"), ("vec", "<f4", (dim,))])
+
+
 def write_embeddings_binary(emb: EmbeddingMatrixFile, path) -> None:
+    records = np.empty(emb.count, dtype=_record_dtype(emb.dim))
+    records["id"] = emb.ids
+    records["vec"] = emb.vectors
     with atomic_open(path) as fh:
         fh.write(EMB_BIN_MAGIC)
         fh.write(struct.pack("<IBQI", 1, KIND_CODES[emb.kind], emb.count, emb.dim))
-        for i, vec in zip(emb.ids, emb.vectors):
-            fh.write(struct.pack("<Q", int(i)))
-            fh.write(np.ascontiguousarray(vec, dtype="<f4").tobytes())
+        fh.write(records.tobytes())
 
 
-def _read_embeddings_text(path) -> EmbeddingMatrixFile:
+def _read_embeddings_text(path):
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 4 or header[0] != EMB_TEXT_MAGIC:
             raise ValueError(f"{path}: not an {EMB_TEXT_MAGIC} embedding file")
-        kind, count, dim = header[1], int(header[2]), int(header[3])
+        kind = header[1]
         if kind not in KIND_CODES:
             raise ValueError(f"{path}: unknown embedding kind {kind!r}")
-        ids = np.empty(count, dtype=np.int64)
-        vectors = np.empty((count, dim), dtype=np.float32)
+        if not all(f.isascii() and f.isdigit() for f in header[2:]):
+            raise ValueError(f"{path}: header count {header[2]!r} and dim {header[3]!r} must be integers >= 0")
+        count, dim = int(header[2]), int(header[3])
+        ids, vectors = [], []
         for row in range(count):
-            fields = fh.readline().split()
+            line = fh.readline()
+            if not line:
+                raise ValueError(f"{path}: truncated at row {row}")
+            fields = line.split()
             if len(fields) != dim + 1:
                 raise ValueError(f"{path}: row {row} has {len(fields) - 1} values, expected {dim}")
-            ids[row] = int(fields[0])
-            vectors[row] = [np.float32(x) for x in fields[1:]]
+            try:
+                ids.append(int(fields[0]))
+                vectors.append(np.array([np.float32(x) for x in fields[1:]], dtype=np.float32))
+            except ValueError as exc:
+                raise ValueError(f"{path}: row {row}: {exc}") from None
+            if not 0 <= ids[-1] < 2**63:
+                raise ValueError(f"{path}: row {row}: id {ids[-1]} is not in [0, 2**63)")
         if fh.readline().strip():
             raise ValueError(f"{path}: trailing data after {count} rows")
-    return EmbeddingMatrixFile(kind=kind, ids=ids, vectors=vectors)
+    return kind, np.array(ids, dtype=np.int64), np.array(vectors, dtype=np.float32).reshape(count, dim)
 
 
-def _read_embeddings_binary(path) -> EmbeddingMatrixFile:
-    with open(path, "rb") as fh:
-        if fh.read(4) != EMB_BIN_MAGIC:
-            raise ValueError(f"{path}: bad magic")
-        version, kind_code, count, dim = struct.unpack("<IBQI", fh.read(17))
-        if version != 1:
-            raise ValueError(f"{path}: unsupported version {version}")
-        if kind_code not in KIND_NAMES:
-            raise ValueError(f"{path}: unknown kind code {kind_code}")
-        ids = np.empty(count, dtype=np.int64)
-        vectors = np.empty((count, dim), dtype=np.float32)
-        rec = 8 + 4 * dim
-        for row in range(count):
-            raw = fh.read(rec)
-            if len(raw) != rec:
-                raise ValueError(f"{path}: truncated at record {row}")
-            ids[row] = struct.unpack("<Q", raw[:8])[0]
-            vectors[row] = np.frombuffer(raw[8:], dtype="<f4")
-        if fh.read(1):
-            raise ValueError(f"{path}: trailing bytes after {count} records")
-    return EmbeddingMatrixFile(kind=KIND_NAMES[kind_code], ids=ids, vectors=vectors)
+def _read_embeddings_binary(path):
+    raw = Path(path).read_bytes()
+    head = len(EMB_BIN_MAGIC) + struct.calcsize("<IBQI")
+    if len(raw) < head:
+        raise ValueError(f"{path}: truncated header ({len(raw)} of {head} bytes)")
+    version, kind_code, count, dim = struct.unpack_from("<IBQI", raw, len(EMB_BIN_MAGIC))
+    if version != 1:
+        raise ValueError(f"{path}: unsupported version {version}")
+    if kind_code not in KIND_NAMES:
+        raise ValueError(f"{path}: unknown kind code {kind_code}")
+    size = 8 + 4 * dim
+    if size >= 2**31:  # numpy's limit on one record
+        raise ValueError(f"{path}: dim {dim} is too large")
+    present = (len(raw) - head) // size
+    if present < count:
+        raise ValueError(f"{path}: truncated at record {present}")
+    if len(raw) - head > count * size:
+        raise ValueError(f"{path}: trailing bytes after {count} records")
+    records = np.frombuffer(raw, dtype=_record_dtype(dim), count=count, offset=head)
+    big = np.flatnonzero(records["id"] >= 2**63)
+    if len(big):
+        raise ValueError(f"{path}: record {big[0]}: id {records['id'][big[0]]} is not in [0, 2**63)")
+    return KIND_NAMES[kind_code], records["id"].astype(np.int64), records["vec"].astype(np.float32)
 
 
 def read_embeddings(path) -> EmbeddingMatrixFile:
-    """Load either exchange format (sniffed from the first bytes)."""
+    """Load either exchange format (sniffed from the first bytes). Every
+    malformed input fails with a one-line ValueError naming the file."""
     path = Path(path)
     with open(path, "rb") as fh:
         magic = fh.read(4)
-    if magic == EMB_BIN_MAGIC:
-        return _read_embeddings_binary(path)
-    return _read_embeddings_text(path)
+    reader = _read_embeddings_binary if magic == EMB_BIN_MAGIC else _read_embeddings_text
+    try:
+        kind, ids, vectors = reader(path)
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not an {EMB_TEXT_MAGIC} embedding file (not UTF-8)") from None
+    try:
+        return EmbeddingMatrixFile(kind=kind, ids=ids, vectors=vectors)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def export_embeddings(

@@ -295,13 +295,9 @@ class KnowledgeGraph:
 
     def raw_triplets(self) -> np.ndarray:
         """The deduplicated raw triplets (relation < num_relations_raw),
-        sorted by (head, relation, tail)."""
+        sorted by (head, relation, tail) as the edges are."""
         fwd = self.edge_rel < self.num_relations_raw
-        trip = np.stack(
-            [self.edge_head[fwd], self.edge_rel[fwd], self.edge_tail[fwd]], axis=1
-        )
-        order = np.lexsort((trip[:, 2], trip[:, 1], trip[:, 0]))
-        return trip[order]
+        return np.stack([self.edge_head[fwd], self.edge_rel[fwd], self.edge_tail[fwd]], axis=1)
 
     @cached_property
     def plan(self) -> EdgePlan:
@@ -379,10 +375,9 @@ def load_kg(
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip()
-            if not line:
+            fields = line.split()
+            if not fields:
                 continue
-            fields = line.replace("\t", " ").split()
             if len(fields) != 3:
                 raise DatasetError(f"{path}:{lineno}: expected 3 fields, got {len(fields)}")
             try:

@@ -133,47 +133,35 @@ def distance_correlation(x: np.ndarray, y: np.ndarray) -> float:
     return float(dcov / np.sqrt(vx * vy))
 
 
-def _dcorr_with_grad(x: np.ndarray, y: np.ndarray):
-    """Distance correlation plus gradients w.r.t. both coordinate vectors.
+def _centered_gram(Z: np.ndarray):
+    """Double-centered distance matrices of every row of Z [P, k] and their
+    Gram matrix.
 
-    Centered distance matrices absorb the centering adjoint: for any
-    double-centered B, sum_ij B_ij * d|x_i - x_j| reduces to
-    2 * sum_j (B o sign)_ij summed over j. Degenerate cases (constant
-    input, zero distance covariance) return zero gradients, matching the
-    convention that the loss contribution is 0 there.
+    Returns (A [P, k, k], G [P, P]): A_i is the double-centered
+    |Z_i[a] - Z_i[b]| and G = A_flat @ A_flat.T / k^2, so G_ij is the
+    squared distance covariance of rows i and j and the diagonal holds the
+    squared distance variances.
     """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
-    k = len(x)
-    zg = np.zeros_like(x), np.zeros_like(y)
-    _, A = _dist_and_centered(x)
-    _, B = _dist_and_centered(y)
-    k2 = float(k * k)
-    vxy2 = (A * B).sum() / k2
-    vxx2 = (A * A).sum() / k2
-    vyy2 = (B * B).sum() / k2
-    vx = np.sqrt(max(vxx2, 0.0))
-    vy = np.sqrt(max(vyy2, 0.0))
-    if vx < _EPS_GUARD or vy < _EPS_GUARD:
-        return 0.0, *zg
-    dcov = np.sqrt(max(vxy2, 0.0))
-    denom = np.sqrt(vx * vy)
-    value = float(dcov / denom)
-    if dcov < _EPS_GUARD:
-        return value, *zg
+    P, k = Z.shape
+    d = np.abs(Z[:, :, None] - Z[:, None, :])
+    A = d - d.mean(axis=2, keepdims=True) - d.mean(axis=1, keepdims=True)
+    A += d.mean(axis=(1, 2), keepdims=True)
+    flat = A.reshape(P, k * k)
+    return A, flat @ flat.T / (k * k)
 
-    Sx = np.sign(x[:, None] - x[None, :])
-    Sy = np.sign(y[:, None] - y[None, :])
-    # d vxy2 / dx_i = (2/k^2) * sum_j B_ij * sign(x_i - x_j)
-    dvxy2_dx = (2.0 / k2) * (B * Sx).sum(axis=1)
-    dvxy2_dy = (2.0 / k2) * (A * Sy).sum(axis=1)
-    dvxx2_dx = (4.0 / k2) * (A * Sx).sum(axis=1)
-    dvyy2_dy = (4.0 / k2) * (B * Sy).sum(axis=1)
 
-    # value = sqrt(vxy2) / (vxx2 * vyy2)^(1/4)
-    gx = dvxy2_dx / (2.0 * dcov * denom) - value * dvxx2_dx / (4.0 * vxx2)
-    gy = dvxy2_dy / (2.0 * dcov * denom) - value * dvyy2_dy / (4.0 * vyy2)
-    return value, gx, gy
+def dcorr_fd_margin(Z: np.ndarray) -> float:
+    """How safely a fixed-step central difference can probe the summed
+    distance correlation of the rows of Z [P, k].
+
+    Two hazards: the |z_a - z_b| kinks (a perturbation must not flip any
+    sign) and the square roots of the distance covariances and variances
+    (tiny values mean huge curvature). Returns the smaller of the minimum
+    intra-row coordinate gap and the minimum entry of the upper triangle of
+    G, diagonal included; bigger is safer."""
+    gaps = np.diff(np.sort(Z, axis=1), axis=1)
+    _, G = _centered_gram(Z)
+    return float(min(gaps.min(initial=np.inf), G[np.triu_indices(len(G))].min()))
 
 
 def soft_dcorr_loss(pref: np.ndarray, keep_fraction: float, basis: np.ndarray | None = None):
@@ -184,22 +172,43 @@ def soft_dcorr_loss(pref: np.ndarray, keep_fraction: float, basis: np.ndarray | 
     projected rows. The basis is a constant for differentiation; gradients
     flow through centering and projection only.
 
+    Every pair is read off one Gram matrix G (see _centered_gram): the
+    pair value is R_ij = G_ij^(1/2) / (G_ii G_jj)^(1/4). A pair with a row
+    whose dVar is below _EPS_GUARD adds 0 and no gradient; a pair whose
+    dCov is below it adds its value but no gradient. A double-centered B
+    absorbs the centering adjoint (d/dz_a of sum_cb B_cb |z_c - z_b| is
+    2 sum_b B_ab sign(z_a - z_b)), so the gradient of the sum is
+
+        dZ_i[a] = sum_b ((C @ A_flat)_i - w_i A_i)[a, b] * sign(Z_ia - Z_ib)
+
+    with the symmetric C_ij = 1 / (k^2 dCov_ij sqrt(dVar_i dVar_j)) on the
+    pairs that get a gradient (0 elsewhere) and w_i = sum_j R_ij / (k^2 G_ii)
+    over the same pairs.
+
     Returns (value, grad_pref, basis).
     """
     X = np.asarray(pref, dtype=np.float64)
-    n, h = X.shape
     if basis is None:
         basis, Z = pca_project(X, keep_fraction)
     else:
         Z = project_with_basis(X, basis)
-    dZ = np.zeros_like(Z)
-    value = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            v, gi, gj = _dcorr_with_grad(Z[i], Z[j])
-            value += v
-            dZ[i] += gi
-            dZ[j] += gj
+    P, k = Z.shape
+    A, G = _centered_gram(Z)
+    var = np.sqrt(np.maximum(G.diagonal(), 0.0))
+    live = var >= _EPS_GUARD
+    pair = live[:, None] & live[None, :] & ~np.eye(P, dtype=bool)
+    dcov = np.sqrt(np.maximum(G, 0.0))
+    denom = np.sqrt(np.outer(var, var))
+    R = np.divide(dcov, denom, out=np.zeros_like(G), where=pair)
+    value = R[np.triu_indices(P, 1)].sum()
+
+    smooth = pair & (dcov >= _EPS_GUARD)
+    k2 = float(k * k)
+    C = np.divide(1.0, k2 * dcov * denom, out=np.zeros_like(G), where=smooth)
+    w = np.divide(np.where(smooth, R, 0.0).sum(axis=1), k2 * G.diagonal(), out=np.zeros(P), where=live)
+    flat = A.reshape(P, k * k)
+    dA = (C @ flat - w[:, None] * flat).reshape(P, k, k)
+    dZ = (dA * np.sign(Z[:, :, None] - Z[:, None, :])).sum(axis=2)
     # adjoint of Z = (X - mean(X)) @ basis
     dXc = dZ @ basis.T
     grad = dXc - dXc.mean(axis=0, keepdims=True)

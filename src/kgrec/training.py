@@ -21,9 +21,10 @@ import numpy as np
 import logging
 
 from .content import EmbeddingMatrixFile, bucketize, check_exchange_pair, click_instance, init_content
-from .data import DatasetBundle, InteractionStore, KnowledgeGraph, kg_from_triplets
-from .losses import LossWeights, bpr_loss, cross_system_loss, soft_dcorr_loss
-from .model import KmpnParams, backward, forward, init_params
+from .data import DatasetBundle, InteractionStore, KnowledgeGraph, build_store, kg_from_triplets
+from .evaluation import evaluate
+from .losses import LossWeights, bpr_loss, cross_system_loss, dcorr_fd_margin, pca_project, soft_dcorr_loss
+from .model import KmpnParams, backward, forward, init_params, preference_embeddings
 from .optim import AdamState, TrainConfig, adam_step, init_adam, lr_at
 from .sampling import build_sampler
 
@@ -180,8 +181,6 @@ def _train_cf(
             sums += (total, parts.bpr, parts.l2, parts.dcorr, parts.cs)
         lines.append(_format_log_line(epoch, [float(x) for x in sums], lr))
         if config.eval_every > 0 and epoch % config.eval_every == 0:
-            from .evaluation import evaluate
-
             if len(store.valid.items):
                 report = evaluate(params, bundle, "valid", ks=(20,))
                 log.info("epoch %d valid recall@20 %.6f", epoch, report.recall[20])
@@ -281,8 +280,6 @@ def _toy_graph(rng: np.random.Generator, num_entities: int, num_relations_raw: i
 
 
 def _toy_store(rng: np.random.Generator, num_users: int, num_items: int) -> InteractionStore:
-    from .data import build_store
-
     train = {}
     for u in range(num_users):
         n = int(rng.integers(2, 4))
@@ -292,38 +289,11 @@ def _toy_store(rng: np.random.Generator, num_users: int, num_items: int) -> Inte
 
 def _fd_conditioning(params: KmpnParams, keep_fraction: float) -> float:
     """How safely a step-1e-4 central difference can probe the
-    decorrelation term on this instance.
-
-    Two hazards: the pairwise |z_a - z_b| kinks (a perturbation must not
-    flip any sign) and the square roots of the distance covariance and
-    variances (tiny values mean huge curvature). Returns the smaller of
-    the minimum intra-row coordinate gap and the minimum squared
-    distance-cov/var over row pairs; bigger is safer."""
-    from .losses import _dist_and_centered, pca_project
-    from .model import preference_embeddings
-
+    decorrelation term on this instance (losses.dcorr_fd_margin of the
+    projected preference rows); bigger is safer."""
     _, pref = preference_embeddings(params)
     _, Z = pca_project(pref, keep_fraction)
-    n, k = Z.shape
-    margin = np.inf
-    centered = []
-    for row in Z:
-        diff = np.abs(row[:, None] - row[None, :])
-        iu = np.triu_indices(k, 1)
-        if len(iu[0]):
-            margin = min(margin, float(diff[iu].min()))
-        centered.append(_dist_and_centered(row)[1])
-    k2 = float(k * k)
-    for i in range(n):
-        for j in range(i + 1, n):
-            A, B = centered[i], centered[j]
-            margin = min(
-                margin,
-                float((A * B).sum() / k2),
-                float((A * A).sum() / k2),
-                float((B * B).sum() / k2),
-            )
-    return margin
+    return dcorr_fd_margin(Z)
 
 
 def _kmpn_instance(seed: int, with_content: bool):

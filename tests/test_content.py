@@ -1,4 +1,5 @@
 import math
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -182,6 +183,24 @@ def test_click_instance_empty_item_encodes_zero_and_gets_no_grad():
     assert touched <= {1, 2, 3}
 
 
+def test_click_instance_item_vectors_are_per_item_means():
+    # one gather and one segment sum give each item's bucket mean bit for
+    # bit (an empty item included), so the loss equals a per-item forward
+    from kgrec.losses import click_softmax_loss
+
+    p, hist, pos, negs = _tiny_instance(4)
+    hist = [*hist, np.array([], dtype=np.int64), np.arange(3), np.arange(1, 8)]
+
+    def item_vec(b):
+        return p.bucket_emb[b].mean(axis=0) if len(b) else np.zeros(p.h)
+
+    user, _ = encode_user(np.stack([item_vec(b) for b in hist]), p)
+    neg_s = np.stack([item_vec(b) for b in negs]) @ user
+    want, _, _ = click_softmax_loss(np.array([float(user @ item_vec(pos))]), neg_s[None, :])
+    loss, _ = click_instance(p, hist, pos, negs, compute_grads=False)
+    assert loss == want
+
+
 def test_click_instance_without_grads_returns_none():
     p, hist, pos, negs = _tiny_instance(3)
     loss, grads = click_instance(p, hist, pos, negs, compute_grads=False)
@@ -360,6 +379,9 @@ def test_embedding_set_validation():
         EmbeddingMatrixFile("item", np.array([1, 1]), np.zeros((2, 2), dtype=np.float32))
     with pytest.raises(ValueError, match="non-finite"):
         EmbeddingMatrixFile("item", np.array([0]), np.array([[np.nan, 0.0]], dtype=np.float32))
+    # the binary format stores u64 ids, so a negative id is refused up front
+    with pytest.raises(ValueError, match="negative id -2"):
+        EmbeddingMatrixFile("user", np.array([3, -2]), np.zeros((2, 2), dtype=np.float32))
 
 
 def test_embedding_rows_lookup_and_missing_id():
@@ -450,6 +472,36 @@ def test_embedding_file_corruption_errors(tmp_path):
     bad.write_bytes(raw + b"\x01")
     with pytest.raises(ValueError, match="trailing bytes"):
         read_embeddings(bad)
+
+
+@pytest.mark.parametrize(
+    "payload,message",
+    [
+        (b"EMB1 item 2 2\n0 1 2\n1 a 3\n", "row 1: could not convert string to float: 'a'"),
+        (b"EMB1 item 3 1\n0 1\n", "truncated at row 1"),
+        (b"EMB1 item two 2\n0 1 2\n", "header count 'two' and dim '2' must be integers >= 0"),
+        (b"EMB1 item 1 2\n9223372036854775808 1 2\n", "row 0: id 9223372036854775808 is not in [0, 2**63)"),
+        (b"EMB1 item 1 1\n-3 1\n", "row 0: id -3 is not in [0, 2**63)"),
+        (b"EMB1 user 2 1\n3 1\n3 2\n", "duplicate ids in embedding set"),
+        (b"CSEM" + struct.pack("<IBQI", 1, 0, 2, 2)[:9], "truncated header (13 of 21 bytes)"),
+        (b"CSEM" + struct.pack("<IBQI", 1, 0, 2**40, 2) + bytes(32), "truncated at record 2"),
+        (
+            b"CSEM" + struct.pack("<IBQI", 1, 0, 1, 1) + struct.pack("<Qf", 2**63, 1.0),
+            "record 0: id 9223372036854775808 is not in [0, 2**63)",
+        ),
+    ],
+    ids=[
+        "text-value", "text-short", "text-count", "text-id", "text-negative-id", "text-duplicate",
+        "binary-header", "binary-count", "binary-id",
+    ],
+)
+def test_malformed_exchange_file_fails_naming_the_file(tmp_path, payload, message):
+    path = tmp_path / "emb"
+    path.write_bytes(payload)
+    with pytest.raises(ValueError) as err:
+        read_embeddings(path)
+    text = str(err.value)
+    assert text.startswith(f"{path}: ") and message in text and "\n" not in text
 
 
 # -- export ------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from scipy import special
 from kgrec.data import build_store, kg_from_triplets
 from kgrec.losses import (
     LossWeights,
+    _dist_and_centered,
     bpr_loss,
     click_softmax_loss,
     cross_system_loss,
@@ -286,6 +287,85 @@ def test_soft_dcorr_reuses_frozen_basis():
         distance_correlation(Z[i], Z[j]) for i in range(4) for j in range(i + 1, 4)
     )
     assert v_frozen == pytest.approx(want, rel=1e-12)
+
+
+def _dcorr_pair_with_grad(x, y):
+    """Distance correlation of one pair with gradients w.r.t. both vectors,
+    computed one pair at a time (the pre-Gram kernel, kept as the
+    reference)."""
+    k = len(x)
+    zg = np.zeros_like(x), np.zeros_like(y)
+    A = _dist_and_centered(x)[1]
+    B = _dist_and_centered(y)[1]
+    k2 = float(k * k)
+    vxy2, vxx2, vyy2 = (A * B).sum() / k2, (A * A).sum() / k2, (B * B).sum() / k2
+    vx, vy = np.sqrt(max(vxx2, 0.0)), np.sqrt(max(vyy2, 0.0))
+    if vx < 1e-12 or vy < 1e-12:
+        return 0.0, *zg
+    dcov = np.sqrt(max(vxy2, 0.0))
+    denom = np.sqrt(vx * vy)
+    value = float(dcov / denom)
+    if dcov < 1e-12:
+        return value, *zg
+    Sx = np.sign(x[:, None] - x[None, :])
+    Sy = np.sign(y[:, None] - y[None, :])
+    dvxy2_dx = (2.0 / k2) * (B * Sx).sum(axis=1)
+    dvxy2_dy = (2.0 / k2) * (A * Sy).sum(axis=1)
+    dvxx2_dx = (4.0 / k2) * (A * Sx).sum(axis=1)
+    dvyy2_dy = (4.0 / k2) * (B * Sy).sum(axis=1)
+    gx = dvxy2_dx / (2.0 * dcov * denom) - value * dvxx2_dx / (4.0 * vxx2)
+    gy = dvxy2_dy / (2.0 * dcov * denom) - value * dvyy2_dy / (4.0 * vyy2)
+    return value, gx, gy
+
+
+def pair_loop_soft_dcorr(X, keep_fraction, basis=None):
+    """soft_dcorr_loss as a Python loop over the pairs of projected rows."""
+    if basis is None:
+        basis, Z = pca_project(X, keep_fraction)
+    else:
+        Z = project_with_basis(X, basis)
+    dZ = np.zeros_like(Z)
+    value = 0.0
+    for i in range(len(Z)):
+        for j in range(i + 1, len(Z)):
+            v, gi, gj = _dcorr_pair_with_grad(Z[i], Z[j])
+            value += v
+            dZ[i] += gi
+            dZ[j] += gj
+    dXc = dZ @ basis.T
+    return value, dXc - dXc.mean(axis=0, keepdims=True)
+
+
+def test_soft_dcorr_matches_pair_loop_reference():
+    rng = np.random.default_rng(11)
+    cases = []
+    for t in range(120):
+        P, h = int(rng.integers(2, 9)), int(rng.integers(3, 13))
+        X = rng.normal(size=(P, h)) * rng.uniform(0.1, 3.0)
+        if t % 5 == 1:
+            X[int(rng.integers(P))] = X[0]  # duplicated row
+        if t % 5 == 2:
+            X[:] = X[0]  # all rows identical
+        basis = pca_project(rng.normal(size=(P, h)), 0.5)[0] if t % 5 == 3 else None
+        cases.append((X, rng.choice([0.5, 1.0]), basis))
+    cases.append((rng.normal(size=(6, 5)), 0.0, None))  # k = 1
+    # two tiny rows whose dVars pass the guard while their dCov does not
+    r, t1, t2 = np.random.default_rng(2).normal(size=(3, 5)) * [[1.0], [3e-12], [3e-12]]
+    X = np.stack([r, -r - t1 - t2, t1, t2])
+    A, B = (_dist_and_centered(z)[1] for z in project_with_basis(X, np.eye(5))[2:])
+    assert min((A * A).mean(), (B * B).mean()) >= 1e-24 > (A * B).mean()
+    cases.append((X, 1.0, np.eye(5)))
+    for X, keep, basis in cases:
+        v, grad, _ = soft_dcorr_loss(X, keep, basis=basis)
+        v_ref, grad_ref = pair_loop_soft_dcorr(X, keep, basis)
+        assert v == pytest.approx(v_ref, rel=1e-12, abs=1e-300)
+        scale = np.abs(grad_ref).max()
+        if scale < 1e-10:
+            # every pair has dCor 0 or 1 (two rows, k <= 2, identical rows):
+            # the gradient is zero and both sides hold rounding noise only
+            assert np.abs(grad).max() < 1e-12
+        else:
+            assert np.abs(grad - grad_ref).max() <= 1e-12 * scale
 
 
 # -- cross-system alignment ---------------------------------------------------

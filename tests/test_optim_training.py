@@ -7,8 +7,8 @@ from kgrec import training
 from kgrec.content import EmbeddingMatrixFile
 from kgrec.data import DatasetBundle, ItemCorpus, build_store, kg_from_triplets
 from kgrec.evaluation import evaluate
-from kgrec.losses import LossWeights
-from kgrec.model import backward, forward, init_params
+from kgrec.losses import LossWeights, _dist_and_centered, pca_project
+from kgrec.model import backward, forward, init_params, preference_embeddings
 from kgrec.optim import AdamState, TrainConfig, adam_step, init_adam, lr_at
 from kgrec.training import (
     FD_STEP,
@@ -379,6 +379,46 @@ def test_grad_check_render_shape():
     assert lines[-1].startswith("max_rel_err=")
     with pytest.raises(ValueError, match="unknown gradcheck kind"):
         grad_check("bogus")
+
+
+def pair_loop_fd_conditioning(params, keep_fraction):
+    """_fd_conditioning as a loop over rows and row pairs (the pre-Gram
+    form, kept as the reference)."""
+    _, pref = preference_embeddings(params)
+    _, Z = pca_project(pref, keep_fraction)
+    n, k = Z.shape
+    margin = np.inf
+    centered = []
+    for row in Z:
+        diff = np.abs(row[:, None] - row[None, :])
+        iu = np.triu_indices(k, 1)
+        if len(iu[0]):
+            margin = min(margin, float(diff[iu].min()))
+        centered.append(_dist_and_centered(row)[1])
+    k2 = float(k * k)
+    for i in range(n):
+        for j in range(i + 1, n):
+            A, B = centered[i], centered[j]
+            margin = min(
+                margin,
+                float((A * B).sum() / k2),
+                float((A * A).sum() / k2),
+                float((B * B).sum() / k2),
+            )
+    return margin
+
+
+def test_fd_conditioning_matches_pair_loop_reference():
+    for seed in range(10):
+        params = training._kmpn_instance(seed, with_content=False)[0]
+        # the shrunk logits give near-identical rows, a candidate the search rejects
+        shrunk = params.copy()
+        shrunk.pref_logits *= 1e-3
+        for p in (params, shrunk):
+            for keep in (0.5, 1.0):
+                want = pair_loop_fd_conditioning(p, keep)
+                assert training._fd_conditioning(p, keep) == pytest.approx(want, rel=1e-12)
+        assert training._fd_conditioning(params, 0.5) > 1e-3 > training._fd_conditioning(shrunk, 0.5)
 
 
 # -- degenerate shapes -----------------------------------------------------------------
