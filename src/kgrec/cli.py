@@ -129,9 +129,12 @@ def _coerce(raw: str, typ, key: str):
 
 def _parse_config_file(path: str):
     pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                raise ValueError(f"{path}:{lineno}: not UTF-8") from None
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:

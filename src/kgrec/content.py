@@ -1,8 +1,9 @@
 """Content-based side model and the embedding exchange files.
 
-Items are encoded from their descriptions through a deterministic hashed
-bag-of-tokens: FNV-1a 64-bit token hash modulo a bucket count, then the
-mean of the bucket embeddings. Users are attention-weighted sums of their
+An item is a hashed bag of the tokens of its description: the corpus
+(`data.ItemCorpus.buckets`) maps each token's FNV-1a 64-bit hash modulo the
+bucket count to a bucket id, and `encode_items` averages the bucket
+embeddings of any set of items. Users are attention-weighted sums of their
 history item encodings (two-layer scorer, tanh hidden). Training minimizes
 a sampled-softmax click objective; gradients are hand-derived.
 
@@ -14,7 +15,6 @@ from these files are constants there.
 from __future__ import annotations
 
 import logging
-import re
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import InteractionStore, ItemCorpus
 from .losses import click_softmax_loss
-from .numeric import atomic_open, read_tensor_file, segment_sum, softmax_rows, write_tensor_file
+from .numeric import atomic_open, csr_rows, read_tensor_file, segment_sum, softmax_rows, write_tensor_file
 from .optim import TrainConfig, adam_step, init_adam, lr_at
 from .sampling import build_sampler
 
@@ -34,30 +34,6 @@ EMB_TEXT_MAGIC = "EMB1"
 EMB_BIN_MAGIC = b"CSEM"
 KIND_CODES = {"item": 0, "user": 1}
 KIND_NAMES = {v: k for k, v in KIND_CODES.items()}
-
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
-
-
-def fnv1a_64(token: str) -> int:
-    """FNV-1a over the token's UTF-8 bytes, 64-bit wrap."""
-    h = _FNV_OFFSET
-    for byte in token.encode("utf-8"):
-        h ^= byte
-        h = (h * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
-    return h
-
-
-def tokenize(text: str) -> list[str]:
-    """Lowercase and split on non-alphanumeric characters."""
-    return _TOKEN_RE.findall(text.lower())
-
-
-def bucketize(text: str, num_buckets: int) -> np.ndarray:
-    """Bucket ids for every token, order preserved (multiplicity counts)."""
-    return np.array([fnv1a_64(t) % num_buckets for t in tokenize(text)], dtype=np.int64)
-
 
 @dataclass
 class ContentParams:
@@ -141,12 +117,16 @@ def init_content(
 # ---------------------------------------------------------------------------
 
 
-def encode_item_flagged(text: str, params: ContentParams):
-    """(mean of token bucket embeddings, had-no-tokens flag)."""
-    buckets = bucketize(text, params.num_buckets)
-    if len(buckets) == 0:
-        return np.zeros(params.h), True
-    return params.bucket_emb[buckets].mean(axis=0), False
+def encode_items(bucket_emb: np.ndarray, table, items):
+    """Item vectors [len(items), h]: each the mean of its `bucket_emb` rows
+    (zero without tokens), from one gather and one `segment_sum` over the
+    items' bucket lists in `table`, an (indptr, bucket ids) pair as
+    `ItemCorpus.buckets` returns. Also returns those concatenated bucket ids
+    and the per-item counts, for the adjoint to scatter through."""
+    concat, counts = csr_rows(*table, items)
+    item_of = np.repeat(np.arange(len(counts)), counts)
+    vecs = segment_sum(item_of, bucket_emb[concat], len(counts)) / np.maximum(counts, 1)[:, None]
+    return vecs, concat, counts
 
 
 def encode_user(history_embs: np.ndarray, params: ContentParams):
@@ -188,36 +168,23 @@ def _encode_user_backward(E, alpha, params: ContentParams, d_user):
 # ---------------------------------------------------------------------------
 
 
-def click_instance(
-    params: ContentParams,
-    hist_buckets: list,
-    pos_buckets: np.ndarray,
-    neg_buckets: list,
-    compute_grads: bool = True,
-):
+def click_instance(params: ContentParams, table, hist, pos: int, negs, compute_grads: bool = True):
     """Loss (and gradients) of one sampled-softmax click instance.
 
-    `hist_buckets` / `neg_buckets` are lists of bucket-id arrays, one per
-    item; `pos_buckets` is a single array. Items with no tokens encode to
-    zero and receive no gradient.
+    `hist` and `negs` are item-id arrays and `pos` one item id; `table` is
+    the (indptr, bucket ids) pair the items are encoded through (see
+    `encode_items`). Items with no tokens encode to zero and receive no
+    gradient.
     """
-    # every item vector is the mean of its bucket rows: one gather and one
-    # segment sum over the items' concatenated bucket lists
-    lists = [*hist_buckets, pos_buckets, *neg_buckets]
-    counts = np.array([len(b) for b in lists])
-    concat = np.concatenate(lists)
-    sizes = np.maximum(counts, 1)[:, None]
-    item_of = np.repeat(np.arange(len(lists)), counts)
-    items = segment_sum(item_of, params.bucket_emb[concat], len(lists)) / sizes
-    B = len(hist_buckets)
-    E, e_pos, e_negs = items[:B], items[B], items[B + 1 :]  # [B, h], [h], [K, h]
+    B = len(hist)
+    items = np.concatenate([hist, [pos], negs])
+    vecs, concat, counts = encode_items(params.bucket_emb, table, items)
+    E, e_pos, e_negs = vecs[:B], vecs[B], vecs[B + 1 :]  # [B, h], [h], [K, h]
 
     user, alpha = encode_user(E, params)
     pos_score = float(user @ e_pos)
     neg_scores = e_negs @ user  # [K]
-    loss, d_pos, d_negs = click_softmax_loss(
-        np.array([pos_score]), neg_scores[None, :]
-    )
+    loss, d_pos, d_negs = click_softmax_loss(np.array([pos_score]), neg_scores[None, :])
     if not compute_grads:
         return loss, None
 
@@ -231,17 +198,12 @@ def click_instance(
 
     # row k of [d_E; d_e_pos; d_e_negs] goes to every bucket of item k,
     # weighted 1/len(buckets)
-    d_items = np.concatenate([d_E, d_e_pos[None, :], d_e_negs]) / sizes
+    d_items = np.concatenate([d_E, d_e_pos[None, :], d_e_negs]) / np.maximum(counts, 1)[:, None]
     d_bucket = segment_sum(concat, np.repeat(d_items, counts, axis=0), params.num_buckets)
     return loss, dict(zip(params.tensors(), (d_bucket, *d_scorer)))  # same order as tensors()
 
 
-def train_content(
-    corpus: ItemCorpus,
-    store: InteractionStore,
-    params: ContentParams,
-    config: TrainConfig,
-):
+def train_content(corpus: ItemCorpus, store: InteractionStore, params: ContentParams, config: TrainConfig):
     """Train the content model on click instances drawn from train splits.
 
     One instance per user per epoch: a positive from the user's train
@@ -266,9 +228,9 @@ def train_content(
     if config.epochs == 0:
         return params, []
 
-    buckets = [bucketize(corpus.text(i), params.num_buckets) for i in range(corpus.num_items)]
-    active = np.unique(np.concatenate(buckets))
-    buckets = [np.searchsorted(active, b) for b in buckets]  # compact bucket ids
+    indptr, buckets = corpus.buckets(params.num_buckets)
+    active = np.unique(buckets)
+    table = (indptr, np.searchsorted(active, buckets))  # compact bucket ids
     compact = replace(params, bucket_emb=params.bucket_emb[active])  # other tensors shared
     train_users = np.flatnonzero(store.train.counts())
     if len(train_users) == 0:
@@ -289,9 +251,7 @@ def train_content(
             rest = items[items != pos]
             pool = rest if len(rest) else items
             hist = rng.choice(pool, size=min(params.history_size, len(pool)), replace=False)
-            loss, grads = click_instance(
-                compact, [buckets[int(i)] for i in hist], buckets[pos], [buckets[n] for n in negs]
-            )
+            loss, grads = click_instance(compact, table, hist, pos, negs)
             try:
                 adam_step(compact.tensors(), grads, state, lr, config)
             except ValueError as exc:
@@ -463,18 +423,16 @@ def read_embeddings(path) -> EmbeddingMatrixFile:
 
 
 def export_embeddings(
-    params: ContentParams,
-    corpus: ItemCorpus,
-    store: InteractionStore,
-    out_dir,
-    write_binary: bool = True,
+    params: ContentParams, corpus: ItemCorpus, store: InteractionStore, out_dir, write_binary: bool = True
 ):
     """Encode every item and every user and write the exchange files.
 
-    Items: encode_item_flagged per description (no tokens -> zero vector).
-    Users: full train history in ascending item order, processed in chunks
-    of history_size through encode_user, chunk outputs mean-pooled; users
-    with no train items (cold-start) get a zero vector.
+    Items: `encode_items` over blocks of about 1024 items, through the
+    corpus's bucket table; an item without tokens gets a zero vector, and
+    their number is logged. Users: full train history in ascending item
+    order, processed in chunks of history_size through encode_user, chunk
+    outputs mean-pooled; users with no train items (cold-start) get a zero
+    vector.
 
     Writes content_items.txt / content_users.txt (and .bin twins unless
     disabled). Returns (item_set, user_set).
@@ -482,12 +440,10 @@ def export_embeddings(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    item_vecs = np.empty((corpus.num_items, params.h), dtype=np.float64)
-    n_empty = 0
-    for i in range(corpus.num_items):
-        vec, empty = encode_item_flagged(corpus.text(i), params)
-        n_empty += int(empty)
-        item_vecs[i] = vec
+    table = corpus.buckets(params.num_buckets)
+    blocks = np.array_split(np.arange(corpus.num_items), max(1, corpus.num_items // 1024))  # bounds gather memory
+    item_vecs = np.concatenate([encode_items(params.bucket_emb, table, block)[0] for block in blocks])
+    n_empty = int((np.diff(table[0]) == 0).sum())
     if n_empty:
         log.warning("export: %d items had no tokens; wrote zero vectors", n_empty)
 
@@ -498,12 +454,8 @@ def export_embeddings(
         chunks = [encode_user(item_vecs[items[lo : lo + B]], params)[0] for lo in range(0, len(items), B)]
         user_vecs[u] = np.mean(chunks, axis=0)
 
-    item_set = EmbeddingMatrixFile(
-        kind="item", ids=np.arange(corpus.num_items, dtype=np.int64), vectors=item_vecs
-    )
-    user_set = EmbeddingMatrixFile(
-        kind="user", ids=np.arange(store.num_users, dtype=np.int64), vectors=user_vecs
-    )
+    item_set = EmbeddingMatrixFile(kind="item", ids=np.arange(corpus.num_items), vectors=item_vecs)
+    user_set = EmbeddingMatrixFile(kind="user", ids=np.arange(store.num_users), vectors=user_vecs)
     write_embeddings_text(item_set, out_dir / "content_items.txt")
     write_embeddings_text(user_set, out_dir / "content_users.txt")
     if write_binary:

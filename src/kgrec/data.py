@@ -7,26 +7,30 @@ On-disk layout (one directory per dataset):
     kg.txt                              one line per raw triplet: ``head relation tail``
     items.tsv                           ``item_id<TAB>description``
 
-Tab and single-space separators are both accepted; trailing whitespace is
-ignored. Item ids double as entity ids (items occupy the low entity-id
-range). Every returned object is immutable after construction and safe to
-share across threads.
+Files are UTF-8. Tab and single-space separators are both accepted;
+trailing whitespace is ignored. Item ids double as entity ids (items occupy
+the low entity-id range). Every returned object is immutable after
+construction, cached derived tables aside, and safe to share across threads.
 
 In memory each interaction split is one CSR `Split` (offsets plus one item
 array). Split files and `build_store` mappings both become (user, item)
 columns, which `_assemble` validates by array operations on int64 keys.
+`ItemCorpus.token_hashes` holds every item's token hashes in the same CSR
+form; `tokenize` and `fnv1a_64` define the text format.
 """
 
 from __future__ import annotations
 
+import io
 import logging
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .numeric import atomic_open
+from .numeric import atomic_open, csr_rows
 
 log = logging.getLogger(__name__)
 
@@ -36,6 +40,39 @@ SPLIT_FILES = {name: f"{name}.txt" for name in SPLIT_NAMES}
 
 class DatasetError(ValueError):
     """An input file or constructed dataset violates an invariant."""
+
+
+def _numbered_lines(path):
+    """(line number, line) of a UTF-8 text file, universal newlines. Bytes
+    that are not UTF-8 raise DatasetError naming the file and their line."""
+    raw = Path(path).read_bytes()
+    try:
+        return enumerate(io.StringIO(raw.decode("utf-8"), newline=None), start=1)
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise DatasetError(f"{path}:{line}: not UTF-8") from None
+
+
+def _int_lines(path, width: int | None = None):
+    """(line number, ids) of each non-blank line of whitespace-separated ids;
+    a line of other than `width` fields (when given) or an id that is not an
+    integer in [0, 2**63) raises DatasetError naming the line."""
+    for lineno, line in _numbered_lines(path):
+        fields = line.split()
+        if not fields:
+            continue
+        if width is not None and len(fields) != width:
+            raise DatasetError(f"{path}:{lineno}: expected {width} fields, got {len(fields)}")
+        try:
+            ids = list(map(int, fields))
+        except ValueError:
+            raise DatasetError(f"{path}:{lineno}: non-integer field") from None
+        # cheap text guards: a negative id needs a "-", one >= 2**63 19 digits
+        if "-" in line and min(ids) < 0:
+            raise DatasetError(f"{path}:{lineno}: negative id")
+        if len(line) >= 19 and max(ids) >= 2**63:
+            raise DatasetError(f"{path}:{lineno}: id {max(ids)} does not fit in int64")
+        yield lineno, ids
 
 
 # ---------------------------------------------------------------------------
@@ -63,11 +100,7 @@ class Split:
 
     def rows(self, users) -> tuple[np.ndarray, np.ndarray]:
         """(concatenation, counts) of the item lists of `users`, in order."""
-        users = np.asarray(users, dtype=np.int64)
-        start = self.indptr[users]
-        counts = self.indptr[users + 1] - start
-        shift = np.repeat(start - (np.cumsum(counts) - counts), counts)
-        return self.items[np.arange(len(shift)) + shift], counts
+        return csr_rows(self.indptr, self.items, users)
 
 
 @dataclass(frozen=True)
@@ -184,24 +217,12 @@ def load_split_file(path) -> tuple[np.ndarray, np.ndarray]:
     second line for one user are errors that name the line."""
     path = Path(path)
     users, items, seen = [], [], set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = line.split()
-            if not fields:
-                continue
-            try:
-                ids = list(map(int, fields))
-            except ValueError:
-                raise DatasetError(f"{path}:{lineno}: non-integer field") from None
-            if min(ids) < 0:
-                raise DatasetError(f"{path}:{lineno}: negative id")
-            if max(ids) >= 2**63:
-                raise DatasetError(f"{path}:{lineno}: id {max(ids)} does not fit in int64")
-            if ids[0] in seen:
-                raise DatasetError(f"{path}:{lineno}: duplicate line for user {ids[0]}")
-            seen.add(ids[0])
-            users += ids[:1] * (len(ids) - 1)
-            items += ids[1:]
+    for lineno, ids in _int_lines(path):
+        if ids[0] in seen:
+            raise DatasetError(f"{path}:{lineno}: duplicate line for user {ids[0]}")
+        seen.add(ids[0])
+        users += ids[:1] * (len(ids) - 1)
+        items += ids[1:]
     return np.array(users, dtype=np.int64), np.array(items, dtype=np.int64)
 
 
@@ -366,35 +387,19 @@ def kg_from_triplets(
     )
 
 
-def load_kg(
-    path, num_relations_raw: int | None = None, num_entities: int | None = None
-) -> KnowledgeGraph:
+def load_kg(path, num_relations_raw: int | None = None, num_entities: int | None = None) -> KnowledgeGraph:
     """Load raw triplets from a `head relation tail` file; the relation
     count is one past the largest relation id when not given."""
     path = Path(path)
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = line.split()
-            if not fields:
-                continue
-            if len(fields) != 3:
-                raise DatasetError(f"{path}:{lineno}: expected 3 fields, got {len(fields)}")
-            try:
-                h, r, t = map(int, fields)
-            except ValueError:
-                raise DatasetError(f"{path}:{lineno}: non-integer field") from None
-            if not (0 <= h < 2**63 and 0 <= r < 2**63 and 0 <= t < 2**63):
-                if min(h, r, t) < 0:
-                    raise DatasetError(f"{path}:{lineno}: negative id")
-                raise DatasetError(f"{path}:{lineno}: id {max(h, r, t)} does not fit in int64")
-            if num_entities is not None and max(h, t) >= num_entities:
-                raise DatasetError(
-                    f"{path}:{lineno}: entity id {max(h, t)} out of range for num_entities={num_entities}"
-                )
-            if num_relations_raw is not None and r >= num_relations_raw:
-                raise DatasetError(f"{path}:{lineno}: relation {r} >= {num_relations_raw}")
-            rows.append((h, r, t))
+    for lineno, (h, r, t) in _int_lines(path, width=3):
+        if num_entities is not None and max(h, t) >= num_entities:
+            raise DatasetError(
+                f"{path}:{lineno}: entity id {max(h, t)} out of range for num_entities={num_entities}"
+            )
+        if num_relations_raw is not None and r >= num_relations_raw:
+            raise DatasetError(f"{path}:{lineno}: relation {r} >= {num_relations_raw}")
+        rows.append((h, r, t))
     if num_relations_raw is None:
         num_relations_raw = max((r for _, r, _ in rows), default=-1) + 1
     return kg_from_triplets(rows, num_relations_raw, num_entities)
@@ -432,6 +437,22 @@ def check_inverse_closure(graph: KnowledgeGraph) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+_TOKEN_RE = re.compile(r"[a-z0-9]+")
+
+
+def fnv1a_64(token: str) -> int:
+    """64-bit FNV-1a (standard offset basis and prime) over the token's UTF-8 bytes."""
+    h = 0xCBF29CE484222325
+    for byte in token.encode("utf-8"):
+        h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
+def tokenize(text: str) -> list[str]:
+    """Lowercase and split on non-alphanumeric characters."""
+    return _TOKEN_RE.findall(text.lower())
+
+
 @dataclass(frozen=True)
 class ItemCorpus:
     """item id -> description text; missing entries read as empty."""
@@ -442,27 +463,44 @@ class ItemCorpus:
     def text(self, item: int) -> str:
         return self.texts.get(item, "")
 
+    @cached_property
+    def token_hashes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, hashes): item i's tokens, in text order, have the FNV-1a
+        hashes `hashes[indptr[i]:indptr[i + 1]]` (uint64). Built on first use
+        and kept, as `texts` never changes; each distinct token is hashed once."""
+        tokens = [tokenize(self.text(i)) for i in range(self.num_items)]
+        indptr = np.concatenate(([0], np.cumsum([len(t) for t in tokens], dtype=np.int64)))
+        vocab: dict[str, int] = {}
+        ids = np.array([vocab.setdefault(t, len(vocab)) for item in tokens for t in item], dtype=np.int64)
+        hashes = np.array([fnv1a_64(t) for t in vocab], dtype=np.uint64)[ids]
+        indptr.flags.writeable = hashes.flags.writeable = False
+        return indptr, hashes
+
+    def buckets(self, num_buckets: int) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, bucket ids): every token's hash modulo `num_buckets`, as
+        int64, in the CSR layout of `token_hashes`."""
+        indptr, hashes = self.token_hashes
+        return indptr, (hashes % np.uint64(num_buckets)).astype(np.int64)
+
 
 def load_items(path, num_items: int | None = None) -> ItemCorpus:
+    """Read `item_id<TAB>description` lines; an id must be ASCII digits."""
     path = Path(path)
     texts: dict[int, str] = {}
     max_id = -1
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            head, _, text = line.partition("\t")
-            try:
-                item = int(head)
-            except ValueError:
-                raise DatasetError(f"{path}:{lineno}: non-integer item id") from None
-            if item < 0:
-                raise DatasetError(f"{path}:{lineno}: negative item id")
-            if item in texts:
-                raise DatasetError(f"{path}:{lineno}: duplicate item id {item}")
-            texts[item] = text
-            max_id = max(max_id, item)
+    for lineno, line in _numbered_lines(path):
+        if not line.strip():
+            continue
+        head, _, text = line.rstrip("\n").partition("\t")
+        head = head.strip()
+        if not (head.isascii() and head.isdigit()):
+            kind = "negative" if head[:1] == "-" and head[1:].isdigit() else "non-integer"
+            raise DatasetError(f"{path}:{lineno}: {kind} item id")
+        item = int(head)
+        if item in texts:
+            raise DatasetError(f"{path}:{lineno}: duplicate item id {item}")
+        texts[item] = text
+        max_id = max(max_id, item)
     n = num_items if num_items is not None else max_id + 1
     if max_id >= n:
         raise DatasetError(f"item id {max_id} out of range for num_items={n}")

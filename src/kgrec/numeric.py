@@ -1,6 +1,6 @@
-"""Shared float64 primitives: stable elementwise functions, the one scatter
-kernel, atomic file writes and the tensor file codec used by both
-checkpoints."""
+"""Shared float64 primitives: stable elementwise functions, the one CSR row
+gather and the one scatter kernel, atomic file writes and the tensor file
+codec used by both checkpoints."""
 
 from __future__ import annotations
 
@@ -35,6 +35,15 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     shifted = x - x.max(axis=-1, keepdims=True)
     ex = np.exp(shifted)
     return ex / ex.sum(axis=-1, keepdims=True)
+
+
+def csr_rows(indptr: np.ndarray, values: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
+    """(concatenation, counts) of the given rows of CSR (indptr, values), in order."""
+    rows = np.asarray(rows, dtype=np.int64)
+    start = indptr[rows]
+    counts = indptr[rows + 1] - start
+    shift = np.repeat(start - (np.cumsum(counts) - counts), counts)
+    return values[np.arange(len(shift)) + shift], counts
 
 
 def segment_sum(index, values, n: int) -> np.ndarray:

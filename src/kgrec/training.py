@@ -20,8 +20,8 @@ import numpy as np
 
 import logging
 
-from .content import EmbeddingMatrixFile, bucketize, check_exchange_pair, click_instance, init_content
-from .data import DatasetBundle, InteractionStore, KnowledgeGraph, build_store, kg_from_triplets
+from .content import EmbeddingMatrixFile, check_exchange_pair, click_instance, init_content
+from .data import DatasetBundle, InteractionStore, ItemCorpus, KnowledgeGraph, build_store, kg_from_triplets
 from .evaluation import evaluate
 from .losses import LossWeights, bpr_loss, cross_system_loss, dcorr_fd_margin, pca_project, soft_dcorr_loss
 from .model import KmpnParams, backward, forward, init_params, preference_embeddings
@@ -342,12 +342,9 @@ def _content_instance(seed: int):
     rng = np.random.default_rng(seed)
     params = init_content(h=8, num_buckets=16, history_size=3, num_negatives=2, seed=seed + 1)
     vocab = ["red", "blue", "green", "disk", "lamp", "rope", "tent", "mug9"]
-    texts = [" ".join(rng.choice(vocab, size=int(rng.integers(3, 6)))) for _ in range(6)]
-    buckets = [bucketize(t, params.num_buckets) for t in texts]
-    hist = [buckets[0], buckets[1], buckets[2]]
-    pos = buckets[3]
-    negs = [buckets[4], buckets[5]]
-    return params, hist, pos, negs
+    texts = {i: " ".join(rng.choice(vocab, size=int(rng.integers(3, 6)))) for i in range(6)}
+    table = ItemCorpus(num_items=6, texts=texts).buckets(params.num_buckets)
+    return params, table, np.arange(3), 3, np.array([4, 5])
 
 
 def grad_check(kind: str, tolerance: float = 1e-4, seed: int = 0) -> GradCheckReport:
@@ -373,11 +370,11 @@ def grad_check(kind: str, tolerance: float = 1e-4, seed: int = 0) -> GradCheckRe
 
         entries = _fd_sweep(params.tensors(), grads, value_fn, tolerance, FD_STEP)
     elif kind == "content":
-        params, hist, pos, negs = _content_instance(seed)
-        _, grads = click_instance(params, hist, pos, negs)
+        params, table, hist, pos, negs = _content_instance(seed)
+        _, grads = click_instance(params, table, hist, pos, negs)
 
         def value_fn():
-            loss, _ = click_instance(params, hist, pos, negs, compute_grads=False)
+            loss, _ = click_instance(params, table, hist, pos, negs, compute_grads=False)
             return loss
 
         entries = _fd_sweep(params.tensors(), grads, value_fn, tolerance, FD_STEP)

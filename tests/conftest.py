@@ -1,11 +1,16 @@
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kgrec
 from kgrec.data import DatasetBundle, SyntheticSpec, make_synthetic_dataset
+
+SRC = Path(kgrec.__file__).resolve().parents[1]  # the import root of the kgrec under test
 
 
 @pytest.fixture(scope="session")
@@ -25,14 +30,17 @@ def synth_dir(synth_bundle, tmp_path_factory):
 
 
 def run_cli(*args, cwd=None):
-    """Invoke the installed console script (module fallback)."""
+    """Invoke the installed console script (module fallback, with the kgrec
+    under test first on PYTHONPATH)."""
     exe = shutil.which("kgrec")
     cmd = [exe] if exe else [sys.executable, "-m", "kgrec.cli"]
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         cmd + [str(a) for a in args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 

@@ -64,6 +64,19 @@ def test_prepare_kg_non_integer_names_file_and_line(tmp_path):
     assert res.stderr == f"error: {tmp_path / 'kg.txt'}:1: non-integer field\n"
 
 
+@pytest.mark.parametrize("name", ["items.tsv", "kg.txt", "train.txt", "run.cfg"])
+def test_non_utf8_input_names_file_and_line(tmp_path, name):
+    for f, text in (("train.txt", "0 0 1\n"), ("kg.txt", "0 0 1\n"), ("items.tsv", "0\tred\n1\tblue\n"),
+                    ("run.cfg", "seed=1\n")):
+        (tmp_path / f).write_text(text)
+    bad = tmp_path / name
+    bad.write_bytes(bad.read_bytes() + b"\n1 caf\xe9 1\n")  # a Latin-1 byte on a new last line, after a blank one
+    line = bad.read_bytes().count(b"\n")
+    res = run_cli("prepare", "--data", tmp_path, "--config", tmp_path / "run.cfg")
+    assert res.returncode == 2
+    assert res.stderr == f"error: {bad}:{line}: not UTF-8\n"
+
+
 def test_train_zero_epochs_checkpoint_equals_fresh_init(cli_dataset, tmp_path):
     d, _ = cli_dataset
     out = tmp_path / "run"

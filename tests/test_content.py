@@ -5,25 +5,22 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from kgrec import content
+from kgrec import content, data
 from kgrec.content import (
     EmbeddingMatrixFile,
-    bucketize,
     click_instance,
-    encode_item_flagged,
+    encode_items,
     encode_user,
     export_embeddings,
-    fnv1a_64,
     init_content,
     load_content_checkpoint,
     read_embeddings,
     save_content_checkpoint,
-    tokenize,
     train_content,
     write_embeddings_binary,
     write_embeddings_text,
 )
-from kgrec.data import ItemCorpus, build_store
+from kgrec.data import ItemCorpus, build_store, fnv1a_64, tokenize
 from kgrec.optim import TrainConfig, adam_step, init_adam, lr_at
 from kgrec.sampling import build_sampler
 
@@ -44,43 +41,60 @@ def test_tokenize_lowercases_and_splits():
     assert tokenize("a a A") == ["a", "a", "a"]
 
 
-def test_bucketize_matches_hash_mod():
-    got = bucketize("red Lamp red", 17)
-    want = [fnv1a_64(t) % 17 for t in ["red", "lamp", "red"]]
-    assert got.tolist() == want  # order and multiplicity preserved
+@pytest.mark.parametrize("num_buckets", [17, 4096, 2**40 + 7])
+def test_corpus_buckets_match_hash_mod(num_buckets):
+    corpus = ItemCorpus(num_items=4, texts={0: "red Lamp red", 1: "", 3: "Blue-lamp 42"})
+    indptr, ids = corpus.buckets(num_buckets)
+    assert indptr.dtype == np.int64 and ids.dtype == np.int64
+    for i in range(4):  # item 1 has no tokens, item 2 no text
+        want = [fnv1a_64(t) % num_buckets for t in tokenize(corpus.text(i))]
+        assert ids[indptr[i] : indptr[i + 1]].tolist() == want  # order and multiplicity preserved
+
+    indptr, ids = ItemCorpus(num_items=3, texts={0: " -- ", 2: ""}).buckets(num_buckets)
+    assert indptr.tolist() == [0, 0, 0, 0] and len(ids) == 0
+    assert indptr.dtype == np.int64 and ids.dtype == np.int64
+
+
+def test_corpus_is_tokenized_once_per_item(monkeypatch, tmp_path):
+    corpus, store = _sparse_dataset()
+    real, texts = data.tokenize, []
+    monkeypatch.setattr(data, "tokenize", lambda text: texts.append(text) or real(text))
+    for num_buckets in (256, 64):
+        p = init_content(h=8, num_buckets=num_buckets, history_size=2, num_negatives=3, seed=1)
+        train_content(corpus, store, p, TrainConfig(epochs=1, seed=num_buckets))
+    export_embeddings(p, corpus, store, tmp_path, write_binary=False)
+    assert sorted(texts) == sorted(corpus.text(i) for i in range(corpus.num_items))
 
 
 # -- item encoder ----------------------------------------------------------------
 
 
-def test_encode_item_mean_of_buckets():
-    p = init_content(h=4, num_buckets=8, seed=0)
-    b = bucketize("axe bolt", p.num_buckets)
-    want = (p.bucket_emb[b[0]] + p.bucket_emb[b[1]]) / 2.0
-    np.testing.assert_allclose(encode_item_flagged("axe bolt", p)[0], want, rtol=1e-15)
+def _item_mean(p, text):
+    """Reference item vector: the mean of its token buckets' rows, zero for none."""
+    b = [fnv1a_64(t) % p.num_buckets for t in tokenize(text)]
+    return p.bucket_emb[b].mean(axis=0) if b else np.zeros(p.h)
 
 
-def test_encode_item_empty_text_flags_zero():
-    p = init_content(h=4, num_buckets=8, seed=0)
-    vec, empty = encode_item_flagged("", p)
-    assert empty and np.all(vec == 0.0)
-    vec2, empty2 = encode_item_flagged("axe", p)
-    assert not empty2 and not np.all(vec2 == 0.0)
-
-
-def test_encode_item_is_order_invariant():
-    p = init_content(h=6, num_buckets=32, seed=1)
-    np.testing.assert_array_equal(
-        encode_item_flagged("axe bolt coal", p)[0], encode_item_flagged("coal axe bolt", p)[0]
-    )
-
-
-def test_encode_item_token_multiplicity_weights_mean():
-    p = init_content(h=4, num_buckets=64, seed=2)
-    ba = bucketize("axe", 64)[0]
-    bb = bucketize("bolt", 64)[0]
-    want = (2 * p.bucket_emb[ba] + p.bucket_emb[bb]) / 3.0
-    np.testing.assert_allclose(encode_item_flagged("axe axe bolt", p)[0], want, rtol=1e-15)
+@pytest.mark.parametrize(
+    "h,num_buckets,seed,texts,check",
+    [
+        (4, 8, 0, ["axe bolt"], lambda v: True),
+        (4, 8, 0, ["", "axe"], lambda v: not v[0].any() and v[1].any()),
+        (6, 32, 1, ["axe bolt coal", "coal axe bolt"], lambda v: np.array_equal(v[0], v[1])),
+        (4, 64, 2, ["axe axe bolt", "axe", "bolt"],
+         lambda v: np.allclose(v[0], (2 * v[1] + v[2]) / 3.0, rtol=1e-15, atol=0.0)),
+    ],
+    ids=["mean", "empty-text-zero", "order-invariant", "multiplicity"],
+)
+def test_encode_items_matches_per_item_mean(h, num_buckets, seed, texts, check):
+    p = init_content(h=h, num_buckets=num_buckets, seed=seed)
+    corpus = ItemCorpus(num_items=len(texts), texts=dict(enumerate(texts)))
+    vecs, concat, counts = encode_items(p.bucket_emb, corpus.buckets(num_buckets), np.arange(len(texts)))
+    for i, text in enumerate(texts):
+        np.testing.assert_array_equal(vecs[i], _item_mean(p, text))
+    assert counts.tolist() == [len(tokenize(t)) for t in texts]
+    assert concat.tolist() == [fnv1a_64(t) % num_buckets for text in texts for t in tokenize(text)]
+    assert check(vecs)
 
 
 # -- user encoder ----------------------------------------------------------------
@@ -130,32 +144,41 @@ def test_encode_user_validates_input():
 # -- click instance ----------------------------------------------------------------
 
 
+def _table(lists):
+    """(indptr, bucket ids) table whose item k has the buckets lists[k]."""
+    indptr = np.concatenate(([0], np.cumsum([len(b) for b in lists], dtype=np.int64)))
+    return indptr, np.concatenate([*lists, np.empty(0, dtype=np.int64)]).astype(np.int64)
+
+
 def _tiny_instance(seed=0):
+    """Bucket lists of items 0-2 (history), 3 (positive) and 4-5 (negatives),
+    and that instance as click_instance arguments after `p`."""
     p = init_content(h=4, num_buckets=10, history_size=3, num_negatives=2, seed=seed)
     rng = np.random.default_rng(seed + 100)
     hist = [rng.integers(10, size=rng.integers(1, 4)) for _ in range(3)]
     pos = rng.integers(10, size=2)
     negs = [rng.integers(10, size=rng.integers(1, 3)) for _ in range(2)]
-    return p, hist, pos, negs
+    lists = [*hist, pos, *negs]
+    return p, lists, (_table(lists), np.arange(3), 3, np.array([4, 5]))
 
 
 def test_click_instance_value_composes_encoders():
     from kgrec.losses import click_softmax_loss
 
-    p, hist, pos, negs = _tiny_instance(1)
-    loss, _ = click_instance(p, hist, pos, negs)
+    p, lists, args = _tiny_instance(1)
+    loss, _ = click_instance(p, *args)
 
-    E = np.stack([p.bucket_emb[b].mean(axis=0) for b in hist])
+    E = np.stack([p.bucket_emb[b].mean(axis=0) for b in lists[:3]])
     user, _ = encode_user(E, p)
-    pos_s = float(user @ p.bucket_emb[pos].mean(axis=0))
-    neg_s = np.array([float(user @ p.bucket_emb[b].mean(axis=0)) for b in negs])
+    pos_s = float(user @ p.bucket_emb[lists[3]].mean(axis=0))
+    neg_s = np.array([float(user @ p.bucket_emb[b].mean(axis=0)) for b in lists[4:]])
     want, _, _ = click_softmax_loss(np.array([pos_s]), neg_s[None, :])
     assert loss == pytest.approx(want, rel=1e-13)
 
 
 def test_click_instance_gradients_match_finite_differences():
-    p, hist, pos, negs = _tiny_instance(2)
-    _, grads = click_instance(p, hist, pos, negs)
+    p, _, args = _tiny_instance(2)
+    _, grads = click_instance(p, *args)
     step = 1e-6
     for name, tensor in p.tensors().items():
         flat = tensor.reshape(-1)
@@ -163,9 +186,9 @@ def test_click_instance_gradients_match_finite_differences():
         for k in range(len(flat)):
             orig = flat[k]
             flat[k] = orig + step
-            vp, _ = click_instance(p, hist, pos, negs, compute_grads=False)
+            vp, _ = click_instance(p, *args, compute_grads=False)
             flat[k] = orig - step
-            vm, _ = click_instance(p, hist, pos, negs, compute_grads=False)
+            vm, _ = click_instance(p, *args, compute_grads=False)
             flat[k] = orig
             fd[k] = (vp - vm) / (2 * step)
         np.testing.assert_allclose(
@@ -175,8 +198,8 @@ def test_click_instance_gradients_match_finite_differences():
 
 def test_click_instance_empty_item_encodes_zero_and_gets_no_grad():
     p = init_content(h=4, num_buckets=10, seed=7)
-    empty = np.array([], dtype=np.int64)
-    loss, grads = click_instance(p, [np.array([1, 2])], empty, [np.array([3])])
+    table = _table([np.array([1, 2]), np.array([], dtype=np.int64), np.array([3])])
+    loss, grads = click_instance(p, table, np.array([0]), 1, np.array([2]))
     assert math.isfinite(loss)
     # positive item had no tokens, so only buckets 1, 2, 3 can receive grads
     touched = {k for k in range(10) if np.any(grads["bucket_emb"][k] != 0.0)}
@@ -188,22 +211,23 @@ def test_click_instance_item_vectors_are_per_item_means():
     # bit (an empty item included), so the loss equals a per-item forward
     from kgrec.losses import click_softmax_loss
 
-    p, hist, pos, negs = _tiny_instance(4)
-    hist = [*hist, np.array([], dtype=np.int64), np.arange(3), np.arange(1, 8)]
+    p, lists, _ = _tiny_instance(4)
+    lists += [np.array([], dtype=np.int64), np.arange(3), np.arange(1, 8)]
+    hist, pos, negs = [0, 1, 2, 6, 7, 8], 3, [4, 5]
 
     def item_vec(b):
         return p.bucket_emb[b].mean(axis=0) if len(b) else np.zeros(p.h)
 
-    user, _ = encode_user(np.stack([item_vec(b) for b in hist]), p)
-    neg_s = np.stack([item_vec(b) for b in negs]) @ user
-    want, _, _ = click_softmax_loss(np.array([float(user @ item_vec(pos))]), neg_s[None, :])
-    loss, _ = click_instance(p, hist, pos, negs, compute_grads=False)
+    user, _ = encode_user(np.stack([item_vec(lists[i]) for i in hist]), p)
+    neg_s = np.stack([item_vec(lists[i]) for i in negs]) @ user
+    want, _, _ = click_softmax_loss(np.array([float(user @ item_vec(lists[pos]))]), neg_s[None, :])
+    loss, _ = click_instance(p, _table(lists), np.array(hist), pos, np.array(negs), compute_grads=False)
     assert loss == want
 
 
 def test_click_instance_without_grads_returns_none():
-    p, hist, pos, negs = _tiny_instance(3)
-    loss, grads = click_instance(p, hist, pos, negs, compute_grads=False)
+    p, _, args = _tiny_instance(3)
+    loss, grads = click_instance(p, *args, compute_grads=False)
     assert grads is None and math.isfinite(loss)
 
 
@@ -283,7 +307,7 @@ def _dense_train_content(corpus, store, params, config):
     """Reference loop: click_instance and adam_step over the full
     [num_buckets, h] tensors, with the RNG calls of train_content."""
     params = params.copy()
-    buckets = [bucketize(corpus.text(i), params.num_buckets) for i in range(corpus.num_items)]
+    table = corpus.buckets(params.num_buckets)
     users = np.array([u for u in range(store.num_users) if len(store.train[u])], dtype=np.int64)
     sampler = build_sampler(store, uniform=True)
     rng = np.random.default_rng(config.seed)
@@ -300,9 +324,7 @@ def _dense_train_content(corpus, store, params, config):
             rest = items[items != pos]
             pool = rest if len(rest) else items
             hist = rng.choice(pool, size=min(params.history_size, len(pool)), replace=False)
-            loss, grads = click_instance(
-                params, [buckets[int(i)] for i in hist], buckets[pos], [buckets[n] for n in negs]
-            )
+            loss, grads = click_instance(params, table, hist, pos, negs)
             assert grads["bucket_emb"].shape == (params.num_buckets, params.h)
             adam_step(params.tensors(), grads, state, lr, config)
             total += loss
@@ -340,8 +362,7 @@ def test_train_content_leaves_unhit_bucket_rows_bit_identical():
     p = init_content(h=8, num_buckets=256, history_size=2, num_negatives=3, seed=2)
     out, _ = train_content(corpus, store, p, TrainConfig(epochs=4, lr_start=0.05, seed=6))
     hit = np.zeros(p.num_buckets, dtype=bool)
-    for i in range(corpus.num_items):
-        hit[bucketize(corpus.text(i), p.num_buckets)] = True
+    hit[corpus.buckets(p.num_buckets)[1]] = True
     assert 0 < hit.sum() < p.num_buckets // 20
     np.testing.assert_array_equal(out.bucket_emb[~hit], p.bucket_emb[~hit])
     assert (out.bucket_emb[hit] != p.bucket_emb[hit]).any(axis=1).all()
@@ -521,13 +542,11 @@ def test_export_embeddings_items_users_and_cold_zero(tmp_path):
     for name in ("content_items.txt", "content_users.txt", "content_items.bin", "content_users.bin"):
         assert (tmp_path / name).exists()
 
-    np.testing.assert_allclose(
-        item_set.rows([0])[0], encode_item_flagged("axe bolt", p)[0], rtol=1e-6
-    )
+    np.testing.assert_allclose(item_set.rows([0])[0], _item_mean(p, "axe bolt"), rtol=1e-6)
     assert np.all(item_set.rows([1])[0] == 0.0)  # no text -> zero vector
 
     # user 0 history fits one attention chunk
-    E = np.stack([encode_item_flagged(corpus.text(i), p)[0] for i in (0, 1)])
+    E = np.stack([_item_mean(p, corpus.text(i)) for i in (0, 1)])
     want, _ = encode_user(E, p)
     np.testing.assert_allclose(user_set.rows([0])[0], want, rtol=1e-6)
     # user 2 is cold: no train rows, zero vector
@@ -535,6 +554,17 @@ def test_export_embeddings_items_users_and_cold_zero(tmp_path):
 
     disk_items = read_embeddings(tmp_path / "content_items.bin")
     np.testing.assert_array_equal(disk_items.vectors, item_set.vectors)
+
+
+def test_export_embeddings_item_blocks_equal_per_item_means(tmp_path):
+    # 2100 items are encoded in two blocks; two in three have text
+    corpus = ItemCorpus(num_items=2100, texts={i: f"tok{i % 50} word{i % 7}" for i in range(0, 2100, 3)})
+    corpus.texts.update({i + 1: f"tok{i % 11}" for i in range(0, 2100, 3)})
+    store = build_store({0: [0, 1, 2099]}, num_items=2100)
+    p = init_content(h=4, num_buckets=64, seed=2)
+    item_set, _ = export_embeddings(p, corpus, store, tmp_path, write_binary=False)
+    want = np.stack([_item_mean(p, corpus.text(i)) for i in range(2100)]).astype(np.float32)
+    np.testing.assert_array_equal(item_set.vectors, want)
 
 
 def test_export_embeddings_chunked_pooling(tmp_path):
@@ -547,7 +577,7 @@ def test_export_embeddings_chunked_pooling(tmp_path):
     _, user_set = export_embeddings(p, corpus, store, tmp_path, write_binary=False)
     assert not (tmp_path / "content_users.bin").exists()
 
-    vecs = [encode_item_flagged(corpus.text(i), p)[0] for i in range(5)]
+    vecs = [_item_mean(p, corpus.text(i)) for i in range(5)]
     chunks = [
         encode_user(np.stack(vecs[0:2]), p)[0],
         encode_user(np.stack(vecs[2:4]), p)[0],

@@ -347,6 +347,24 @@ def test_items_round_trip_and_errors(tmp_path):
         save_items(ItemCorpus(num_items=1, texts={0: "a\tb"}), tmp_path / "x.tsv")
 
 
+def test_split_file_int64_edge_on_a_last_line_without_newline(tmp_path):
+    p = tmp_path / "train.txt"
+    p.write_text("0 1\n9223372036854775808")
+    with pytest.raises(DatasetError, match="train.txt:2: id 9223372036854775808 does not fit in int64"):
+        load_split_file(p)
+    p.write_text("0 1\n1 9223372036854775807")
+    assert load_split_file(p)[1].tolist() == [1, 2**63 - 1]
+
+
+@pytest.mark.parametrize("head", ["1_2", "+3", "\u0663", "\uff13", "3x"])
+def test_load_items_accepts_only_ascii_digit_ids(tmp_path, head):
+    p = tmp_path / "items.tsv"
+    p.write_text(f"0\tred lamp\n{head}\tblue tent\n", encoding="utf-8")
+    with pytest.raises(DatasetError) as err:
+        load_items(p)
+    assert str(err.value) == f"{p}:2: non-integer item id"
+
+
 def _fails_after(rows):
     yield from rows
     raise OSError("disk full")
