@@ -166,6 +166,8 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
 
 def _apply_threads(opts: dict) -> None:
     n = opts.get("threads") or 0
+    if n < 0:
+        raise ValueError("--threads must be >= 0")
     if opts.get("deterministic") and n == 0:
         n = 1  # fixed reduction order
     if n > 0:

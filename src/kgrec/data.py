@@ -263,28 +263,7 @@ def save_interactions(store: InteractionStore, out_dir) -> None:
 # ---------------------------------------------------------------------------
 
 
-CHUNK_EDGES = 1024  # edges per EdgePlan chunk; a head of higher degree gets a chunk alone
-
-
-@dataclass(frozen=True)
-class EdgePlan:
-    """The edges regrouped for cache-blocked convolution sweeps.
-
-    Position p of the plan holds graph edge `edge[p]`. Edges are stably
-    sorted by the degree of their head, so the d edges of a degree-d head
-    are one contiguous run, in graph order. `inverse[p]` is the graph index
-    of the inverse of edge `edge[p]`. `chunks` lists (lo, hi, d): the plan
-    positions [lo, hi) hold (hi - lo) / d whole heads of degree d, about
-    CHUNK_EDGES edges in all, so a head reduction over a chunk is a
-    reshape to [heads, d, h] and a sum over axis 1.
-    """
-
-    edge: np.ndarray
-    head: np.ndarray
-    rel: np.ndarray
-    tail: np.ndarray
-    inverse: np.ndarray
-    chunks: tuple
+CHUNK_EDGES = 1024  # edges per conv chunk; a head of higher degree gets a chunk alone
 
 
 @dataclass(frozen=True)
@@ -292,9 +271,11 @@ class KnowledgeGraph:
     """Immutable relational graph as flat edge arrays.
 
     The raw relation set is doubled: each raw triplet (h, r, t) also stores
-    the inverse edge (t, r + num_relations_raw, h). Edges are sorted by
-    (head, relation, tail) so traversal order is deterministic. Item id i
-    maps to entity id i.
+    the inverse edge (t, r + num_relations_raw, h). Item id i maps to
+    entity id i. Edges are sorted by (degree of head, head, relation, tail),
+    as kg_from_triplets builds them: the one order every sweep walks, in
+    which a degree-d head's d edges are one run and `chunks` cuts the runs
+    into cache-sized blocks of whole heads.
     """
 
     num_entities: int
@@ -316,26 +297,32 @@ class KnowledgeGraph:
 
     def raw_triplets(self) -> np.ndarray:
         """The deduplicated raw triplets (relation < num_relations_raw),
-        sorted by (head, relation, tail) as the edges are."""
+        sorted by (head, relation, tail)."""
         fwd = self.edge_rel < self.num_relations_raw
-        return np.stack([self.edge_head[fwd], self.edge_rel[fwd], self.edge_tail[fwd]], axis=1)
+        trip = np.stack([self.edge_head[fwd], self.edge_rel[fwd], self.edge_tail[fwd]], axis=1)
+        return trip[np.lexsort(trip.T[::-1])]
 
     @cached_property
-    def plan(self) -> EdgePlan:
-        """The EdgePlan of this graph, built on first use and kept."""
-        inverse = check_inverse_closure(self)
-        edge = np.argsort(self.degrees[self.edge_head], kind="stable")
-        head = self.edge_head[edge]
-        degree = self.degrees[head]
+    def inverse(self) -> np.ndarray:
+        """Edge index of every edge's inverse (check_inverse_closure), kept."""
+        return check_inverse_closure(self)
+
+    @cached_property
+    def chunks(self) -> tuple:
+        """(lo, hi, d) blocks of the edge order: edges [lo, hi) are the runs
+        of (hi - lo) / d whole heads of degree d, about CHUNK_EDGES edges in
+        all, so a head reduction over a block is a reshape to [heads, d, h]
+        and a sum over axis 1. Edges not grouped so raise DatasetError."""
+        degree = self.degrees[self.edge_head]
+        runs = np.count_nonzero(np.diff(self.edge_head)) + 1 if len(degree) else 0
+        if (np.diff(degree) < 0).any() or runs != np.count_nonzero(self.degrees):
+            raise DatasetError("edges are not grouped by head degree; build the graph with kg_from_triplets")
         values, starts = np.unique(degree, return_index=True)
         chunks = []
         for d, lo, hi in zip(values.tolist(), starts.tolist(), [*starts[1:].tolist(), len(degree)]):
             step = d * max(1, CHUNK_EDGES // d)
             chunks += [(a, min(a + step, hi), d) for a in range(lo, hi, step)]
-        return EdgePlan(
-            edge=edge, head=head, rel=self.edge_rel[edge], tail=self.edge_tail[edge],
-            inverse=inverse[edge], chunks=tuple(chunks),
-        )
+        return tuple(chunks)
 
 
 def kg_from_triplets(
@@ -344,9 +331,10 @@ def kg_from_triplets(
     """Build a KnowledgeGraph from raw (head, relation, tail) rows.
 
     Exact duplicate triplets are collapsed; inverse edges are materialized
-    with relation id shifted by num_relations_raw.
+    with relation id shifted by num_relations_raw. Edges are sorted by
+    (degree of head, head, relation, tail), as KnowledgeGraph requires.
     """
-    trip = np.asarray(list(triplets), dtype=np.int64).reshape(-1, 3)
+    trip = np.asarray(triplets, dtype=np.int64).reshape(-1, 3)
     if num_relations_raw < 0:
         raise DatasetError("num_relations_raw must be >= 0")
     if len(trip):
@@ -367,10 +355,10 @@ def kg_from_triplets(
     heads = np.concatenate([trip[:, 0], trip[:, 2]])
     rels = np.concatenate([trip[:, 1], trip[:, 1] + num_relations_raw])
     tails = np.concatenate([trip[:, 2], trip[:, 0]])
-    order = np.lexsort((tails, rels, heads))
+    degrees = np.bincount(heads, minlength=n_ent).astype(np.int64)
+    order = np.lexsort((tails, rels, heads, degrees[heads]))
     heads, rels, tails = heads[order], rels[order], tails[order]
 
-    degrees = np.bincount(heads, minlength=n_ent).astype(np.int64)
     inv_degree = np.zeros(n_ent, dtype=np.float64)
     nz = degrees > 0
     inv_degree[nz] = 1.0 / degrees[nz]
@@ -413,21 +401,23 @@ def save_kg(graph: KnowledgeGraph, path) -> None:
 
 
 def check_inverse_closure(graph: KnowledgeGraph) -> np.ndarray:
-    """Graph index of the inverse (t, r -/+ num_relations_raw, h) of every
-    edge (h, r, t), found by one searchsorted over the sorted edge keys.
+    """Edge index of the inverse (t, r -/+ num_relations_raw, h) of every
+    edge (h, r, t), found by one searchsorted over the argsorted edge keys.
     An edge without one raises DatasetError naming the smallest raw
     triplet that lacks its inverse (or, failing that, the smallest edge)."""
     n, n_rel, raw = graph.num_entities, graph.num_relations, graph.num_relations_raw
     if n * n * max(n_rel, 1) >= 2**63:
         raise DatasetError(f"num_entities={n} and num_relations={n_rel} overflow int64 edge keys")
     head, rel, tail = graph.edge_head, graph.edge_rel, graph.edge_tail
-    keys = (head * n_rel + rel) * n + tail  # ascending: edges are sorted by (head, rel, tail)
+    keys = (head * n_rel + rel) * n + tail  # ordered as (head, rel, tail)
     want = (tail * n_rel + np.where(rel < raw, rel + raw, rel - raw)) * n + head
-    pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    sorter = np.argsort(keys)
+    pos = sorter[np.minimum(np.searchsorted(keys, want, sorter=sorter), len(keys) - 1)]
     missing = keys[pos] != want
     if missing.any():
         raw_missing = missing & (rel < raw)
-        e = int(np.argmax(raw_missing if raw_missing.any() else missing))
+        bad = np.flatnonzero(raw_missing if raw_missing.any() else missing)
+        e = bad[np.argmin(keys[bad])]
         raise DatasetError(f"missing inverse edge for triplet ({head[e]}, {rel[e]}, {tail[e]})")
     return pos
 
@@ -595,7 +585,10 @@ class SyntheticSpec:
     def validate(self) -> None:
         if not (0.0 < self.density <= 1.0):
             raise DatasetError(f"density must be in (0, 1], got {self.density}")
-        if self.n_clusters < 1 or self.n_clusters > min(self.n_users, self.n_items):
+        for name, count in (("user", self.n_users), ("item", self.n_items), ("cluster", self.n_clusters)):
+            if count < 1:
+                raise DatasetError(f"{name} count must be >= 1, got {count}")
+        if self.n_clusters > min(self.n_users, self.n_items):
             raise DatasetError("cluster count exceeds user or item count")
         if not (0.0 <= self.held_out_fraction < 1.0):
             raise DatasetError("held_out_fraction must be in [0, 1)")

@@ -128,22 +128,23 @@ def conv_layer(graph: KnowledgeGraph, prev: np.ndarray, relation_emb: np.ndarray
             sigmoid(prev_i . rel_r) * (rel_r o prev_j)
 
     The gate logits are entries of the small [N, R] product prev @ rel^T,
-    read at (head, rel). The messages run in cache-sized chunks of
-    graph.plan, each a run of whole degree-d heads: a chunk gathers
+    read at (head, rel). The messages run in the cache-sized graph.chunks,
+    each a run of whole degree-d heads: the graph stores a head's d edges
+    contiguously in (relation, tail) order, so a chunk gathers
     w_e * (rel_r o prev_j) for its edges and sums every head's d rows in
-    graph edge order, as one np.bincount over the edges would, so no
-    [E, h] array is ever made. Isolated entities output zero. Returns
+    edge order, as one np.bincount over the edges would, and no [E, h]
+    array is ever made. Isolated entities output zero. Returns
     (out, per-edge gate values in graph edge order).
     """
-    plan, h = graph.plan, prev.shape[1]
-    gates = sigmoid((prev @ relation_emb.T)[graph.edge_head, graph.edge_rel])  # [E]
-    w = gates[plan.edge] * graph.inv_degree[plan.head]
+    head, rel, tail, h = graph.edge_head, graph.edge_rel, graph.edge_tail, prev.shape[1]
+    gates = sigmoid((prev @ relation_emb.T)[head, rel])  # [E]
+    w = gates * graph.inv_degree[head]
     out = np.zeros(prev.shape)
-    for lo, hi, d in plan.chunks:
-        m = prev[plan.tail[lo:hi]]
-        m *= relation_emb[plan.rel[lo:hi]]
+    for lo, hi, d in graph.chunks:
+        m = prev[tail[lo:hi]]
+        m *= relation_emb[rel[lo:hi]]
         m *= w[lo:hi, None]
-        out[plan.head[lo:hi:d]] = m.reshape(-1, d, h).sum(axis=1)
+        out[head[lo:hi:d]] = m.reshape(-1, d, h).sum(axis=1)
     return out, gates
 
 
@@ -155,6 +156,8 @@ def entity_forward(params: KmpnParams, graph: KnowledgeGraph):
     """
     if graph.num_entities != params.num_entities:
         raise ValueError("graph/params entity count mismatch")
+    if graph.num_relations != params.num_relations:
+        raise ValueError("graph/params relation count mismatch")
     layers = [params.entity_emb]
     gates = []
     for _ in range(params.n_layers):
@@ -306,7 +309,8 @@ def _conv_backward(
     gradient with respect to `prev`.
 
     With G = grad_out / deg and, for edge e = (i, r, j) of gate g_e,
-    q_e = G_i o prev_j, one pass over the chunks of graph.plan gives
+    q_e = G_i o prev_j, one pass over graph.chunks (in the graph's edge
+    order, a head's edges contiguous) gives
 
     message path to rel: d_rel_r += sum of g_e q_e over edges of relation r
         (a [R, c] by [c, h] product per chunk).
@@ -318,29 +322,28 @@ def _conv_backward(
         logit (i, r); binned into Dm [N, R], it gives d_prev += Dm @ rel
         and d_rel += Dm^T @ prev.
     """
-    plan = graph.plan
+    head, rel, tail, inverse = graph.edge_head, graph.edge_rel, graph.edge_tail, graph.inverse
     n, n_rel, h = prev.shape[0], relation_emb.shape[0], prev.shape[1]
     g_scaled = grad_out * graph.inv_degree[:, None]
-    g_plan = gates[plan.edge]
-    g_inverse = gates[plan.inverse]
-    rel_inverse = graph.edge_rel[plan.inverse]
-    d_dot = np.empty(len(g_plan))
+    g_inverse = gates[inverse]
+    rel_inverse = rel[inverse]
+    d_dot = np.empty(len(gates))
     d_prev = np.zeros(prev.shape)
-    for lo, hi, d in plan.chunks:
-        heads, tails, rels = plan.head[lo:hi:d], plan.tail[lo:hi], plan.rel[lo:hi]
+    for lo, hi, d in graph.chunks:
+        heads, tails, rels = head[lo:hi:d], tail[lo:hi], rel[lo:hi]
         rows = np.arange(hi - lo)
         q = prev[tails]
         q.reshape(-1, d, h)[...] *= g_scaled[heads][:, None, :]
         d_dot[lo:hi] = (q @ relation_emb.T)[rows, rels]
         one_hot = np.zeros((hi - lo, n_rel))
-        one_hot[rows, rels] = g_plan[lo:hi]
+        one_hot[rows, rels] = gates[lo:hi]
         d_relation += one_hot.T @ q
         v = g_scaled[tails]
         v *= relation_emb[rel_inverse[lo:hi]]
         v *= g_inverse[lo:hi, None]
         d_prev[heads] = v.reshape(-1, d, h).sum(axis=1)
-    d_dot *= g_plan * (1.0 - g_plan)  # sigmoid'
-    dm = np.bincount(plan.head * n_rel + plan.rel, weights=d_dot, minlength=n * n_rel).reshape(n, n_rel)
+    d_dot *= gates * (1.0 - gates)  # sigmoid'
+    dm = np.bincount(head * n_rel + rel, weights=d_dot, minlength=n * n_rel).reshape(n, n_rel)
     d_relation += dm.T @ prev
     d_prev += dm @ relation_emb
     return d_prev

@@ -1,6 +1,10 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
-from conftest import run_cli
+from conftest import SRC, run_cli
 
 from kgrec.model import init_params, load_checkpoint, save_checkpoint
 
@@ -195,6 +199,34 @@ def test_content_mode_rejects_batch_size_config_key(tmp_path):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("form", ["flag", "config"])
+def test_negative_threads_rejected_before_any_work(tmp_path, form):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("threads=-4\n")
+    threads = ["--threads", -4] if form == "flag" else ["--config", cfg]
+    res = run_cli("synth", "--out", tmp_path / "x", "--deterministic", *threads)
+    assert res.returncode == 2
+    assert res.stderr == "error: --threads must be >= 0\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_cli_resolves_a_config_without_importing_numpy(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("epochs=2\nthreads=1\n")
+    code = (
+        "import sys; from kgrec import cli; "
+        "args = cli._build_parser().parse_args(['train', '--config', sys.argv[1]]); "
+        "opts = cli._resolve(args, 'train'); cli._apply_threads(opts); "
+        "assert opts['epochs'] == 2, opts; "
+        "assert 'numpy' not in sys.modules, 'numpy loaded before the thread caps'"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", code, str(cfg)], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert res.returncode == 0, res.stderr
+
+
 def test_config_file_merge_explicit_flags_win(cli_dataset, tmp_path):
     d, _ = cli_dataset
     cfg = tmp_path / "run.cfg"
@@ -277,6 +309,15 @@ def test_eval_flags_checked_before_loading_data(tmp_path, flags, message):
     assert res.returncode == 2
     assert res.stderr == f"error: eval: {message}\n"
     assert not (tmp_path / "x").exists()
+
+
+def test_eval_rejects_checkpoint_with_other_relation_count(cli_dataset, tmp_path):
+    d, _ = cli_dataset
+    ck = tmp_path / "c.kmpn"
+    save_checkpoint(init_params(90, 8, 40, h=4, n_layers=1, n_pref=2, n_meta=2, seed=0), ck)  # graph has 6
+    res = run_cli("eval", "--data", d, "--checkpoint", ck, "--split", "test")
+    assert res.returncode == 2
+    assert res.stderr == "error: graph/params relation count mismatch\n"
 
 
 def test_eval_split_absent_error(cli_dataset, tmp_path):

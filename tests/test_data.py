@@ -311,13 +311,18 @@ def test_missing_inverse_names_smallest_raw_triplet():
     # drop the inverses (3, 2, 2) of (2, 0, 3) and (2, 3, 1) of (1, 1, 2)
     drop = ((g.edge_head == 3) & (g.edge_rel == 2)) | ((g.edge_head == 2) & (g.edge_rel == 3))
     broken = without_edges(g, drop)
-    for check in (check_inverse_closure, lambda graph: graph.plan):
+    for check in (check_inverse_closure, lambda graph: graph.inverse):
         with pytest.raises(DatasetError, match=r"^missing inverse edge for triplet \(1, 1, 2\)$"):
             check(broken)
     # every raw triplet closed, but inverse edge (1, 2, 0) lost its raw (0, 0, 1)
     orphan = without_edges(g, (g.edge_head == 0) & (g.edge_rel == 0))
     with pytest.raises(DatasetError, match=r"^missing inverse edge for triplet \(1, 2, 0\)$"):
         check_inverse_closure(orphan)
+    # the smallest, not the first stored: hub 0 (degree 3) is stored after head 4 (degree 1)
+    hub = kg_from_triplets([(0, 0, 1), (0, 0, 2), (0, 1, 3), (4, 0, 5)], num_relations_raw=2)
+    broken = without_edges(hub, ((hub.edge_head == 1) | (hub.edge_head == 5)) & (hub.edge_rel == 2))
+    with pytest.raises(DatasetError, match=r"^missing inverse edge for triplet \(0, 0, 1\)$"):
+        check_inverse_closure(broken)
 
 
 def test_kg_infers_relation_count(tmp_path):
@@ -451,6 +456,19 @@ def test_synthetic_kg_links_stay_in_cluster(synth_bundle):
         c = h % C
         lo = spec.n_items + c * spec.attrs_per_cluster
         assert lo <= t < lo + spec.attrs_per_cluster
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("n_users", -5, "user count must be >= 1, got -5"),
+        ("n_items", 0, "item count must be >= 1, got 0"),
+        ("n_clusters", 0, "cluster count must be >= 1, got 0"),
+    ],
+)
+def test_synthetic_spec_rejects_counts_below_one(field, value, message):
+    with pytest.raises(DatasetError, match=f"^{message}$"):
+        SyntheticSpec(**{field: value}).validate()
 
 
 def test_synthetic_validation():

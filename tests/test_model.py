@@ -199,16 +199,18 @@ def bincount_conv(g, prev, rel):
 def test_plan_chunks_match_per_edge_loop(monkeypatch, chunk_edges):
     monkeypatch.setattr(data, "CHUNK_EDGES", chunk_edges)
     g = bucket_graph()
-    plan = g.plan
     assert g.degrees[13] == 0 and g.degrees[0] == 12 and ((g.edge_head == 5) & (g.edge_tail == 5)).any()
-    bounds = [(lo, hi) for lo, hi, _ in plan.chunks]
+    stored = list(zip(*(a.tolist() for a in (g.degrees[g.edge_head], g.edge_head, g.edge_rel, g.edge_tail))))
+    assert stored == sorted(set(stored))  # degree of head, then (head, relation, tail), no repeats
+    raw = g.raw_triplets().tolist()
+    assert raw == sorted(raw) and len(raw) == g.num_triplets_raw
+    bounds = [(lo, hi) for lo, hi, _ in g.chunks]
     assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]] and bounds[-1][1] == g.num_edges
-    np.testing.assert_array_equal(np.sort(plan.edge), np.arange(g.num_edges))
-    for lo, hi, d in plan.chunks:
-        heads = plan.head[lo:hi].reshape(-1, d)
+    for lo, hi, d in g.chunks:
+        heads = g.edge_head[lo:hi].reshape(-1, d)
         assert (heads == heads[:, :1]).all() and (g.degrees[heads[:, 0]] == d).all()
         assert hi - lo <= max(chunk_edges, d)
-    degrees = [d for _, _, d in plan.chunks]
+    degrees = [d for _, _, d in g.chunks]
     if chunk_edges == 4:  # a bucket split across chunks and a head past the chunk size
         assert any(degrees.count(d) > 1 for d in degrees) and 12 in degrees
 
@@ -228,6 +230,13 @@ def test_plan_chunks_match_per_edge_loop(monkeypatch, chunk_edges):
     np.testing.assert_allclose(d_prev, d_prev_want, rtol=1e-12, atol=1e-15)
     np.testing.assert_allclose(d_rel, d_rel_want, rtol=1e-12, atol=1e-15)
     assert np.all(out[13] == 0.0) and np.all(d_prev[13] == 0.0)
+
+    by_head = np.lexsort((g.edge_tail, g.edge_rel, g.edge_head))  # ungrouped: the hub is not last
+    ungrouped = replace(
+        g, edge_head=g.edge_head[by_head], edge_rel=g.edge_rel[by_head], edge_tail=g.edge_tail[by_head],
+    )
+    with pytest.raises(data.DatasetError, match="not grouped by head degree"):
+        conv_layer(ungrouped, prev, rel)
 
 
 def test_conv_sweep_makes_no_edge_width_temporary():
@@ -252,7 +261,7 @@ def test_conv_sweep_makes_no_edge_width_temporary():
 
 def test_edgeless_graph_forward_and_backward_equal_depth_zero():
     g = kg_from_triplets([], num_relations_raw=1, num_entities=6)
-    assert g.num_edges == 0 and g.plan.chunks == ()
+    assert g.num_edges == 0 and g.chunks == ()
     p = small_params(g, n_layers=2)
     layers, gates = entity_forward(p, g)
     assert all(np.all(m == 0.0) for m in layers[1:]) and all(len(x) == 0 for x in gates)
