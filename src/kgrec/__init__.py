@@ -1,36 +1,8 @@
 """Knowledge-graph collaborative filtering with content-embedding fusion.
 
-Submodules are imported lazily so the CLI can cap numeric-library thread
-counts before anything touches numpy.
+Submodules are imported by name (`from kgrec import model`); this file
+imports none of them, so `import kgrec` loads no numpy and the CLI can cap
+numeric-library thread counts before anything touches it.
 """
 
 __version__ = "0.1.0"
-
-_SUBMODULES = (
-    "cli",
-    "content",
-    "data",
-    "evaluation",
-    "losses",
-    "model",
-    "numeric",
-    "optim",
-    "sampling",
-    "training",
-)
-
-__all__ = list(_SUBMODULES)
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        import importlib
-
-        module = importlib.import_module(f".{name}", __name__)
-        globals()[name] = module
-        return module
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(list(globals()) + list(_SUBMODULES))

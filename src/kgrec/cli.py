@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -256,6 +257,9 @@ def _train_config(opts: dict):
         opts["batch_size"] = TrainConfig.batch_size
     elif mode == "content":
         raise ValueError("train: --batch-size does not apply to --mode content")
+    for key in ("lr", "lr_end", "lambda1", "lambda2", "lambda_cs", "epsilon"):
+        if not math.isfinite(opts[key]):
+            raise ValueError(f"train: {_flag(key)} must be finite")
     for key, low in _TRAIN_MINIMUMS.items():
         if not opts[key] >= low:
             raise ValueError(f"train: {_flag(key)} must be >= {low}")
@@ -383,6 +387,8 @@ def _cmd_gradcheck(opts: dict) -> int:
     from .numeric import write_text_atomic
     from .training import grad_check
 
+    if not 0 <= opts["tolerance"] < math.inf:  # 0 demands exact gradients: a FAIL, not an error
+        raise ValueError("gradcheck: --tolerance must be finite and >= 0")
     kinds = ("kmpn", "ckmpn", "content") if opts["kind"] == "all" else (opts["kind"],)
     reports = [grad_check(kind, tolerance=opts["tolerance"], seed=opts["seed"]) for kind in kinds]
     text = "\n".join(r.render() for r in reports) + "\n"

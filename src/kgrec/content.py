@@ -253,7 +253,7 @@ def train_content(corpus: ItemCorpus, store: InteractionStore, params: ContentPa
             hist = rng.choice(pool, size=min(params.history_size, len(pool)), replace=False)
             loss, grads = click_instance(compact, table, hist, pos, negs)
             try:
-                adam_step(compact.tensors(), grads, state, lr, config)
+                adam_step(compact.tensors(), grads, state, lr)
             except ValueError as exc:
                 raise ValueError(f"epoch {epoch} user {u}: {exc}") from exc
             total += loss
@@ -483,5 +483,8 @@ def _checkpoint_shapes(v_b, h, hist, k):
 def load_content_checkpoint(path) -> ContentParams:
     header, tensors = read_tensor_file(path, CONTENT_MAGIC, 4, _checkpoint_shapes)
     params = ContentParams(*tensors, history_size=header[2], num_negatives=header[3])
-    params.validate()
+    try:
+        params.validate()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return params

@@ -518,16 +518,14 @@ class DatasetBundle:
     corpus: ItemCorpus
 
 
-def load_bundle(
-    data_dir, num_relations_raw: int | None = None, num_entities: int | None = None
-) -> DatasetBundle:
-    """Load a full dataset directory; relation/entity counts are inferred
-    from kg.txt when not given."""
+def load_bundle(data_dir) -> DatasetBundle:
+    """Load a full dataset directory. The relation and entity counts come
+    from kg.txt, and the entity range is padded to cover every item."""
     data_dir = Path(data_dir)
     kg_path = data_dir / "kg.txt"
     if not kg_path.exists():
         raise DatasetError(f"missing kg file: {kg_path}")
-    graph = load_kg(kg_path, num_relations_raw, num_entities)
+    graph = load_kg(kg_path)
     items_path = data_dir / "items.tsv"
     corpus = load_items(items_path) if items_path.exists() else None
     store = load_interactions(
@@ -556,6 +554,15 @@ def save_bundle(bundle: DatasetBundle, out_dir) -> None:
 # ---------------------------------------------------------------------------
 
 
+# Fixed generator settings of make_synthetic_dataset.
+N_RELATIONS_RAW = 3  # raw relation types; each item link draws one uniformly
+LINKS_PER_ITEM = 3  # distinct same-cluster attributes per item (at most attrs_per_cluster)
+CROSS_NOISE = 0.02  # other-cluster train density, relative to `density`
+POOL_SIZE = 40  # tokens c{c}w0 .. c{c}w39 of cluster c's pool
+SHARED_POOL_SIZE = 20  # tokens shw0 .. shw19 shared by every cluster
+MIN_TOKENS, MAX_TOKENS = 6, 12  # tokens per item text, both inclusive
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Clustered synthetic dataset: users in cluster c interact mostly with
@@ -564,7 +571,9 @@ class SyntheticSpec:
 
     `density` controls the expected number of train items per user relative
     to the user's item cluster; held-out (valid/test) interactions are drawn
-    on top of that.
+    on top of that. The other generator settings are fixed: the module
+    constants N_RELATIONS_RAW, LINKS_PER_ITEM, CROSS_NOISE, POOL_SIZE,
+    SHARED_POOL_SIZE, MIN_TOKENS and MAX_TOKENS.
     """
 
     n_users: int = 200
@@ -572,15 +581,8 @@ class SyntheticSpec:
     n_clusters: int = 4
     density: float = 0.1
     attrs_per_cluster: int = 10
-    n_relations_raw: int = 3
-    links_per_item: int = 3
     held_out_fraction: float = 0.2
     cold_user_fraction: float = 0.03
-    cross_noise: float = 0.02
-    pool_size: int = 40
-    shared_pool_size: int = 20
-    min_tokens: int = 6
-    max_tokens: int = 12
 
     def validate(self) -> None:
         if not (0.0 < self.density <= 1.0):
@@ -594,18 +596,8 @@ class SyntheticSpec:
             raise DatasetError("held_out_fraction must be in [0, 1)")
         if not (0.0 <= self.cold_user_fraction < 0.5):
             raise DatasetError("cold_user_fraction must be in [0, 0.5)")
-        if self.attrs_per_cluster < 1 or self.links_per_item < 1:
-            raise DatasetError("attrs_per_cluster and links_per_item must be >= 1")
-        if self.n_relations_raw < 1:
-            raise DatasetError("n_relations_raw must be >= 1")
-        if self.min_tokens < 1 or self.max_tokens < self.min_tokens:
-            raise DatasetError("bad token count range")
-
-
-def _weighted_sample_without_replacement(rng, pool: np.ndarray, weights: np.ndarray, k: int):
-    probs = weights / weights.sum()
-    k = min(k, len(pool))
-    return rng.choice(pool, size=k, replace=False, p=probs)
+        if self.attrs_per_cluster < 1:
+            raise DatasetError("attrs_per_cluster must be >= 1")
 
 
 def make_synthetic_dataset(
@@ -644,11 +636,12 @@ def make_synthetic_dataset(
         n_held = max(2, int(round(n_train_own * held / max(1e-12, 1.0 - held))))
         total_own = min(n_train_own + n_held, len(own_pool))
         n_held = min(n_held, total_own - 1)
-        own = _weighted_sample_without_replacement(rng, own_pool, cluster_weights[c], total_own)
+        weights = cluster_weights[c]
+        own = rng.choice(own_pool, size=total_own, replace=False, p=weights / weights.sum())
         rng.shuffle(own)  # interaction time order is independent of popularity
 
         other_pool = all_items[all_items % C != c]
-        n_cross = int(rng.binomial(len(other_pool), spec.density * spec.cross_noise))
+        n_cross = int(rng.binomial(len(other_pool), spec.density * CROSS_NOISE))
         cross = (
             rng.choice(other_pool, size=n_cross, replace=False)
             if n_cross
@@ -690,28 +683,26 @@ def make_synthetic_dataset(
     for i in range(spec.n_items):
         c = i % C
         attrs = spec.n_items + c * spec.attrs_per_cluster + np.arange(spec.attrs_per_cluster)
-        k = min(spec.links_per_item, spec.attrs_per_cluster)
+        k = min(LINKS_PER_ITEM, spec.attrs_per_cluster)
         chosen = rng.choice(attrs, size=k, replace=False)
         for t in chosen:
-            r = int(rng.integers(spec.n_relations_raw))
+            r = int(rng.integers(N_RELATIONS_RAW))
             triplets.append((i, r, int(t)))
-    graph = kg_from_triplets(
-        triplets, spec.n_relations_raw, num_entities=spec.n_items + n_attr
-    )
+    graph = kg_from_triplets(triplets, N_RELATIONS_RAW, num_entities=spec.n_items + n_attr)
 
     # texts from cluster token pools plus a shared pool
-    shared = [f"shw{j}" for j in range(spec.shared_pool_size)]
-    pools = [[f"c{c}w{j}" for j in range(spec.pool_size)] for c in range(C)]
+    shared = [f"shw{j}" for j in range(SHARED_POOL_SIZE)]
+    pools = [[f"c{c}w{j}" for j in range(POOL_SIZE)] for c in range(C)]
     texts = {}
     for i in range(spec.n_items):
         c = i % C
-        n_tok = int(rng.integers(spec.min_tokens, spec.max_tokens + 1))
+        n_tok = int(rng.integers(MIN_TOKENS, MAX_TOKENS + 1))
         toks = []
         for _ in range(n_tok):
             if rng.random() < 0.8:
-                toks.append(pools[c][int(rng.integers(spec.pool_size))])
+                toks.append(pools[c][int(rng.integers(POOL_SIZE))])
             else:
-                toks.append(shared[int(rng.integers(spec.shared_pool_size))])
+                toks.append(shared[int(rng.integers(SHARED_POOL_SIZE))])
         texts[i] = " ".join(toks)
     corpus = ItemCorpus(num_items=spec.n_items, texts=texts)
 

@@ -12,7 +12,7 @@ autodiff framework is involved. All math is float64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 
 from .data import InteractionStore, KnowledgeGraph
@@ -223,9 +223,9 @@ class ForwardTrace:
     neg_items: np.ndarray  # [B]
     uniq_users: np.ndarray  # [U]
     batch_inv: np.ndarray  # [B] -> index into uniq_users
-    hist_concat: np.ndarray = field(repr=False, default=None)
-    hist_counts: np.ndarray = field(repr=False, default=None)
-    hist_msum: np.ndarray = field(repr=False, default=None)  # history means of entity_agg [U, h]
+    hist_concat: np.ndarray  # train histories of uniq_users, concatenated
+    hist_counts: np.ndarray  # [U] history lengths
+    hist_msum: np.ndarray  # history means of entity_agg [U, h]
 
     def user_rows(self) -> np.ndarray:
         """Aggregated user vectors expanded to batch order [B, h]."""
@@ -463,5 +463,8 @@ def _checkpoint_shapes(n_v, n_r2, n_u, h, n_layers, n_m, n_p):
 def load_checkpoint(path) -> KmpnParams:
     header, tensors = read_tensor_file(path, CHECKPOINT_MAGIC, 7, _checkpoint_shapes)
     params = KmpnParams(*tensors, n_layers=header[4])
-    params.validate()
+    try:
+        params.validate()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return params

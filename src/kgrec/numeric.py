@@ -4,6 +4,7 @@ codec used by both checkpoints."""
 
 from __future__ import annotations
 
+import math
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -95,8 +96,9 @@ def write_tensor_file(path, magic: str, header: tuple, tensors) -> None:
 
 def read_tensor_file(path, magic: str, n_header: int, shapes):
     """Inverse of write_tensor_file. `shapes(*header)` gives the tensor
-    shapes in file order. Returns (header integers, tensors); every error
-    names the file."""
+    shapes in file order. The payload size those shapes imply is checked
+    against the file size before any tensor is read. Returns (header
+    integers, tensors); every error names the file."""
     path = Path(path)
     with open(path, "rb") as fh:
         fields = fh.readline().decode("ascii", errors="replace").split()
@@ -105,13 +107,15 @@ def read_tensor_file(path, magic: str, n_header: int, shapes):
         header = [int(x) if x.isdigit() else -1 for x in fields[1:]]
         if min(header) < 0:
             raise ValueError(f"{path}: malformed checkpoint header")
-        tensors = []
-        for shape in shapes(*header):
-            n_bytes = int(np.prod(shape)) * 8
-            raw = fh.read(n_bytes)
-            if len(raw) != n_bytes:
-                raise ValueError(f"{path}: truncated checkpoint")
-            tensors.append(np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64))
-        if fh.read(1):
+        shape_list = shapes(*header)
+        n_bytes = [math.prod(shape) * 8 for shape in shape_list]  # Python ints: no overflow
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        if payload < sum(n_bytes):
+            raise ValueError(f"{path}: truncated checkpoint")
+        if payload > sum(n_bytes):
             raise ValueError(f"{path}: trailing bytes after checkpoint payload")
+        tensors = [
+            np.frombuffer(fh.read(n), dtype="<f8").reshape(shape).astype(np.float64)
+            for shape, n in zip(shape_list, n_bytes)
+        ]
     return header, tensors

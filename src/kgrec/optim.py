@@ -8,6 +8,10 @@ import numpy as np
 
 from .losses import LossWeights
 
+BETA1 = 0.9  # Adam first-moment decay
+BETA2 = 0.999  # Adam second-moment decay
+ADAM_EPS = 1e-8  # added to the bias-corrected root second moment
+
 
 @dataclass
 class TrainConfig:
@@ -15,9 +19,6 @@ class TrainConfig:
     batch_size: int = 1024
     lr_start: float = 1e-3
     lr_end: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     weights: LossWeights = field(default_factory=LossWeights)
     seed: int = 0
     eval_every: int = 0  # 0 disables periodic validation logging
@@ -56,9 +57,10 @@ def init_adam(tensors: dict) -> AdamState:
     )
 
 
-def adam_step(tensors: dict, grads: dict, state: AdamState, lr: float, config: TrainConfig) -> None:
-    """One bias-corrected Adam update, in place on `tensors`; a bad gradient
-    is raised before any tensor, moment or the step count changes."""
+def adam_step(tensors: dict, grads: dict, state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam update, in place on `tensors`, with the fixed
+    β1 = BETA1 = 0.9, β2 = BETA2 = 0.999 and ε = ADAM_EPS = 1e-8; a bad
+    gradient is raised before any tensor, moment or the step count changes."""
     for name, param in tensors.items():
         g = grads[name]
         if g.shape != param.shape:
@@ -67,15 +69,14 @@ def adam_step(tensors: dict, grads: dict, state: AdamState, lr: float, config: T
             raise ValueError(f"non-finite gradient in {name}")
     state.step += 1
     t = state.step
-    b1, b2, eps = config.beta1, config.beta2, config.adam_eps
-    c1 = 1.0 - b1**t
-    c2 = 1.0 - b2**t
+    c1 = 1.0 - BETA1**t
+    c2 = 1.0 - BETA2**t
     for name, param in tensors.items():
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        param -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        param -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)

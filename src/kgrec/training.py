@@ -150,7 +150,6 @@ def _train_cf(
     store, graph = bundle.store, bundle.graph
     if content is not None:
         _validate_content_pair(content, store, params.h)
-    active_content = content if (content is not None and config.weights.cross_system != 0.0) else None
 
     lines: list[str] = []
     if config.epochs == 0:
@@ -172,10 +171,10 @@ def _train_cf(
             p = pos_all[idx]
             n = sampler.sample_negatives(rng, u)
             total, grads, parts, _ = kmpn_loss_and_grads(
-                params, graph, store, u, p, n, config.weights, content=active_content
+                params, graph, store, u, p, n, config.weights, content=content
             )
             try:
-                adam_step(params.tensors(), grads, state, lr, config)
+                adam_step(params.tensors(), grads, state, lr)
             except ValueError as exc:
                 raise ValueError(f"epoch {epoch} batch {batch}: {exc}") from exc
             sums += (total, parts.bpr, parts.l2, parts.dcorr, parts.cs)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import SRC, run_cli
 
+from kgrec.content import init_content, save_content_checkpoint
 from kgrec.model import init_params, load_checkpoint, save_checkpoint
 
 
@@ -179,12 +180,28 @@ _CONTENT_BATCH_SIZE = "--batch-size does not apply to --mode content"
         (["--lr", 1e-4, "--lr-end", 1e-3], "--lr must be >= --lr-end"),
         (["--epsilon", 1.5], "--epsilon must be <= 1"),
         (["--mode", "content", "--batch-size", 64], _CONTENT_BATCH_SIZE),
+        (["--lr=inf"], "--lr must be finite"),
+        (["--lr=nan"], "--lr must be finite"),
+        (["--lr-end=inf"], "--lr-end must be finite"),
+        (["--lambda1=inf"], "--lambda1 must be finite"),
+        (["--lambda2=nan"], "--lambda2 must be finite"),
+        (["--lambda-cs=-inf"], "--lambda-cs must be finite"),
+        (["--epsilon=nan"], "--epsilon must be finite"),
     ],
 )
 def test_train_flags_checked_before_loading_data(tmp_path, flags, message):
     res = run_cli("train", "--data", tmp_path / "does-not-exist", "--out", tmp_path / "x", *flags)
     assert res.returncode == 2
     assert res.stderr == f"error: train: {message}\n"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_gradcheck_bad_tolerance_rejected_before_any_check(tmp_path, value):
+    res = run_cli("gradcheck", "--kind", "content", "--out", tmp_path / "x", f"--tolerance={value}")
+    assert res.returncode == 2
+    assert res.stderr == "error: gradcheck: --tolerance must be finite and >= 0\n"
+    assert res.stdout == ""
     assert not (tmp_path / "x").exists()
 
 
@@ -214,11 +231,16 @@ def test_cli_resolves_a_config_without_importing_numpy(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("epochs=2\nthreads=1\n")
     code = (
-        "import sys; from kgrec import cli; "
+        "import sys, kgrec; "
+        "assert not [m for m in sys.modules if m.startswith('kgrec.')], 'import kgrec loaded a submodule'; "
+        "assert not hasattr(kgrec, 'model'), 'attribute access imported a submodule'; "
+        "from kgrec import cli; "
         "args = cli._build_parser().parse_args(['train', '--config', sys.argv[1]]); "
         "opts = cli._resolve(args, 'train'); cli._apply_threads(opts); "
         "assert opts['epochs'] == 2, opts; "
-        "assert 'numpy' not in sys.modules, 'numpy loaded before the thread caps'"
+        "assert 'numpy' not in sys.modules, 'numpy loaded before the thread caps'; "
+        "from kgrec import model; "
+        "assert kgrec.model is model and callable(model.forward)"
     )
     res = subprocess.run(
         [sys.executable, "-c", code, str(cfg)], capture_output=True, text=True,
@@ -318,6 +340,49 @@ def test_eval_rejects_checkpoint_with_other_relation_count(cli_dataset, tmp_path
     res = run_cli("eval", "--data", d, "--checkpoint", ck, "--split", "test")
     assert res.returncode == 2
     assert res.stderr == "error: graph/params relation count mismatch\n"
+
+
+def _rewrite_checkpoint(path, header_field=None, value=None, nan=False):
+    """Set one header field of a written checkpoint, or its first float to NaN."""
+    header, _, payload = path.read_bytes().partition(b"\n")
+    fields = header.split()
+    if header_field is not None:
+        fields[header_field] = str(value).encode()
+    if nan:
+        payload = np.float64(np.nan).tobytes() + payload[8:]
+    path.write_bytes(b" ".join(fields) + b"\n" + payload)
+
+
+def test_eval_rejects_checkpoint_header_larger_than_file(cli_dataset, tmp_path):
+    d, _ = cli_dataset
+    ck = tmp_path / "c.kmpn"
+    save_checkpoint(init_params(90, 6, 40, h=8, n_layers=1, n_pref=2, n_meta=2, seed=0), ck)
+    _rewrite_checkpoint(ck, 1, 2**40)  # entity count
+    res = run_cli("eval", "--data", d, "--checkpoint", ck, "--split", "test")
+    assert res.returncode == 2
+    assert res.stderr == f"error: {ck}: truncated checkpoint\n"
+
+
+def test_eval_non_finite_checkpoint_error_names_file(cli_dataset, tmp_path):
+    d, _ = cli_dataset
+    ck = tmp_path / "c.kmpn"
+    save_checkpoint(init_params(90, 6, 40, h=4, n_layers=1, n_pref=2, n_meta=2, seed=0), ck)
+    _rewrite_checkpoint(ck, nan=True)
+    res = run_cli("eval", "--data", d, "--checkpoint", ck, "--split", "test", "--out", tmp_path / "x")
+    assert res.returncode == 2
+    assert res.stderr == f"error: {ck}: non-finite values in entity_emb\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_export_content_non_finite_checkpoint_error_names_file(cli_dataset, tmp_path):
+    d, _ = cli_dataset
+    ck = tmp_path / "c.content"
+    save_content_checkpoint(init_content(h=8, num_buckets=32, seed=0), ck)
+    _rewrite_checkpoint(ck, nan=True)
+    res = run_cli("export-content", "--data", d, "--out", tmp_path / "x", "--checkpoint", ck)
+    assert res.returncode == 2
+    assert res.stderr == f"error: {ck}: non-finite values in bucket_emb\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_eval_split_absent_error(cli_dataset, tmp_path):

@@ -326,7 +326,7 @@ def _dense_train_content(corpus, store, params, config):
             hist = rng.choice(pool, size=min(params.history_size, len(pool)), replace=False)
             loss, grads = click_instance(params, table, hist, pos, negs)
             assert grads["bucket_emb"].shape == (params.num_buckets, params.h)
-            adam_step(params.tensors(), grads, state, lr, config)
+            adam_step(params.tensors(), grads, state, lr)
             total += loss
         lines.append(f"{epoch}\t{total / len(users)!r}\t{lr!r}")
     return params, lines

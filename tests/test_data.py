@@ -458,6 +458,55 @@ def test_synthetic_kg_links_stay_in_cluster(synth_bundle):
         assert lo <= t < lo + spec.attrs_per_cluster
 
 
+def test_synthetic_fixed_kg_constants(synth_bundle):
+    # 3 raw relations; every item links to 3 distinct attributes of its own cluster
+    g = synth_bundle.graph
+    spec = SyntheticSpec()
+    C = spec.n_clusters
+    assert g.num_relations_raw == 3
+    raw = g.raw_triplets()
+    assert sorted(set(raw[:, 1].tolist())) == [0, 1, 2]
+    for i in range(spec.n_items):
+        tails = raw[raw[:, 0] == i, 2]
+        lo = spec.n_items + (i % C) * spec.attrs_per_cluster
+        assert len(tails) == len(set(tails.tolist())) == 3
+        assert ((lo <= tails) & (tails < lo + spec.attrs_per_cluster)).all()
+
+
+def test_synthetic_fixed_text_constants(synth_bundle):
+    # 6..12 tokens per text, from c{c}w0..c{c}w39 of the item's cluster or shw0..shw19
+    corpus = synth_bundle.corpus
+    C = SyntheticSpec().n_clusters
+    lengths, own, shared = [], set(), set()
+    for i in range(corpus.num_items):
+        tokens = corpus.text(i).split()
+        lengths.append(len(tokens))
+        for tok in tokens:
+            if tok.startswith("shw"):
+                shared.add(int(tok[3:]))
+            else:
+                prefix, _, j = tok.partition("w")
+                assert prefix == f"c{i % C}", tok
+                own.add(int(j))
+    assert (min(lengths), max(lengths)) == (6, 12)
+    assert own == set(range(40))
+    assert shared == set(range(20))
+
+
+def test_synthetic_cross_cluster_rate():
+    # cross-cluster interactions per user ~ Binomial(other-cluster items, density * 0.02)
+    spec = SyntheticSpec(n_users=2000, density=1.0)
+    store, _, _ = make_synthetic_dataset(spec, seed=7)
+    C = spec.n_clusters
+    cross = 0
+    for name in SPLIT_NAMES:
+        split = getattr(store, name)
+        users = np.repeat(np.arange(len(split)), split.counts())
+        cross += int((split.items % C != users % C).sum())
+    rate = cross / (spec.n_users * (spec.n_items - spec.n_items // C) * spec.density)
+    assert abs(rate / 0.02 - 1.0) < 0.03, rate
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [

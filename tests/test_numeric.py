@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import special
 
-from kgrec.model import CHECKPOINT_MAGIC, init_params, save_checkpoint
+from kgrec.content import init_content, load_content_checkpoint, save_content_checkpoint
+from kgrec.model import CHECKPOINT_MAGIC, init_params, load_checkpoint, save_checkpoint
 from kgrec.numeric import (
     segment_sum,
     sigmoid,
@@ -74,6 +75,25 @@ def test_tensor_file_write_failure_keeps_earlier_checkpoint(tmp_path):
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.kmpn"]
 
+
+@pytest.mark.parametrize("rows", [2**40, 2**61], ids=["huge", "int64-wrap"])
+@pytest.mark.parametrize("kind", ["kmpn", "content"])
+def test_header_sizes_checked_against_file_size(tmp_path, kind, rows):
+    # at h=8, 2**61 rows hold 2**64 floats: an int64 product of the shape wraps to 0
+    path = tmp_path / f"c.{kind}"
+    if kind == "kmpn":
+        save_checkpoint(init_params(6, 2, 3, h=8, n_layers=1, n_pref=2, n_meta=2, seed=0), path)
+        load = load_checkpoint
+    else:
+        save_content_checkpoint(init_content(h=8, num_buckets=6, seed=0), path)
+        load = load_content_checkpoint
+    header, _, payload = path.read_bytes().partition(b"\n")
+    fields = header.split()
+    fields[1] = str(rows).encode()  # entity or bucket count
+    path.write_bytes(b" ".join(fields) + b"\n" + payload)
+    with pytest.raises(ValueError) as err:
+        load(path)
+    assert str(err.value) == f"{path}: truncated checkpoint"
 
 
 def add_at_reference(index, values, n):

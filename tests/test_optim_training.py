@@ -68,7 +68,7 @@ def test_adam_first_step_is_signed_lr():
     tensors = {"w": np.array([1.0, -2.0, 3.0])}
     grads = {"w": np.array([0.5, -0.25, 1e3])}
     state = init_adam(tensors)
-    adam_step(tensors, grads, state, lr=0.1, config=TrainConfig())
+    adam_step(tensors, grads, state, lr=0.1)
     # bias correction makes the first update lr * g / (|g| + eps) ~ lr * sign(g)
     np.testing.assert_allclose(
         tensors["w"], [1.0 - 0.1, -2.0 + 0.1, 3.0 - 0.1], rtol=1e-6
@@ -79,7 +79,7 @@ def test_adam_first_step_is_signed_lr():
 def test_adam_zero_gradient_keeps_params():
     tensors = {"w": np.array([0.3, 0.7])}
     state = init_adam(tensors)
-    adam_step(tensors, {"w": np.zeros(2)}, state, lr=0.5, config=TrainConfig())
+    adam_step(tensors, {"w": np.zeros(2)}, state, lr=0.5)
     np.testing.assert_array_equal(tensors["w"], [0.3, 0.7])
     assert state.step == 1
 
@@ -88,11 +88,30 @@ def test_adam_descends_quadratic_bowl():
     rng = np.random.default_rng(0)
     tensors = {"x": rng.normal(size=6) * 3.0}
     state = init_adam(tensors)
-    cfg = TrainConfig()
     start = float(np.sum(tensors["x"] ** 2))
     for _ in range(300):
-        adam_step(tensors, {"x": tensors["x"].copy()}, state, lr=0.05, config=cfg)
+        adam_step(tensors, {"x": tensors["x"].copy()}, state, lr=0.05)
     assert float(np.sum(tensors["x"] ** 2)) < 1e-3 * start
+
+
+def test_adam_two_steps_match_closed_form():
+    # beta1 = 0.9, beta2 = 0.999, eps = 1e-8; the 1e-8 gradient makes eps show
+    g1 = np.array([0.5, -2.0, 1e-8, 3e-3])
+    g2 = np.array([-0.25, -1.0, 2e-8, 7e-3])
+    x0 = np.array([3.0, -2.5, 2.0, 4.0])
+    lr = 0.1
+    tensors = {"w": x0.copy()}
+    state = init_adam(tensors)
+    adam_step(tensors, {"w": g1}, state, lr)
+    adam_step(tensors, {"w": g2}, state, lr)
+    # after bias correction: m_hat = (b1 g1 + g2) / (1 + b1), v_hat = (b2 g1^2 + g2^2) / (1 + b2)
+    m_hat = (0.9 * g1 + g2) / 1.9
+    v_hat = (0.999 * g1**2 + g2**2) / 1.999
+    expect = x0 - lr * g1 / (np.abs(g1) + 1e-8) - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+    np.testing.assert_allclose(tensors["w"], expect, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(state.m["w"], 0.1 * (0.9 * g1 + g2), rtol=1e-15, atol=0)
+    np.testing.assert_allclose(state.v["w"], 0.001 * (0.999 * g1**2 + g2**2), rtol=1e-15, atol=0)
+    assert state.step == 2
 
 
 def test_adam_error_messages_name_tensor():
@@ -104,7 +123,6 @@ def test_adam_error_messages_name_tensor():
             {"emb": np.array([0.0, np.nan, 0.0]), "w": np.zeros(2)},
             state,
             lr=0.1,
-            config=TrainConfig(),
         )
     with pytest.raises(ValueError, match="shape mismatch for w"):
         adam_step(
@@ -112,7 +130,6 @@ def test_adam_error_messages_name_tensor():
             {"emb": np.zeros(3), "w": np.zeros(3)},
             state,
             lr=0.1,
-            config=TrainConfig(),
         )
 
 
@@ -120,13 +137,12 @@ def test_adam_bad_last_gradient_touches_nothing():
     rng = np.random.default_rng(4)
     tensors = {name: rng.normal(size=(3, 2)) for name in ("entity_emb", "relation_emb", "user_emb")}
     state = init_adam(tensors)
-    cfg = TrainConfig()
-    adam_step(tensors, {k: rng.normal(size=(3, 2)) for k in tensors}, state, lr=0.1, config=cfg)
+    adam_step(tensors, {k: rng.normal(size=(3, 2)) for k in tensors}, state, lr=0.1)
     snapshot = [{k: t.copy() for k, t in d.items()} for d in (tensors, state.m, state.v)]
     grads = {k: rng.normal(size=(3, 2)) for k in tensors}
     grads["user_emb"][1, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite gradient in user_emb"):
-        adam_step(tensors, grads, state, lr=0.1, config=cfg)
+        adam_step(tensors, grads, state, lr=0.1)
     assert state.step == 1
     for before, after in zip(snapshot, (tensors, state.m, state.v)):
         for name in tensors:
