@@ -23,7 +23,8 @@ import numpy as np
 
 from .data import InteractionStore, ItemCorpus
 from .losses import click_softmax_loss
-from .numeric import atomic_open, csr_rows, read_tensor_file, segment_sum, softmax_rows, write_tensor_file
+from .numeric import (atomic_open, csr_rows, read_tensor_file, segment_sum, softmax_rows, sorted_unique,
+                      write_tensor_file)
 from .optim import TrainConfig, adam_step, init_adam, lr_at
 from .sampling import build_sampler
 
@@ -229,7 +230,7 @@ def train_content(corpus: ItemCorpus, store: InteractionStore, params: ContentPa
         return params, []
 
     indptr, buckets = corpus.buckets(params.num_buckets)
-    active = np.unique(buckets)
+    active = sorted_unique(buckets)
     table = (indptr, np.searchsorted(active, buckets))  # compact bucket ids
     compact = replace(params, bucket_emb=params.bucket_emb[active])  # other tensors shared
     train_users = np.flatnonzero(store.train.counts())

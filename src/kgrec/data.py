@@ -12,6 +12,12 @@ trailing whitespace is ignored. Item ids double as entity ids (items occupy
 the low entity-id range). Every returned object is immutable after
 construction, cached derived tables aside, and safe to share across threads.
 
+The split files and kg.txt go through one reader, `_int_table`. A file of
+ASCII digits, spaces, tabs, CRs and LFs whose ids have at most 18 digits is
+parsed by array operations; any other (say with "+7", "1_0", non-ASCII
+digits or a 19-digit id) by a per-line `int()` scan, so the accepted inputs
+and the errors are those of the per-line scan alone.
+
 In memory each interaction split is one CSR `Split` (offsets plus one item
 array). Split files and `build_store` mappings both become (user, item)
 columns, which `_assemble` validates by array operations on int64 keys.
@@ -30,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numeric import atomic_open, csr_rows
+from .numeric import atomic_open, csr_rows, sorted_unique
 
 log = logging.getLogger(__name__)
 
@@ -53,26 +59,49 @@ def _numbered_lines(path):
         raise DatasetError(f"{path}:{line}: not UTF-8") from None
 
 
-def _int_lines(path, width: int | None = None):
-    """(line number, ids) of each non-blank line of whitespace-separated ids;
-    a line of other than `width` fields (when given) or an id that is not an
-    integer in [0, 2**63) raises DatasetError naming the line."""
-    for lineno, line in _numbered_lines(path):
+def _int_table(path, width: int | None = None):
+    """(ids, counts, linenos, fault): the flat ids, field count and line
+    number of each non-blank line before the first faulty one, and that
+    line's DatasetError (else None). A line is faulty if it has other than
+    `width` fields (when given) or an id that is not an integer in [0, 2**63)."""
+    raw = path.read_bytes()
+    b = np.frombuffer(raw, dtype=np.uint8)
+    digit = b - np.uint8(48) < 10  # b"0" to b"9"; smaller bytes wrap round past 10
+    edge = np.diff(digit.view(np.int8), prepend=np.int8(0), append=np.int8(0))
+    starts, ends = np.flatnonzero(edge == 1), np.flatnonzero(edge == -1)
+    fast = (digit | (b == 32) | (b == 9) | (b == 10) | (b == 13)).all() and (ends - starts <= 18).all()
+    ids = np.fromstring(raw, dtype=np.int64, sep=" ") if fast and len(starts) else np.empty(0, dtype=np.int64)
+    rows, fault = [], None
+    if fast and len(ids) == len(starts):
+        breaks = np.flatnonzero((b == 10) | ((b == 13) & (np.append(b[1:], 0) != 10)))  # LF, CR not before LF
+        per_line = np.diff(np.searchsorted(starts, breaks), prepend=0, append=len(starts))
+        linenos, counts = np.flatnonzero(per_line) + 1, per_line[per_line > 0]
+        for row in np.flatnonzero(counts != width)[:1] if width is not None else ():
+            fault = DatasetError(f"{path}:{linenos[row]}: expected {width} fields, got {counts[row]}")
+            ids, counts, linenos = ids[: counts[:row].sum()], counts[:row], linenos[:row]
+        return ids, counts, linenos, fault
+    for lineno, line in _numbered_lines(path):  # per-line route: "+7", "1_0", non-ASCII digits...
         fields = line.split()
         if not fields:
             continue
-        if width is not None and len(fields) != width:
-            raise DatasetError(f"{path}:{lineno}: expected {width} fields, got {len(fields)}")
         try:
             ids = list(map(int, fields))
         except ValueError:
-            raise DatasetError(f"{path}:{lineno}: non-integer field") from None
-        # cheap text guards: a negative id needs a "-", one >= 2**63 19 digits
-        if "-" in line and min(ids) < 0:
-            raise DatasetError(f"{path}:{lineno}: negative id")
-        if len(line) >= 19 and max(ids) >= 2**63:
-            raise DatasetError(f"{path}:{lineno}: id {max(ids)} does not fit in int64")
-        yield lineno, ids
+            ids = None
+        if width is not None and len(fields) != width:
+            fault = f"expected {width} fields, got {len(fields)}"
+        elif ids is None:
+            fault = "non-integer field"
+        elif min(ids) < 0:
+            fault = "negative id"
+        elif max(ids) >= 2**63:
+            fault = f"id {max(ids)} does not fit in int64"
+        if fault:
+            fault = DatasetError(f"{path}:{lineno}: {fault}")
+            break
+        rows.append((lineno, ids))
+    linenos, counts = np.array([(n, len(row)) for n, row in rows], dtype=np.int64).reshape(-1, 2).T
+    return np.array([i for _, row in rows for i in row], dtype=np.int64), counts, linenos, fault
 
 
 # ---------------------------------------------------------------------------
@@ -144,12 +173,12 @@ class InteractionStore:
 
 def _assemble(columns: dict, num_users: int | None, num_items: int | None) -> InteractionStore:
     """Validate (user, item) columns per split and build the store. Ids are
-    range-checked before anything is sized by them. One `np.unique` of the
+    range-checked before anything is sized by them. One `sorted_unique` of the
     `user * num_items + item` keys (below 2**63) sorts and dedups each split,
     and the cross-split rules run as set operations. Of several faults the
     lowest user's is reported, in rule order for one user."""
     cols = {name: columns.get(name, (np.empty(0, dtype=np.int64),) * 2) for name in SPLIT_NAMES}
-    seen = np.unique(np.concatenate([u for u, _ in cols.values()]))
+    seen = sorted_unique(np.concatenate([u for u, _ in cols.values()]))
     gap = int((seen == np.arange(len(seen))).sum())  # seen[k] - k never falls: a prefix matches
     n_users = num_users if num_users is not None else (int(seen[-1]) + 1 if len(seen) else 0)
     if gap < n_users:
@@ -164,15 +193,16 @@ def _assemble(columns: dict, num_users: int | None, num_items: int | None) -> In
     if max(n_users, 1) * n_items >= 2**63:
         raise DatasetError(f"num_users={n_users} times num_items={n_items} overflows int64 interaction keys")
 
-    keys = {name: np.unique(u * n_items + i) for name, (u, i) in cols.items()}
+    keys = {name: sorted_unique(u * n_items + i) for name, (u, i) in cols.items()}
     pairs = {name: np.divmod(k, max(n_items, 1)) for name, k in keys.items()}
-    users = {name: np.unique(u) for name, (u, _) in pairs.items()}
+    users = {name: sorted_unique(u) for name, (u, _) in pairs.items()}
     faults = []
     for a, b in (("train", "valid"), ("train", "test"), ("valid", "test"), ("cold_history", "cold_test")):
         for u, i in zip(*np.divmod(np.intersect1d(keys[a], keys[b], assume_unique=True)[:1], n_items)):
             faults.append((u, f"user {u}: item {i} in both {a} and {b}"))
-    warm = np.union1d(np.union1d(users["train"], users["valid"]), users["test"])
-    for u in np.intersect1d(warm, np.union1d(users["cold_history"], users["cold_test"]))[:1]:
+    warm = sorted_unique(np.concatenate([users[name] for name in ("train", "valid", "test")]))
+    cold = sorted_unique(np.concatenate([users["cold_history"], users["cold_test"]]))
+    for u in np.intersect1d(warm, cold, assume_unique=True)[:1]:
         faults.append((u, f"user {u} is cold-start but also appears in train/valid/test"))
     for u in np.setdiff1d(users["cold_test"], users["cold_history"], assume_unique=True)[:1]:
         faults.append((u, f"user {u}: cold_test without cold_history"))
@@ -204,7 +234,7 @@ def build_store(
         users = np.fromiter(mapping or {}, dtype=np.int64)
         owner = np.repeat(np.arange(len(users)), [len(v) for v in lists])  # mapping position of each item
         items = np.concatenate([*lists, np.empty(0, dtype=np.int64)])
-        for u in users[np.union1d(np.flatnonzero(users < 0), owner[items < 0])[:1]]:
+        for u in users[sorted_unique(np.concatenate((np.flatnonzero(users < 0), owner[items < 0])))[:1]]:
             what = f"negative user id {u}" if u < 0 else f"negative item id for user {u}"
             raise DatasetError(f"{name}: {what}")
         columns[name] = users[owner], items
@@ -216,14 +246,15 @@ def load_split_file(path) -> tuple[np.ndarray, np.ndarray]:
     order, duplicates kept. Non-integer, negative or out-of-int64 ids and a
     second line for one user are errors that name the line."""
     path = Path(path)
-    users, items, seen = [], [], set()
-    for lineno, ids in _int_lines(path):
-        if ids[0] in seen:
-            raise DatasetError(f"{path}:{lineno}: duplicate line for user {ids[0]}")
-        seen.add(ids[0])
-        users += ids[:1] * (len(ids) - 1)
-        items += ids[1:]
-    return np.array(users, dtype=np.int64), np.array(items, dtype=np.int64)
+    ids, counts, linenos, fault = _int_table(path)
+    first = np.cumsum(counts) - counts
+    users = ids[first]
+    order = np.argsort(users, kind="stable")
+    for row in np.sort(order[1:][np.diff(users[order]) == 0])[:1]:  # a user some earlier row has
+        raise DatasetError(f"{path}:{linenos[row]}: duplicate line for user {users[row]}")
+    if fault:
+        raise fault
+    return np.repeat(users, counts - 1), np.delete(ids, first)
 
 
 def load_interactions(path, num_items: int | None = None) -> InteractionStore:
@@ -325,48 +356,40 @@ class KnowledgeGraph:
         return tuple(chunks)
 
 
-def kg_from_triplets(
-    triplets, num_relations_raw: int, num_entities: int | None = None
-) -> KnowledgeGraph:
+def kg_from_triplets(triplets, num_relations_raw: int, num_entities: int | None = None) -> KnowledgeGraph:
     """Build a KnowledgeGraph from raw (head, relation, tail) rows.
 
-    Exact duplicate triplets are collapsed; inverse edges are materialized
-    with relation id shifted by num_relations_raw. Edges are sorted by
-    (degree of head, head, relation, tail), as KnowledgeGraph requires.
+    Exact duplicate triplets are collapsed by their `_edge_keys`; inverse
+    edges are materialized with relation id shifted by num_relations_raw. Edges are sorted by (degree of head, head,
+    relation, tail), as KnowledgeGraph requires.
     """
     trip = np.asarray(triplets, dtype=np.int64).reshape(-1, 3)
     if num_relations_raw < 0:
         raise DatasetError("num_relations_raw must be >= 0")
-    if len(trip):
-        if trip.min() < 0:
-            raise DatasetError("negative id in triplet")
-        bad = trip[:, 1] >= num_relations_raw
-        if bad.any():
-            r = int(trip[bad][0, 1])
-            raise DatasetError(f"relation {r} >= {num_relations_raw}")
-        max_ent = int(max(trip[:, 0].max(), trip[:, 2].max()))
-    else:
-        max_ent = -1
+    if len(trip) and trip.min() < 0:
+        raise DatasetError("negative id in triplet")
+    for r in trip[trip[:, 1] >= num_relations_raw, 1][:1]:
+        raise DatasetError(f"relation {r} >= {num_relations_raw}")
+    max_ent = int(trip[:, ::2].max(initial=-1))
     n_ent = num_entities if num_entities is not None else max_ent + 1
     if max_ent >= n_ent:
         raise DatasetError(f"entity id {max_ent} out of range for num_entities={n_ent}")
 
-    trip = np.unique(trip, axis=0) if len(trip) else trip
-    heads = np.concatenate([trip[:, 0], trip[:, 2]])
-    rels = np.concatenate([trip[:, 1], trip[:, 1] + num_relations_raw])
-    tails = np.concatenate([trip[:, 2], trip[:, 0]])
+    n_rel = 2 * num_relations_raw
+    head_rel, tail = np.divmod(sorted_unique(_edge_keys(n_ent, n_rel, *trip.T)), max(n_ent, 1))
+    head, rel = np.divmod(head_rel, max(n_rel, 1))
+    heads, tails = np.concatenate([head, tail]), np.concatenate([tail, head])
+    rels = np.concatenate([rel, rel + num_relations_raw])
     degrees = np.bincount(heads, minlength=n_ent).astype(np.int64)
-    order = np.lexsort((tails, rels, heads, degrees[heads]))
+    order = np.lexsort((_edge_keys(n_ent, n_rel, heads, rels, tails), degrees[heads]))
     heads, rels, tails = heads[order], rels[order], tails[order]
 
-    inv_degree = np.zeros(n_ent, dtype=np.float64)
-    nz = degrees > 0
-    inv_degree[nz] = 1.0 / degrees[nz]
+    inv_degree = np.divide(1.0, degrees, out=np.zeros(n_ent), where=degrees > 0)
 
     return KnowledgeGraph(
         num_entities=n_ent,
         num_relations_raw=num_relations_raw,
-        num_triplets_raw=len(trip),
+        num_triplets_raw=len(head),
         edge_rel=rels,
         edge_tail=tails,
         edge_head=heads,
@@ -375,22 +398,29 @@ def kg_from_triplets(
     )
 
 
+def _read_kg(path, num_relations_raw: int | None = None, num_entities: int | None = None):
+    """([T, 3] raw triplets, relation count) of a `head relation tail` file;
+    the count is one past the largest relation id when not given."""
+    path = Path(path)
+    ids, _, linenos, fault = _int_table(path, width=3)
+    trip = ids.reshape(-1, 3)
+    ent = trip[:, ::2].max(axis=1, initial=-1)
+    big_ent = ent >= (num_entities if num_entities is not None else 2**63)
+    big_rel = trip[:, 1] >= (num_relations_raw if num_relations_raw is not None else 2**63)
+    for row in np.flatnonzero(big_ent | big_rel)[:1]:
+        at = f"{path}:{linenos[row]}"
+        if big_ent[row]:
+            raise DatasetError(f"{at}: entity id {ent[row]} out of range for num_entities={num_entities}")
+        raise DatasetError(f"{at}: relation {trip[row, 1]} >= {num_relations_raw}")
+    if fault:
+        raise fault
+    return trip, num_relations_raw if num_relations_raw is not None else int(trip[:, 1].max(initial=-1)) + 1
+
+
 def load_kg(path, num_relations_raw: int | None = None, num_entities: int | None = None) -> KnowledgeGraph:
     """Load raw triplets from a `head relation tail` file; the relation
     count is one past the largest relation id when not given."""
-    path = Path(path)
-    rows = []
-    for lineno, (h, r, t) in _int_lines(path, width=3):
-        if num_entities is not None and max(h, t) >= num_entities:
-            raise DatasetError(
-                f"{path}:{lineno}: entity id {max(h, t)} out of range for num_entities={num_entities}"
-            )
-        if num_relations_raw is not None and r >= num_relations_raw:
-            raise DatasetError(f"{path}:{lineno}: relation {r} >= {num_relations_raw}")
-        rows.append((h, r, t))
-    if num_relations_raw is None:
-        num_relations_raw = max((r for _, r, _ in rows), default=-1) + 1
-    return kg_from_triplets(rows, num_relations_raw, num_entities)
+    return kg_from_triplets(*_read_kg(path, num_relations_raw, num_entities), num_entities)
 
 
 def save_kg(graph: KnowledgeGraph, path) -> None:
@@ -400,17 +430,23 @@ def save_kg(graph: KnowledgeGraph, path) -> None:
             fh.write(f"{h} {r} {t}\n".encode("utf-8"))
 
 
+def _edge_keys(n: int, n_rel: int, head, rel, tail) -> np.ndarray:
+    """int64 keys `(head * n_rel + rel) * n + tail`, ordered as (head, rel,
+    tail); a graph whose keys could overflow int64 raises DatasetError."""
+    if n * n * max(n_rel, 1) >= 2**63:
+        raise DatasetError(f"num_entities={n} and num_relations={n_rel} overflow int64 edge keys")
+    return (head * n_rel + rel) * n + tail
+
+
 def check_inverse_closure(graph: KnowledgeGraph) -> np.ndarray:
     """Edge index of the inverse (t, r -/+ num_relations_raw, h) of every
     edge (h, r, t), found by one searchsorted over the argsorted edge keys.
     An edge without one raises DatasetError naming the smallest raw
     triplet that lacks its inverse (or, failing that, the smallest edge)."""
     n, n_rel, raw = graph.num_entities, graph.num_relations, graph.num_relations_raw
-    if n * n * max(n_rel, 1) >= 2**63:
-        raise DatasetError(f"num_entities={n} and num_relations={n_rel} overflow int64 edge keys")
     head, rel, tail = graph.edge_head, graph.edge_rel, graph.edge_tail
-    keys = (head * n_rel + rel) * n + tail  # ordered as (head, rel, tail)
-    want = (tail * n_rel + np.where(rel < raw, rel + raw, rel - raw)) * n + head
+    keys = _edge_keys(n, n_rel, head, rel, tail)
+    want = _edge_keys(n, n_rel, tail, np.where(rel < raw, rel + raw, rel - raw), head)
     sorter = np.argsort(keys)
     pos = sorter[np.minimum(np.searchsorted(keys, want, sorter=sorter), len(keys) - 1)]
     missing = keys[pos] != want
@@ -525,19 +561,14 @@ def load_bundle(data_dir) -> DatasetBundle:
     kg_path = data_dir / "kg.txt"
     if not kg_path.exists():
         raise DatasetError(f"missing kg file: {kg_path}")
-    graph = load_kg(kg_path)
+    triplets, num_relations_raw = _read_kg(kg_path)
     items_path = data_dir / "items.tsv"
     corpus = load_items(items_path) if items_path.exists() else None
-    store = load_interactions(
-        data_dir, num_items=corpus.num_items if corpus is not None else None
-    )
+    store = load_interactions(data_dir, num_items=corpus.num_items if corpus is not None else None)
     if corpus is None:
         corpus = ItemCorpus(num_items=store.num_items, texts={})
-    if graph.num_entities < store.num_items:
-        # items are entities; pad the entity range to cover the catalog
-        graph = kg_from_triplets(
-            graph.raw_triplets(), graph.num_relations_raw, num_entities=store.num_items
-        )
+    num_entities = max(int(triplets[:, ::2].max(initial=-1)) + 1, store.num_items)
+    graph = kg_from_triplets(triplets, num_relations_raw, num_entities=num_entities)
     return DatasetBundle(store=store, graph=graph, corpus=corpus)
 
 

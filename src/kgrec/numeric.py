@@ -1,6 +1,6 @@
 """Shared float64 primitives: stable elementwise functions, the one CSR row
-gather and the one scatter kernel, atomic file writes and the tensor file
-codec used by both checkpoints."""
+gather, the one scatter kernel and the one integer dedup, atomic file writes
+and the tensor file codec used by both checkpoints."""
 
 from __future__ import annotations
 
@@ -63,6 +63,12 @@ def segment_sum(index, values, n: int) -> np.ndarray:
     return np.bincount(flat, weights=values.ravel(), minlength=n * h).reshape(n, h)
 
 
+def sorted_unique(a) -> np.ndarray:
+    """np.unique(a) by one sort and a neighbour mask, not numpy 2.x's slower integer hashing."""
+    a = np.sort(a, axis=None)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))[: len(a)]]
+
+
 @contextmanager
 def atomic_open(path):
     """Binary file handle on `<path>.tmp`, renamed over `path` on success
@@ -114,8 +120,9 @@ def read_tensor_file(path, magic: str, n_header: int, shapes):
             raise ValueError(f"{path}: truncated checkpoint")
         if payload > sum(n_bytes):
             raise ValueError(f"{path}: trailing bytes after checkpoint payload")
-        tensors = [
-            np.frombuffer(fh.read(n), dtype="<f8").reshape(shape).astype(np.float64)
-            for shape, n in zip(shape_list, n_bytes)
-        ]
+        try:  # numpy refuses a zero-size shape whose other sides are too big
+            tensors = [np.frombuffer(fh.read(n), dtype="<f8").reshape(shape).astype(np.float64)
+                       for shape, n in zip(shape_list, n_bytes)]
+        except ValueError:
+            raise ValueError(f"{path}: malformed checkpoint header") from None
     return header, tensors

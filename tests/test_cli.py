@@ -363,6 +363,15 @@ def test_eval_rejects_checkpoint_header_larger_than_file(cli_dataset, tmp_path):
     assert res.stderr == f"error: {ck}: truncated checkpoint\n"
 
 
+def test_eval_rejects_zero_size_checkpoint_with_huge_side(cli_dataset, tmp_path):
+    d, _ = cli_dataset
+    ck = tmp_path / "c.kmpn"
+    ck.write_bytes(b"KMPN1 0 0 0 4611686018427387904 1 0 0\n")  # h = 2**62, every tensor empty
+    res = run_cli("eval", "--data", d, "--checkpoint", ck, "--split", "test")
+    assert res.returncode == 2
+    assert res.stderr == f"error: {ck}: malformed checkpoint header\n"
+
+
 def test_eval_non_finite_checkpoint_error_names_file(cli_dataset, tmp_path):
     d, _ = cli_dataset
     ck = tmp_path / "c.kmpn"

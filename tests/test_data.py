@@ -1,3 +1,4 @@
+import io
 import logging
 from dataclasses import replace
 from types import SimpleNamespace
@@ -5,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from kgrec import data
 from kgrec.data import (
     SPLIT_NAMES,
     DatasetError,
@@ -242,6 +244,34 @@ def test_kg_rejects_bad_relation_and_entity():
         kg_from_triplets([(0, 0, 9)], num_relations_raw=1, num_entities=3)
 
 
+def test_kg_dedup_by_edge_keys_matches_row_unique():
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        n_rel, n_ent = int(rng.integers(1, 4)), int(rng.integers(1, 30))
+        trip = np.stack([rng.integers(0, n, 60) for n in (n_ent, n_rel, n_ent)], axis=1)
+        trip = trip[rng.integers(0, 60, int(rng.integers(0, 120)))]  # duplicates, any order
+        g = kg_from_triplets(trip, n_rel, num_entities=n_ent + int(rng.integers(0, 3)))
+        # reference: row-wise np.unique, then the (degree, head, relation, tail) order
+        uniq = np.unique(trip.reshape(-1, 3), axis=0)
+        head = np.concatenate([uniq[:, 0], uniq[:, 2]])
+        rel = np.concatenate([uniq[:, 1], uniq[:, 1] + n_rel])
+        tail = np.concatenate([uniq[:, 2], uniq[:, 0]])
+        degrees = np.bincount(head, minlength=g.num_entities)
+        order = np.lexsort((tail, rel, head, degrees[head]))
+        assert g.num_triplets_raw == len(uniq)
+        for got, want in ((g.edge_head, head[order]), (g.edge_rel, rel[order]), (g.edge_tail, tail[order]),
+                          (g.degrees, degrees)):
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert np.array_equal(g.raw_triplets(), uniq)
+
+
+def test_kg_edge_key_overflow_is_checked_before_sizing():
+    # before the check, num_entities=2**32 made np.bincount ask for tens of GB
+    message = "^num_entities=1099511627776 and num_relations=2 overflow int64 edge keys$"
+    with pytest.raises(DatasetError, match=message):
+        kg_from_triplets([(0, 0, 1)], 1, num_entities=2**40)
+
+
 def test_kg_round_trip_bytes(tmp_path):
     g = kg_from_triplets([(3, 1, 0), (0, 0, 2), (1, 1, 3)], num_relations_raw=2)
     p1, p2 = tmp_path / "kg1.txt", tmp_path / "kg2.txt"
@@ -361,6 +391,147 @@ def test_split_file_int64_edge_on_a_last_line_without_newline(tmp_path):
     assert load_split_file(p)[1].tolist() == [1, 2**63 - 1]
 
 
+def _reference_read(path, kind, num_relations_raw=None, num_entities=None):
+    """A split file ("split": its (user, item) pairs) or kg.txt ("kg": its
+    triplets) read one line at a time, in file order, or the text of the
+    first fault in line order."""
+    raw = path.read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw[: exc.start].count(b"\n") + 1
+        return f"{path}:{line}: not UTF-8"
+    rows, seen = [], set()
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        fields, at = line.split(), f"{path}:{lineno}"
+        if not fields:
+            continue
+        if kind == "kg" and len(fields) != 3:
+            return f"{at}: expected 3 fields, got {len(fields)}"
+        try:
+            ids = [int(f) for f in fields]
+        except ValueError:
+            return f"{at}: non-integer field"
+        if min(ids) < 0:
+            return f"{at}: negative id"
+        if max(ids) >= 2**63:
+            return f"{at}: id {max(ids)} does not fit in int64"
+        if kind == "split":
+            if ids[0] in seen:
+                return f"{at}: duplicate line for user {ids[0]}"
+            seen.add(ids[0])
+            rows += [(ids[0], i) for i in ids[1:]]
+            continue
+        h, r, t = ids
+        if num_entities is not None and max(h, t) >= num_entities:
+            return f"{at}: entity id {max(h, t)} out of range for num_entities={num_entities}"
+        if num_relations_raw is not None and r >= num_relations_raw:
+            return f"{at}: relation {r} >= {num_relations_raw}"
+        rows.append((h, r, t))
+    return rows
+
+
+# ids that array parsing takes, ids that only int() takes or that fail it,
+# and 18- to 20-digit ids on both sides of 2**63
+_FAST_IDS = ["0", "3", "7", "12", "007", "999999999999999999"]
+_SLOW_IDS = ["+7", "1_0", "\u0663", "\uff13", "-3", "x", "9223372036854775807", "9223372036854775808",
+             "00000000000000000012", "99999999999999999999", "1000000000000000000"]
+_SEPARATORS = [" ", "\t", " \t  "]
+_ENDINGS = ["\n", "\r\n", "\r"]
+
+
+def _random_table(rng, kind):
+    """The bytes of a random split file or kg.txt, mostly clean."""
+    dirty = rng.random() < 0.5
+
+    def token(column):
+        if dirty and rng.random() < 0.04:
+            return str(rng.choice(_SLOW_IDS))
+        if column == 0 and kind == "split":
+            return str(rng.integers(0, 60))  # some users repeat
+        return str(rng.choice(_FAST_IDS)) if rng.random() < 0.2 else str(rng.integers(0, 40))
+
+    lines = []
+    for _ in range(rng.integers(0, 14)):
+        if rng.random() < 0.1:
+            lines.append(str(rng.choice(["", "  ", "\t"])))  # blank or whitespace-only
+            continue
+        if kind == "split":
+            width = int(rng.integers(1, 6))
+        else:  # now and then a kg line of 2 or 4 fields
+            width = 3 + int(rng.random() < 0.02) * int(rng.choice([-1, 1]))
+        sep = "\x0c" if dirty and rng.random() < 0.05 else str(rng.choice(_SEPARATORS))
+        lines.append(sep.join(token(c) for c in range(width)) + (" " if rng.random() < 0.2 else ""))
+    ends = [str(rng.choice(_ENDINGS)) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if lines and rng.random() < 0.3:
+        text = text[: -len(ends[-1])]  # no final newline
+    raw = text.encode("utf-8")
+    if dirty and rng.random() < 0.05:
+        cut = int(rng.integers(0, len(raw) + 1))
+        raw = raw[:cut] + b"\xff" + raw[cut:]
+    return raw
+
+
+def test_int_table_matches_per_line_reference(tmp_path, monkeypatch):
+    calls = []
+    numbered = data._numbered_lines
+    monkeypatch.setattr(data, "_numbered_lines", lambda path: calls.append(path) or numbered(path))
+    rng = np.random.default_rng(14)
+    seen = {(route, fault): 0 for route in ("array", "per-line") for fault in (False, True)}
+    for case in range(800):
+        kind = "split" if case % 2 else "kg"
+        path = tmp_path / f"{case}.txt"
+        path.write_bytes(_random_table(rng, kind))
+        sizes = {} if kind == "split" else {"num_entities": 40 if rng.random() < 0.7 else 2**62,
+                                            "num_relations_raw": None if rng.random() < 0.5 else 30}
+        want = _reference_read(path, kind, **sizes)
+        calls.clear()
+        if isinstance(want, str):
+            with pytest.raises(DatasetError) as err:
+                load_split_file(path) if kind == "split" else load_kg(path, **sizes)
+            assert str(err.value) == want, path.read_bytes()
+        elif kind == "split":
+            users, items = load_split_file(path)
+            assert users.dtype == items.dtype == np.int64
+            assert list(zip(users.tolist(), items.tolist())) == want, path.read_bytes()
+        else:
+            trip = np.array(want, dtype=np.int64).reshape(-1, 3)
+            n_rel = sizes["num_relations_raw"] or int(trip[:, 1].max(initial=-1)) + 1
+            assert np.array_equal(data._read_kg(path, **sizes)[0], trip)  # file order, duplicates kept
+            if sizes["num_entities"] ** 2 * max(2 * n_rel, 1) >= 2**63:  # the reader took it; the graph cannot
+                with pytest.raises(DatasetError, match="overflow int64 edge keys"):
+                    load_kg(path, **sizes)
+            else:
+                g = load_kg(path, **sizes)
+                assert g.num_relations_raw == n_rel
+                assert np.array_equal(g.raw_triplets(), np.unique(trip, axis=0))
+        seen["per-line" if calls else "array", isinstance(want, str)] += 1
+    assert min(seen.values()) > 50, seen  # both routes, with and without a fault
+
+
+@pytest.mark.parametrize(
+    "kind, text, message",
+    [
+        ("split", "0 1\n1 2\n0 3\n", "3: duplicate line for user 0"),
+        ("split", "0 1\r\n0 2\r\n1 x\r\n", "2: duplicate line for user 0"),  # duplicate, then non-integer
+        ("split", "0 1\r1 x\r0 2\r", "2: non-integer field"),  # non-integer, then duplicate
+        ("split", "5 1\n\n+5 2\n", "3: duplicate line for user 5"),
+        ("kg", "0 0 1\n0 0\n0 0 99\n", "2: expected 3 fields, got 2"),  # width, then entity range
+        ("kg", "0 0 1\n\t0 0 99\n0 0\n", "2: entity id 99 out of range for num_entities=10"),
+        ("kg", "0 0 1\n0 1 1 1\n0 +1 99\n", "2: expected 3 fields, got 4"),
+        ("kg", "0 0 1\n0 0 99\n0 0 -1\n", "2: entity id 99 out of range for num_entities=10"),
+    ],
+)
+def test_int_table_reports_the_first_fault_in_line_order(tmp_path, kind, text, message):
+    path = tmp_path / "f.txt"
+    path.write_text(text, newline="")
+    assert _reference_read(path, kind, num_entities=10) == f"{path}:{message}"
+    with pytest.raises(DatasetError) as err:
+        load_split_file(path) if kind == "split" else load_kg(path, num_entities=10)
+    assert str(err.value) == f"{path}:{message}"
+
+
 @pytest.mark.parametrize("head", ["1_2", "+3", "\u0663", "\uff13", "3x"])
 def test_load_items_accepts_only_ascii_digit_ids(tmp_path, head):
     p = tmp_path / "items.tsv"
@@ -403,6 +574,30 @@ def test_load_bundle_pads_entity_range(tmp_path):
     # three items but kg mentions only entities {0,1}: range must cover items
     assert bundle.graph.num_entities == 3
     assert bundle.store.num_items == 3
+
+
+def _assert_same_graph(a, b):
+    for name in ("num_entities", "num_relations_raw", "num_triplets_raw",
+                 "edge_head", "edge_rel", "edge_tail", "degrees", "inv_degree"):
+        x, y = np.asarray(getattr(a, name)), np.asarray(getattr(b, name))
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+def test_load_bundle_builds_the_padded_graph_once(tmp_path):
+    # kg.txt names entities below 12 only; the catalog has 40 items
+    rng = np.random.default_rng(5)
+    trip = np.stack([rng.integers(0, 12, 30), rng.integers(0, 3, 30), rng.integers(0, 12, 30)], axis=1)
+    (tmp_path / "kg.txt").write_text("".join(f"{h} {r} {t}\n" for h, r, t in trip[rng.integers(0, 30, 45)]))
+    (tmp_path / "train.txt").write_text("0 3 39\n1 0 7\n")
+    bundle = load_bundle(tmp_path)
+    # the two-step build: the graph of kg.txt, rebuilt from its raw triplets over every item
+    kg = load_kg(tmp_path / "kg.txt")
+    padded = kg_from_triplets(kg.raw_triplets(), kg.num_relations_raw, num_entities=bundle.store.num_items)
+    assert kg.num_entities < padded.num_entities == 40
+    _assert_same_graph(bundle.graph, padded)
+    # a kg naming more entities than there are items is not padded
+    (tmp_path / "train.txt").write_text("0 3\n1 0 7\n")
+    _assert_same_graph(load_bundle(tmp_path).graph, kg)
 
 
 def test_synthetic_is_deterministic():

@@ -96,6 +96,25 @@ def test_header_sizes_checked_against_file_size(tmp_path, kind, rows):
     assert str(err.value) == f"{path}: truncated checkpoint"
 
 
+@pytest.mark.parametrize(
+    "kind, header, payload",
+    [
+        # h = 2**62: every tensor is empty, so the 0-byte payload matches, but
+        # numpy refuses shape (0, 2**62) of float64 as larger than memory
+        ("kmpn", b"KMPN1 0 0 0 4611686018427387904 1 0 0", b""),
+        # 2**62 buckets of width 0: only the (1,) bias holds a value
+        ("content", b"CLIT1 4611686018427387904 0 1 1", np.zeros(1).tobytes()),
+    ],
+)
+def test_zero_size_header_with_huge_side_names_file(tmp_path, kind, header, payload):
+    path = tmp_path / f"c.{kind}"
+    path.write_bytes(header + b"\n" + payload)
+    load = load_checkpoint if kind == "kmpn" else load_content_checkpoint
+    with pytest.raises(ValueError) as err:
+        load(path)
+    assert str(err.value) == f"{path}: malformed checkpoint header"
+
+
 def add_at_reference(index, values, n):
     out = np.zeros((n,) + np.shape(values)[1:])
     np.add.at(out, np.asarray(index, dtype=np.int64), values)
