@@ -361,6 +361,8 @@ def _read_embeddings_text(path):
         if not all(f.isascii() and f.isdigit() for f in header[2:]):
             raise ValueError(f"{path}: header count {header[2]!r} and dim {header[3]!r} must be integers >= 0")
         count, dim = int(header[2]), int(header[3])
+        if 8 + 4 * dim >= 2**31:  # the binary format's limit, which numpy sets
+            raise ValueError(f"{path}: dim {dim} is too large")
         ids, vectors = [], []
         for row in range(count):
             line = fh.readline()

@@ -138,7 +138,9 @@ class InteractionStore:
     cold-start carve-out (users absent from training entirely).
 
     Each split is a `Split` with one row per user id. A split given as a
-    per-user sequence of sorted, deduplicated arrays is converted, unchecked.
+    per-user sequence of arrays is converted; it must have one row per user,
+    each strictly increasing within [0, num_items), or DatasetError names
+    the split and the first bad user.
     """
 
     num_users: int
@@ -155,6 +157,13 @@ class InteractionStore:
             if not isinstance(rows, Split):
                 indptr = np.concatenate(([0], np.cumsum([len(v) for v in rows], dtype=np.int64)))
                 items = np.concatenate([*rows, np.empty(0, dtype=np.int64)]).astype(np.int64, copy=False)
+                if len(rows) != self.num_users:
+                    raise DatasetError(f"{name}: {len(rows)} rows for {self.num_users} users")
+                owner = np.repeat(np.arange(len(rows)), np.diff(indptr))
+                bad = (items < 0) | (items >= self.num_items)
+                bad[1:] |= (owner[1:] == owner[:-1]) & (items[1:] <= items[:-1])
+                for u in owner[bad][:1]:
+                    raise DatasetError(f"{name}: user {u}: row is not strictly increasing in [0, {self.num_items})")
                 object.__setattr__(self, name, Split(indptr, items))
 
     def split(self, name: str) -> Split:
@@ -537,7 +546,7 @@ def save_items(corpus: ItemCorpus, path) -> None:
     with atomic_open(path) as fh:
         for i in range(corpus.num_items):
             text = corpus.text(i)
-            if "\t" in text or "\n" in text:
+            if any(c in text for c in "\t\n\r"):  # load_items splits lines at CR too
                 raise DatasetError(f"item {i}: text contains tab or newline")
             fh.write(f"{i}\t{text}\n".encode("utf-8"))
 

@@ -209,7 +209,8 @@ def user_forward(entity_agg: np.ndarray, histories, users: np.ndarray, profile: 
 class ForwardTrace:
     """Everything cached by forward() for the backward pass and for
     invariant checks: per-depth entity matrices, their sum and the edge
-    gates, the preference pieces, and the batched user pieces."""
+    gates, the preference pieces, and the batched user pieces; backward()
+    takes its upstream gradients on user_rows() and item_rows()."""
 
     layers: list  # L+1 matrices [N_v, h]
     entity_agg: np.ndarray  # sum of the layers [N_v, h]
@@ -230,6 +231,10 @@ class ForwardTrace:
     def user_rows(self) -> np.ndarray:
         """Aggregated user vectors expanded to batch order [B, h]."""
         return self.user_agg[self.batch_inv]
+
+    def item_rows(self) -> np.ndarray:
+        """Aggregated item vectors of the positives, then the negatives [2B, h]."""
+        return self.entity_agg[np.concatenate([self.pos_items, self.neg_items])]
 
 
 def forward(
@@ -353,40 +358,23 @@ def backward(
     params: KmpnParams,
     graph: KnowledgeGraph,
     trace: ForwardTrace,
-    d_pos_scores: np.ndarray,
-    d_neg_scores: np.ndarray,
-    d_user_agg: np.ndarray | None = None,
-    d_pos_agg: np.ndarray | None = None,
-    d_neg_agg: np.ndarray | None = None,
+    d_user_rows: np.ndarray,
+    d_item_rows: np.ndarray,
     d_pref: np.ndarray | None = None,
 ) -> dict:
     """Exact gradients of the batch objective for every trainable tensor.
 
-    Upstream gradients: per-triple score gradients, plus optional direct
-    gradients on the batch rows of the aggregated user/item embeddings
-    (regularizers, alignment losses) and on the preference vectors
-    (decorrelation loss). Returns a dict keyed like params.tensors().
+    Upstream gradients, which training.kmpn_loss_and_grads sums over the
+    losses: `d_user_rows` [B, h] on trace.user_rows(), `d_item_rows`
+    [2B, h] on trace.item_rows() (positives, then negatives), and optional
+    `d_pref` [P, h] on the preference vectors. Returns a dict keyed like
+    params.tensors().
     """
-    B = len(trace.users)
-    d_pos_scores = np.asarray(d_pos_scores, dtype=np.float64)
-    d_neg_scores = np.asarray(d_neg_scores, dtype=np.float64)
-    if d_pos_scores.shape != (B,) or d_neg_scores.shape != (B,):
-        raise ValueError("score gradient shape mismatch with trace batch")
+    B, h = len(trace.users), params.h
+    if np.shape(d_user_rows) != (B, h) or np.shape(d_item_rows) != (2 * B, h):
+        raise ValueError("row gradient shape mismatch with trace batch")
 
     entity_agg = trace.entity_agg
-    user_rows = trace.user_agg[trace.batch_inv]  # [B, h]
-    pos_rows = entity_agg[trace.pos_items]
-    neg_rows = entity_agg[trace.neg_items]
-
-    # batch-row gradients on aggregated embeddings
-    d_user_rows = d_pos_scores[:, None] * pos_rows + d_neg_scores[:, None] * neg_rows
-    if d_user_agg is not None:
-        d_user_rows = d_user_rows + d_user_agg
-    d_item_rows = np.concatenate([d_pos_scores, d_neg_scores])[:, None] * np.tile(user_rows, (2, 1))
-    if d_pos_agg is not None:
-        d_item_rows[:B] += d_pos_agg
-    if d_neg_agg is not None:
-        d_item_rows[B:] += d_neg_agg
     items = np.concatenate([trace.pos_items, trace.neg_items])
     d_entity_agg = segment_sum(items, d_item_rows, len(entity_agg))
 

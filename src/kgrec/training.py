@@ -7,8 +7,10 @@ The composite objective per batch is
 
 where l2 covers the aggregated user/positive/negative rows of the batch,
 decorrelation acts on the preference vectors, and alignment ties scores to
-fixed content embeddings. All gradients are analytic; the FD harness here
-is the referee.
+fixed content embeddings. Ranking, l2 and alignment all enter the model as
+gradients on the batch's aggregated user and item rows; decorrelation
+enters as a gradient on the preference vectors (model.backward's d_pref).
+All gradients are analytic; the FD harness here is the referee.
 """
 
 from __future__ import annotations
@@ -64,25 +66,23 @@ def kmpn_loss_and_grads(
     `content` is an (item_set, user_set) EmbeddingMatrixFile pair enabling
     the alignment term. `frozen_basis` pins the decorrelation PCA basis
     (used by the FD harness); when None the basis is recomputed here.
+    The gradients of every term are summed here on the batch rows
+    (trace.user_rows(), trace.item_rows()) and passed to model.backward.
 
     Returns (total, grads-or-None, LossParts, basis-or-None).
     """
     trace, pos_s, neg_s = forward(params, graph, store, users, pos_items, neg_items)
     bpr_val, d_pos, d_neg = bpr_loss(pos_s, neg_s)
 
-    user_rows = trace.user_rows()
-    entity_agg = trace.entity_agg
-    pos_rows = entity_agg[trace.pos_items]
-    neg_rows = entity_agg[trace.neg_items]
+    user_rows, item_rows = trace.user_rows(), trace.item_rows()
+    pos_rows, neg_rows = np.split(item_rows, 2)
     l2_val = 0.5 * float((user_rows**2).sum() + (pos_rows**2).sum() + (neg_rows**2).sum())
 
     basis = frozen_basis
-    d_pref_raw = None
+    d_pref = None
     dcorr_val = 0.0
     if weights.dcorr != 0.0:
-        dcorr_val, d_pref_raw, basis = soft_dcorr_loss(
-            trace.pref, weights.pca_keep, basis=frozen_basis
-        )
+        dcorr_val, d_pref, basis = soft_dcorr_loss(trace.pref, weights.pca_keep, basis=frozen_basis)
 
     cs_val = 0.0
     d_cu = d_cp = d_cn = None
@@ -100,26 +100,16 @@ def kmpn_loss_and_grads(
     if not compute_grads:
         return total, None, parts, basis
 
-    d_user_agg = weights.l2 * user_rows
-    d_pos_agg = weights.l2 * pos_rows
-    d_neg_agg = weights.l2 * neg_rows
+    # a score is <user row, item row>: its gradient reaches each row
+    # scaled by the other row; l2 and alignment act on the rows directly
+    d_user_rows = d_pos[:, None] * pos_rows + d_neg[:, None] * neg_rows
+    d_item_rows = np.concatenate([d_pos, d_neg])[:, None] * np.tile(user_rows, (2, 1))
+    d_user_reg, d_item_reg = weights.l2 * user_rows, weights.l2 * item_rows
     if d_cu is not None:
-        d_user_agg = d_user_agg + weights.cross_system * d_cu
-        d_pos_agg = d_pos_agg + weights.cross_system * d_cp
-        d_neg_agg = d_neg_agg + weights.cross_system * d_cn
-    d_pref = weights.dcorr * d_pref_raw if d_pref_raw is not None else None
-
-    grads = backward(
-        params,
-        graph,
-        trace,
-        d_pos,
-        d_neg,
-        d_user_agg=d_user_agg,
-        d_pos_agg=d_pos_agg,
-        d_neg_agg=d_neg_agg,
-        d_pref=d_pref,
-    )
+        d_user_reg = d_user_reg + weights.cross_system * d_cu
+        d_item_reg = d_item_reg + weights.cross_system * np.concatenate([d_cp, d_cn])
+    d_pref = None if d_pref is None else weights.dcorr * d_pref
+    grads = backward(params, graph, trace, d_user_rows + d_user_reg, d_item_rows + d_item_reg, d_pref)
     return total, grads, parts, basis
 
 

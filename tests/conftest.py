@@ -46,3 +46,13 @@ def run_cli(*args, cwd=None):
 
 def rng_of(seed):
     return np.random.default_rng(seed)
+
+
+def score_row_grads(trace, d_pos, d_neg):
+    """(d_user_rows, d_item_rows) for model.backward from per-triple score
+    gradients [B]: a score is <user row, item row>, so each row's gradient
+    is the score gradient times the other row."""
+    item_rows, B = trace.item_rows(), len(d_pos)
+    d_user_rows = d_pos[:, None] * item_rows[:B] + d_neg[:, None] * item_rows[B:]
+    d_item_rows = np.concatenate([d_pos, d_neg])[:, None] * np.tile(trace.user_rows(), (2, 1))
+    return d_user_rows, d_item_rows

@@ -372,6 +372,16 @@ def test_eval_rejects_zero_size_checkpoint_with_huge_side(cli_dataset, tmp_path)
     assert res.stderr == f"error: {ck}: malformed checkpoint header\n"
 
 
+def test_eval_rejects_text_exchange_file_with_huge_dim(cli_dataset, tmp_path):
+    d, _ = cli_dataset
+    items, users = tmp_path / "items.txt", tmp_path / "users.txt"
+    items.write_text("EMB1 item 0 99999999999999999999\n")
+    users.write_text("EMB1 user 0 4\n")
+    res = run_cli("eval", "--data", d, "--content-items", items, "--content-users", users)
+    assert res.returncode == 2
+    assert res.stderr == f"error: {items}: dim 99999999999999999999 is too large\n"
+
+
 def test_eval_non_finite_checkpoint_error_names_file(cli_dataset, tmp_path):
     d, _ = cli_dataset
     ck = tmp_path / "c.kmpn"

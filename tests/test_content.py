@@ -504,6 +504,8 @@ def test_embedding_file_corruption_errors(tmp_path):
         (b"EMB1 item 1 2\n9223372036854775808 1 2\n", "row 0: id 9223372036854775808 is not in [0, 2**63)"),
         (b"EMB1 item 1 1\n-3 1\n", "row 0: id -3 is not in [0, 2**63)"),
         (b"EMB1 user 2 1\n3 1\n3 2\n", "duplicate ids in embedding set"),
+        (b"EMB1 item 0 99999999999999999999\n", "dim 99999999999999999999 is too large"),
+        (b"EMB1 user 0 9223372036854775807\n", "dim 9223372036854775807 is too large"),
         (b"CSEM" + struct.pack("<IBQI", 1, 0, 2, 2)[:9], "truncated header (13 of 21 bytes)"),
         (b"CSEM" + struct.pack("<IBQI", 1, 0, 2**40, 2) + bytes(32), "truncated at record 2"),
         (
@@ -513,6 +515,7 @@ def test_embedding_file_corruption_errors(tmp_path):
     ],
     ids=[
         "text-value", "text-short", "text-count", "text-id", "text-negative-id", "text-duplicate",
+        "text-dim-beyond-int64", "text-dim-too-big",
         "binary-header", "binary-count", "binary-id",
     ],
 )

@@ -1,5 +1,6 @@
 import io
 import logging
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -188,6 +189,24 @@ def test_store_converts_per_user_tuples_to_splits():
     assert isinstance(rebuilt.train, Split) and rebuilt.valid is store.valid
     assert rebuilt.train.indptr.tolist() == store.train.indptr.tolist()
     assert rebuilt.train.items.tolist() == store.train.items.tolist()
+
+
+@pytest.mark.parametrize(
+    "split,rows,message",
+    [
+        ("train", ([2, 1], [0]), "train: user 0: row is not strictly increasing in [0, 3)"),
+        ("train", ([1, 2], [0, 0]), "train: user 1: row is not strictly increasing"),
+        ("train", ([1, 3], [0]), "train: user 0: row is not strictly increasing in [0, 3)"),
+        ("cold_test", ([], [-1]), "cold_test: user 1: row is not strictly increasing"),
+        ("train", ([1, 2],), "train: 1 rows for 2 users"),
+        ("valid", ([], [2], []), "valid: 3 rows for 2 users"),
+    ],
+    ids=["unsorted", "duplicate", "out-of-range", "negative", "too-few-rows", "too-many-rows"],
+)
+def test_store_rejects_bad_per_user_rows(split, rows, message):
+    store = build_store({0: [2, 1], 1: [0]}, valid={1: [2]}, num_items=3)
+    with pytest.raises(DatasetError, match=re.escape(message)):
+        replace(store, **{split: tuple(np.array(v, dtype=np.int64) for v in rows)})
 
 
 def test_build_store_rejects_out_of_range_item():
@@ -380,6 +399,14 @@ def test_items_round_trip_and_errors(tmp_path):
         load_items(bad)
     with pytest.raises(DatasetError, match="tab or newline"):
         save_items(ItemCorpus(num_items=1, texts={0: "a\tb"}), tmp_path / "x.tsv")
+
+
+def test_save_items_rejects_carriage_return(tmp_path):
+    # a CR would reload as a line break: item 0 "red lamp", then an item 7
+    corpus = ItemCorpus(num_items=2, texts={0: "red lamp\r7", 1: "blue mug"})
+    with pytest.raises(DatasetError, match="item 0: text contains tab or newline"):
+        save_items(corpus, tmp_path / "items.tsv")
+    assert not (tmp_path / "items.tsv").exists()
 
 
 def test_split_file_int64_edge_on_a_last_line_without_newline(tmp_path):

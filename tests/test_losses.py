@@ -77,10 +77,7 @@ def test_l2_reg_anchor_and_grads():
     assert parts.l2 == pytest.approx(0.5 * sum(float((r * r).sum()) for r in rows), rel=1e-14)
     assert total == pytest.approx(parts.bpr + 0.5 * parts.l2, rel=1e-14)
 
-    want = backward(
-        p, g, trace, np.zeros(2), np.zeros(2),
-        d_user_agg=0.5 * rows[0], d_pos_agg=0.5 * rows[1], d_neg_agg=0.5 * rows[2],
-    )
+    want = backward(p, g, trace, 0.5 * rows[0], 0.5 * np.concatenate(rows[1:]))
     for name, t in want.items():
         np.testing.assert_allclose(gw[name] - g0[name], t, rtol=1e-9, atol=1e-13, err_msg=name)
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import score_row_grads
 
 from kgrec import data
 from kgrec.data import build_store, kg_from_triplets
@@ -21,6 +22,7 @@ from kgrec.model import (
     user_forward,
 )
 from kgrec.numeric import sigmoid
+from kgrec.training import _kmpn_instance
 
 
 def small_graph(num_entities=6):
@@ -267,10 +269,10 @@ def test_edgeless_graph_forward_and_backward_equal_depth_zero():
     assert all(np.all(m == 0.0) for m in layers[1:]) and all(len(x) == 0 for x in gates)
     batch = ([0, 1, 2], [1, 2, 3], [4, 5, 0])
     trace, pos, neg = forward(p, g, small_store(), *batch)
-    grads = backward(p, g, trace, np.ones(3), -np.ones(3))
+    grads = backward(p, g, trace, *score_row_grads(trace, np.ones(3), -np.ones(3)))
     p0 = replace(p, n_layers=0)
     trace0, pos0, neg0 = forward(p0, g, small_store(), *batch)
-    grads0 = backward(p0, g, trace0, np.ones(3), -np.ones(3))
+    grads0 = backward(p0, g, trace0, *score_row_grads(trace0, np.ones(3), -np.ones(3)))
     assert np.array_equal(pos, pos0) and np.array_equal(neg, neg0)
     for name in grads:
         assert np.array_equal(grads[name], grads0[name]), name
@@ -432,7 +434,7 @@ def test_backward_zero_upstream_gives_zero_grads():
     g = small_graph()
     p = small_params(g)
     trace, _, _ = forward(p, g, small_store(), [0, 2], [1, 3], [2, 5])
-    grads = backward(p, g, trace, np.zeros(2), np.zeros(2))
+    grads = backward(p, g, trace, np.zeros((2, p.h)), np.zeros((4, p.h)))
     assert list(grads) == list(p.tensors())
     for name, t in grads.items():
         assert t.shape == p.tensors()[name].shape, name
@@ -453,7 +455,7 @@ def test_backward_hand_derived_depth_zero_single_preference():
     assert pos_s[0] == pytest.approx(float(np.sum(e0 * em * e1)), rel=1e-13)
     assert neg_s[0] == pytest.approx(float(np.sum(e0 * em * e2)), rel=1e-13)
 
-    grads = backward(p, g, trace, np.array([1.0]), np.array([0.0]))
+    grads = backward(p, g, trace, *score_row_grads(trace, np.array([1.0]), np.array([0.0])))
     np.testing.assert_allclose(grads["entity_emb"][1], e0 * em, rtol=1e-13)
     np.testing.assert_allclose(grads["entity_emb"][0], e1 * em, rtol=1e-13)
     np.testing.assert_array_equal(grads["entity_emb"][2], np.zeros(4))
@@ -462,6 +464,38 @@ def test_backward_hand_derived_depth_zero_single_preference():
     np.testing.assert_array_equal(grads["pref_logits"], np.zeros((1, 1)))
     np.testing.assert_array_equal(grads["user_emb"], np.zeros((1, 4)))
     np.testing.assert_array_equal(grads["relation_emb"], np.zeros((2, 4)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_backward_row_contract_matches_central_difference(seed):
+    # backward(v_u, v_i, v_p) is the gradient of
+    # <v_u, user rows> + <v_i, item rows> + <v_p, pref>; probe it along one
+    # random unit direction per tensor
+    params, graph, store, batch, _, _ = _kmpn_instance(seed, False)
+    rng = np.random.default_rng(seed)
+    trace, _, _ = forward(params, graph, store, *batch)
+    B, h = len(batch[0]), params.h
+    v_u, v_i = rng.normal(size=(B, h)), rng.normal(size=(2 * B, h))
+    v_p = rng.normal(size=trace.pref.shape)
+    grads = backward(params, graph, trace, v_u, v_i, v_p)
+
+    def value():
+        t, _, _ = forward(params, graph, store, *batch)
+        return float((v_u * t.user_rows()).sum() + (v_i * t.item_rows()).sum() + (v_p * t.pref).sum())
+
+    step = 1e-5
+    for name, tensor in params.tensors().items():
+        delta = rng.normal(size=tensor.shape)
+        delta /= np.linalg.norm(delta)
+        orig = tensor.copy()
+        tensor[...] = orig + step * delta
+        f_plus = value()
+        tensor[...] = orig - step * delta
+        f_minus = value()
+        tensor[...] = orig
+        fd = (f_plus - f_minus) / (2 * step)
+        an = float((grads[name] * delta).sum())
+        assert abs(fd - an) <= 1e-6 * max(abs(fd), abs(an)), (name, fd, an)
 
 
 def test_backward_validates_upstream_shape():

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import score_row_grads
 
 from kgrec import training
 from kgrec.content import EmbeddingMatrixFile
@@ -471,7 +472,7 @@ def test_degenerate_shapes_finite_and_gradchecked(seed, n_layers):
         assert layer is trace.layers[0] or np.all(layer[[5, 9]] == 0.0)
     assert pos_s.shape == neg_s.shape == (5,)
     assert np.isfinite(pos_s).all() and np.isfinite(neg_s).all()
-    grads = backward(params, graph, trace, np.ones(5), -np.ones(5))
+    grads = backward(params, graph, trace, *score_row_grads(trace, np.ones(5), -np.ones(5)))
     for name, t in params.tensors().items():
         assert grads[name].shape == t.shape and np.isfinite(grads[name]).all(), name
     assert np.all(grads["entity_emb"][9] == 0.0)  # reached by no edge, history or batch row
