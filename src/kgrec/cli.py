@@ -4,19 +4,23 @@ Subcommands: prepare, synth, train, eval, gradcheck, export-content. Every
 run that takes --out writes a `run.meta` capturing the fully resolved
 configuration, so any result can be reproduced from that file alone.
 
-This module imports only the standard library at load time; the numeric
-stack is imported inside the command handlers, after --threads and
---deterministic have been translated into environment thread caps.
+This module imports only the standard library and the numpy-free
+`kgrec.settings` at load time; the numeric stack is imported inside the
+command handlers, after --threads and --deterministic have been translated
+into environment thread caps.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import logging
 import math
 import os
 import sys
 from pathlib import Path
+
+from .settings import SYNTH, TRAIN, check
 
 _THREAD_ENV_VARS = (
     "OMP_NUM_THREADS",
@@ -28,46 +32,24 @@ _THREAD_ENV_VARS = (
 _SHARED = {
     "data": (None, str),
     "out": (None, str),
-    "seed": (0, int),
+    "seed": (TRAIN["seed"].default, int),
     "threads": (0, int),  # 0 = library default
     "deterministic": (False, bool),
     "config": (None, str),
 }
 
+
+def _flags(table: dict) -> dict:
+    """(default, type) of each flag of a settings table; no default means a path."""
+    return {s.flag or name: (s.default, str if s.default is None else type(s.default))
+            for name, s in table.items() if s.cli}
+
+
 _DEFAULTS = {
     "prepare": dict(_SHARED),
-    "synth": {
-        **_SHARED,
-        "seed": (7, int),
-        "users": (200, int),
-        "items": (300, int),
-        "clusters": (4, int),
-        "density": (0.1, float),
-        "cold_fraction": (0.03, float),
-        "held_out": (0.2, float),
-    },
-    "train": {
-        **_SHARED,
-        "mode": ("kmpn", str),
-        "epochs": (300, int),
-        "batch_size": (None, int),  # graph modes; unset means TrainConfig's default
-        "lr": (1e-3, float),
-        "lr_end": (0.0, float),
-        "h": (64, int),
-        "layers": (3, int),
-        "n_pref": (8, int),
-        "n_meta": (64, int),
-        "epsilon": (0.5, float),
-        "lambda1": (1e-5, float),
-        "lambda2": (1e-2, float),
-        "lambda_cs": (0.1, float),
-        "content_items": (None, str),
-        "content_users": (None, str),
-        "buckets": (4096, int),
-        "history_size": (8, int),
-        "negatives": (4, int),
-        "eval_every": (0, int),
-    },
+    "synth": {**_SHARED, **_flags(SYNTH)},
+    # an unset --batch-size gets the table's default; content mode rejects a set one
+    "train": {**_SHARED, **_flags(TRAIN), "batch_size": (None, int)},
     "eval": {
         **_SHARED,
         "checkpoint": (None, str),
@@ -101,48 +83,46 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, spec in _DEFAULTS.items():
         p = sub.add_parser(command)
-        for name, (default, typ) in spec.items():
-            flag = _flag(name)
-            if typ is bool:
-                p.add_argument(flag, action="store_true", default=False)
-            elif typ is int:
-                p.add_argument(flag, type=int, default=None)
-            elif typ is float:
-                p.add_argument(flag, type=float, default=None)
-            else:
-                p.add_argument(flag, type=str, default=None)
+        for name, (_default, typ) in spec.items():
+            kind = {"action": "store_true"} if typ is bool else {"type": typ}
+            p.add_argument(_flag(name), default=None, **kind)  # None: not given
     return parser
 
 
-def _coerce(raw: str, typ, key: str):
+def _coerce(raw: str, typ, what: str):
     if typ is bool:
         low = raw.strip().lower()
         if low in ("1", "true", "yes", "on"):
             return True
         if low in ("0", "false", "no", "off"):
             return False
-        raise ValueError(f"config key {key!r}: cannot parse {raw!r} as boolean")
+        raise ValueError(f"{what}: cannot parse {raw!r} as boolean")
     try:
         return typ(raw.strip())
     except ValueError:
-        raise ValueError(f"config key {key!r}: cannot parse {raw!r} as {typ.__name__}") from None
+        raise ValueError(f"{what}: cannot parse {raw!r} as {typ.__name__}") from None
 
 
-def _parse_config_file(path: str):
-    pairs = []
+def _read_config_file(path: str, spec: dict) -> dict:
+    """A config file's key=value lines, parsed by key type; each error names file:line."""
+    values = {}
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            where = f"{path}:{lineno}"
             try:
                 line = raw.decode("utf-8").strip()
             except UnicodeDecodeError:
-                raise ValueError(f"{path}:{lineno}: not UTF-8") from None
+                raise ValueError(f"{where}: not UTF-8") from None
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
+                raise ValueError(f"{where}: expected key=value")
             key, _, value = line.partition("=")
-            pairs.append((key.strip().replace("-", "_"), value))
-    return pairs
+            key = key.strip().replace("-", "_")
+            if key not in spec:
+                raise ValueError(f"{where}: unknown config key {key!r}")
+            values[key] = _coerce(value, spec[key][1], f"{where}: config key {key!r}")
+    return values
 
 
 def _resolve(args: argparse.Namespace, command: str) -> dict:
@@ -150,18 +130,11 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
     spec = _DEFAULTS[command]
     resolved = {k: default for k, (default, _t) in spec.items()}
     if args.config:
-        for key, raw in _parse_config_file(args.config):
-            if key not in spec:
-                raise ValueError(f"unknown config key {key!r}")
-            resolved[key] = _coerce(raw, spec[key][1], key)
+        resolved.update(_read_config_file(args.config, spec))
         resolved["config"] = args.config
-    for key, (_default, typ) in spec.items():
-        val = getattr(args, key)
-        if typ is bool:
-            if val:
-                resolved[key] = True
-        elif val is not None:
-            resolved[key] = val
+    for key in spec:
+        if getattr(args, key) is not None:
+            resolved[key] = getattr(args, key)
     return resolved
 
 
@@ -176,18 +149,32 @@ def _apply_threads(opts: dict) -> None:
             os.environ[var] = str(n)
 
 
-def _write_run_meta(opts: dict, command: str) -> None:
+def _write_out(opts: dict, command: str, name: str | None = None, text: str = "") -> None:
+    """With --out, write `text` to --out/<name> when a name is given, then run.meta."""
     out = opts.get("out")
     if not out:
         return
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    lines = [f"command={command}"]
-    for key in sorted(opts):
-        lines.append(f"{key}={opts[key]}")
     from .numeric import write_text_atomic
 
-    write_text_atomic(out_dir / "run.meta", "\n".join(lines) + "\n")
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if name:
+        write_text_atomic(out_dir / name, text)
+    meta = "".join(f"{key}={opts[key]}\n" for key in sorted(opts))
+    write_text_atomic(out_dir / "run.meta", f"command={command}\n{meta}")
+
+
+def _check_flags(opts: dict, command: str, table: dict) -> None:
+    """`check` every flag of a settings table, naming the flag."""
+    for name, s in table.items():
+        if s.cli:
+            check(f"{command}: {_flag(s.flag or name)}", opts[s.flag or name], s)
+
+
+def _kwargs(opts: dict, table: dict, target) -> dict:
+    """The flag values that `target`, a function or a dataclass, takes, by library name."""
+    names = inspect.signature(target).parameters
+    return {name: opts[s.flag or name] for name, s in table.items() if s.cli and name in names}
 
 
 def _require(opts: dict, key: str, command: str):
@@ -220,33 +207,19 @@ def _cmd_synth(opts: dict) -> int:
     from .data import DatasetBundle, SyntheticSpec, make_synthetic_dataset, save_bundle
 
     out = _require(opts, "out", "synth")
-    spec = SyntheticSpec(
-        n_users=opts["users"],
-        n_items=opts["items"],
-        n_clusters=opts["clusters"],
-        density=opts["density"],
-        cold_user_fraction=opts["cold_fraction"],
-        held_out_fraction=opts["held_out"],
-    )
+    _check_flags(opts, "synth", SYNTH)
+    spec = SyntheticSpec(**_kwargs(opts, SYNTH, SyntheticSpec))
     store, graph, corpus = make_synthetic_dataset(spec, seed=opts["seed"])
     bundle = DatasetBundle(store=store, graph=graph, corpus=corpus)
     save_bundle(bundle, out)
-    _write_run_meta(opts, "synth")
+    _write_out(opts, "synth")
     print(_summary_counts(bundle))
     return 0
 
 
-# smallest accepted value of every numeric train flag
-_TRAIN_MINIMUMS = {
-    "epochs": 0, "batch_size": 1, "h": 1, "layers": 0, "n_pref": 1, "n_meta": 1,
-    "buckets": 1, "history_size": 1, "negatives": 1, "eval_every": 0,
-    "lr_end": 0, "lambda1": 0, "lambda2": 0, "lambda_cs": 0, "epsilon": 0,
-}
-
-
 def _train_config(opts: dict):
     """Check every train flag (naming it in each error), fill in an unset
-    --batch-size and build the validated TrainConfig, before data is read."""
+    --batch-size and build the TrainConfig, before data is read."""
     from .losses import LossWeights
     from .optim import TrainConfig
 
@@ -254,19 +227,12 @@ def _train_config(opts: dict):
     if mode not in ("kmpn", "ckmpn", "content"):
         raise ValueError(f"unknown train mode {mode!r}")
     if opts["batch_size"] is None:
-        opts["batch_size"] = TrainConfig.batch_size
+        opts["batch_size"] = TRAIN["batch_size"].default
     elif mode == "content":
         raise ValueError("train: --batch-size does not apply to --mode content")
-    for key in ("lr", "lr_end", "lambda1", "lambda2", "lambda_cs", "epsilon"):
-        if not math.isfinite(opts[key]):
-            raise ValueError(f"train: {_flag(key)} must be finite")
-    for key, low in _TRAIN_MINIMUMS.items():
-        if not opts[key] >= low:
-            raise ValueError(f"train: {_flag(key)} must be >= {low}")
+    _check_flags(opts, "train", TRAIN)
     if not opts["lr"] >= opts["lr_end"]:
         raise ValueError("train: --lr must be >= --lr-end")
-    if opts["epsilon"] > 1:
-        raise ValueError("train: --epsilon must be <= 1")
     if mode == "content" and opts["h"] % 2:
         raise ValueError("train: --h must be even in --mode content")
     if mode != "content" and opts["n_pref"] < 2 and opts["lambda2"] != 0.0:
@@ -276,23 +242,14 @@ def _train_config(opts: dict):
         )
     if mode == "ckmpn" and not (opts["content_items"] and opts["content_users"]):
         raise ValueError("mode ckmpn requires --content-items and --content-users")
-    weights = LossWeights(
-        l2=opts["lambda1"], dcorr=opts["lambda2"], cross_system=opts["lambda_cs"],
-        pca_keep=opts["epsilon"],
-    )
-    config = TrainConfig(
-        epochs=opts["epochs"], batch_size=opts["batch_size"], lr_start=opts["lr"],
-        lr_end=opts["lr_end"], weights=weights, seed=opts["seed"], eval_every=opts["eval_every"],
-    )
-    config.validate()
-    return config
+    weights = LossWeights(**_kwargs(opts, TRAIN, LossWeights))
+    return TrainConfig(**_kwargs(opts, TRAIN, TrainConfig), weights=weights)
 
 
 def _cmd_train(opts: dict) -> int:
     from .content import init_content, read_embeddings, save_content_checkpoint, train_content
     from .data import load_bundle
     from .model import init_params, save_checkpoint
-    from .numeric import write_text_atomic
     from .training import train_ckmpn, train_kmpn
 
     data = _require(opts, "data", "train")
@@ -303,38 +260,20 @@ def _cmd_train(opts: dict) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     if mode == "content":
-        params = init_content(
-            h=opts["h"],
-            num_buckets=opts["buckets"],
-            history_size=opts["history_size"],
-            num_negatives=opts["negatives"],
-            seed=opts["seed"],
-        )
+        params = init_content(**_kwargs(opts, TRAIN, init_content))
         trained, lines = train_content(bundle.corpus, bundle.store, params, config)
         save_content_checkpoint(trained, out / "checkpoint.content")
     else:
-        params = init_params(
-            bundle.graph.num_entities,
-            bundle.graph.num_relations,
-            bundle.store.num_users,
-            h=opts["h"],
-            n_layers=opts["layers"],
-            n_pref=opts["n_pref"],
-            n_meta=opts["n_meta"],
-            seed=opts["seed"],
-        )
+        counts = (bundle.graph.num_entities, bundle.graph.num_relations, bundle.store.num_users)
+        params = init_params(*counts, **_kwargs(opts, TRAIN, init_params))
         if mode == "ckmpn":
-            content = (
-                read_embeddings(opts["content_items"]),
-                read_embeddings(opts["content_users"]),
-            )
+            content = (read_embeddings(opts["content_items"]), read_embeddings(opts["content_users"]))
             trained, lines = train_ckmpn(bundle, params, content, config)
         else:
             trained, lines = train_kmpn(bundle, params, config)
         save_checkpoint(trained, out / "checkpoint.kmpn")
 
-    write_text_atomic(out / "loss.log", "".join(line + "\n" for line in lines))
-    _write_run_meta(opts, "train")
+    _write_out(opts, "train", "loss.log", "".join(line + "\n" for line in lines))
     return 0
 
 
@@ -362,7 +301,6 @@ def _cmd_eval(opts: dict) -> int:
     from .data import load_bundle
     from .evaluation import evaluate, evaluate_embeddings
     from .model import load_checkpoint
-    from .numeric import write_text_atomic
 
     data = _require(opts, "data", "eval")
     ks = _eval_ks(opts)
@@ -375,29 +313,21 @@ def _cmd_eval(opts: dict) -> int:
         report = evaluate_embeddings(users, items, bundle, split, ks=ks)
     text = report.render()
     sys.stdout.write(text)
-    if opts.get("out"):
-        out = Path(opts["out"])
-        out.mkdir(parents=True, exist_ok=True)
-        write_text_atomic(out / "report.txt", text)
-        _write_run_meta(opts, "eval")
+    _write_out(opts, "eval", "report.txt", text)
     return 0
 
 
 def _cmd_gradcheck(opts: dict) -> int:
-    from .numeric import write_text_atomic
     from .training import grad_check
 
     if not 0 <= opts["tolerance"] < math.inf:  # 0 demands exact gradients: a FAIL, not an error
         raise ValueError("gradcheck: --tolerance must be finite and >= 0")
+    check("gradcheck: --seed", opts["seed"], TRAIN["seed"])
     kinds = ("kmpn", "ckmpn", "content") if opts["kind"] == "all" else (opts["kind"],)
     reports = [grad_check(kind, tolerance=opts["tolerance"], seed=opts["seed"]) for kind in kinds]
     text = "\n".join(r.render() for r in reports) + "\n"
     sys.stdout.write(text)
-    if opts.get("out"):
-        out = Path(opts["out"])
-        out.mkdir(parents=True, exist_ok=True)
-        write_text_atomic(out / "gradcheck.txt", text)
-        _write_run_meta(opts, "gradcheck")
+    _write_out(opts, "gradcheck", "gradcheck.txt", text)
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -413,7 +343,7 @@ def _cmd_export_content(opts: dict) -> int:
     item_set, user_set = export_embeddings(
         params, bundle.corpus, bundle.store, out, write_binary=not opts["no_binary"]
     )
-    _write_run_meta(opts, "export-content")
+    _write_out(opts, "export-content")
     print(f"exported {item_set.count} item and {user_set.count} user embeddings (dim {item_set.dim})")
     return 0
 

@@ -27,6 +27,7 @@ from .numeric import (atomic_open, csr_rows, read_tensor_file, segment_sum, soft
                       write_tensor_file)
 from .optim import TrainConfig, adam_step, init_adam, lr_at
 from .sampling import build_sampler
+from .settings import TRAIN, check
 
 log = logging.getLogger(__name__)
 
@@ -78,8 +79,8 @@ class ContentParams:
             raise ValueError("fc1 shape mismatch")
         if self.fc2_w.shape != (m, 1) or self.fc2_b.shape != (1,):
             raise ValueError("fc2 shape mismatch")
-        if self.num_buckets < 1 or self.history_size < 1 or self.num_negatives < 1:
-            raise ValueError("num_buckets, history_size, num_negatives must be >= 1")
+        for name in ("num_buckets", "history_size", "num_negatives"):
+            check(name, getattr(self, name), TRAIN[name])
         for name, t in self.tensors().items():
             if not np.isfinite(t).all():
                 raise ValueError(f"non-finite values in {name}")
@@ -89,11 +90,11 @@ class ContentParams:
 
 
 def init_content(
-    h: int = 64,
-    num_buckets: int = 4096,
-    history_size: int = 8,
-    num_negatives: int = 4,
-    seed: int = 0,
+    h: int = TRAIN["h"].default,
+    num_buckets: int = TRAIN["num_buckets"].default,
+    history_size: int = TRAIN["history_size"].default,
+    num_negatives: int = TRAIN["num_negatives"].default,
+    seed: int = TRAIN["seed"].default,
 ) -> ContentParams:
     rng = np.random.default_rng(seed)
     m = h // 2

@@ -30,13 +30,14 @@ from __future__ import annotations
 import io
 import logging
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .numeric import atomic_open, csr_rows, sorted_unique
+from .settings import SYNTH, check
 
 log = logging.getLogger(__name__)
 
@@ -139,8 +140,9 @@ class InteractionStore:
 
     Each split is a `Split` with one row per user id. A split given as a
     per-user sequence of arrays is converted; it must have one row per user,
-    each strictly increasing within [0, num_items), or DatasetError names
-    the split and the first bad user.
+    each of an integer dtype (an empty row may have any) and strictly
+    increasing within [0, num_items), or DatasetError names the split and
+    the first bad user.
     """
 
     num_users: int
@@ -155,6 +157,10 @@ class InteractionStore:
         for name in SPLIT_NAMES:
             rows = getattr(self, name)
             if not isinstance(rows, Split):
+                for u, row in enumerate(rows):
+                    dtype = np.asarray(row).dtype
+                    if len(row) and dtype.kind not in "iu":
+                        raise DatasetError(f"{name}: user {u}: row has non-integer dtype {dtype}")
                 indptr = np.concatenate(([0], np.cumsum([len(v) for v in rows], dtype=np.int64)))
                 items = np.concatenate([*rows, np.empty(0, dtype=np.int64)]).astype(np.int64, copy=False)
                 if len(rows) != self.num_users:
@@ -616,28 +622,22 @@ class SyntheticSpec:
     SHARED_POOL_SIZE, MIN_TOKENS and MAX_TOKENS.
     """
 
-    n_users: int = 200
-    n_items: int = 300
-    n_clusters: int = 4
-    density: float = 0.1
-    attrs_per_cluster: int = 10
-    held_out_fraction: float = 0.2
-    cold_user_fraction: float = 0.03
+    n_users: int = SYNTH["n_users"].default
+    n_items: int = SYNTH["n_items"].default
+    n_clusters: int = SYNTH["n_clusters"].default
+    density: float = SYNTH["density"].default
+    attrs_per_cluster: int = SYNTH["attrs_per_cluster"].default
+    held_out_fraction: float = SYNTH["held_out_fraction"].default
+    cold_user_fraction: float = SYNTH["cold_user_fraction"].default
 
     def validate(self) -> None:
-        if not (0.0 < self.density <= 1.0):
-            raise DatasetError(f"density must be in (0, 1], got {self.density}")
-        for name, count in (("user", self.n_users), ("item", self.n_items), ("cluster", self.n_clusters)):
-            if count < 1:
-                raise DatasetError(f"{name} count must be >= 1, got {count}")
+        try:
+            for f in fields(self):
+                check(f.name, getattr(self, f.name), SYNTH[f.name])
+        except ValueError as exc:
+            raise DatasetError(str(exc)) from None
         if self.n_clusters > min(self.n_users, self.n_items):
             raise DatasetError("cluster count exceeds user or item count")
-        if not (0.0 <= self.held_out_fraction < 1.0):
-            raise DatasetError("held_out_fraction must be in [0, 1)")
-        if not (0.0 <= self.cold_user_fraction < 0.5):
-            raise DatasetError("cold_user_fraction must be in [0, 0.5)")
-        if self.attrs_per_cluster < 1:
-            raise DatasetError("attrs_per_cluster must be >= 1")
 
 
 def make_synthetic_dataset(

@@ -7,11 +7,12 @@ differentiates numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .numeric import sigmoid, softmax_rows, softplus
+from .settings import TRAIN, check
 
 _EPS_GUARD = 1e-12
 
@@ -21,16 +22,14 @@ class LossWeights:
     """Scalar multipliers for the composite objective, plus the PCA
     keep-ratio used by the decorrelation term."""
 
-    l2: float = 1e-5
-    dcorr: float = 1e-2
-    cross_system: float = 0.1
-    pca_keep: float = 0.5
+    l2: float = TRAIN["l2"].default
+    dcorr: float = TRAIN["dcorr"].default
+    cross_system: float = TRAIN["cross_system"].default
+    pca_keep: float = TRAIN["pca_keep"].default
 
     def validate(self) -> None:
-        if min(self.l2, self.dcorr, self.cross_system) < 0:
-            raise ValueError("loss weights must be non-negative")
-        if not (0.0 <= self.pca_keep <= 1.0):
-            raise ValueError(f"pca_keep must be in [0, 1], got {self.pca_keep}")
+        for f in fields(self):
+            check(f.name, getattr(self, f.name), TRAIN[f.name])
 
 
 # ---------------------------------------------------------------------------
@@ -74,8 +73,7 @@ def pca_project(pref: np.ndarray, keep_fraction: float):
     n, h = X.shape
     if n < 2:
         raise ValueError("need at least 2 rows for a covariance estimate")
-    if not (0.0 <= keep_fraction <= 1.0):
-        raise ValueError(f"keep_fraction must be in [0, 1], got {keep_fraction}")
+    check("keep_fraction", keep_fraction, TRAIN["pca_keep"])
     k = max(1, int(np.floor(keep_fraction * h)))
     k = min(k, h, n)
     mu = X.mean(axis=0)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .data import InteractionStore, KnowledgeGraph
 from .numeric import read_tensor_file, segment_sum, sigmoid, softmax_rows, write_tensor_file
+from .settings import TRAIN, check
 
 CHECKPOINT_MAGIC = "KMPN1"
 
@@ -74,10 +75,9 @@ class KmpnParams:
         }
 
     def validate(self) -> None:
-        if self.h < 1 or self.n_layers < 0:
-            raise ValueError("need h >= 1 and n_layers >= 0")
-        if self.num_pref < 1 or self.num_meta < 1:
-            raise ValueError("need num_pref >= 1 and num_meta >= 1")
+        sizes = {"h": self.h, "n_layers": self.n_layers, "n_pref": self.num_pref, "n_meta": self.num_meta}
+        for name, value in sizes.items():
+            check(name, value, TRAIN[name])
         if self.meta_pref_emb.shape != (self.num_meta, self.h):
             raise ValueError("meta_pref_emb shape mismatch")
         if self.pref_logits.shape[1] != self.num_meta:
@@ -95,11 +95,11 @@ def init_params(
     num_entities: int,
     num_relations: int,
     num_users: int,
-    h: int = 64,
-    n_layers: int = 3,
-    n_pref: int = 8,
-    n_meta: int = 64,
-    seed: int = 0,
+    h: int = TRAIN["h"].default,
+    n_layers: int = TRAIN["n_layers"].default,
+    n_pref: int = TRAIN["n_pref"].default,
+    n_meta: int = TRAIN["n_meta"].default,
+    seed: int = TRAIN["seed"].default,
 ) -> KmpnParams:
     """Uniform init in [-sqrt(6/h), +sqrt(6/h)]; mixing logits near zero."""
     rng = np.random.default_rng(seed)

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .losses import LossWeights
+from .settings import TRAIN, check
 
 BETA1 = 0.9  # Adam first-moment decay
 BETA2 = 0.999  # Adam second-moment decay
@@ -15,21 +16,20 @@ ADAM_EPS = 1e-8  # added to the bias-corrected root second moment
 
 @dataclass
 class TrainConfig:
-    epochs: int = 300
-    batch_size: int = 1024
-    lr_start: float = 1e-3
-    lr_end: float = 0.0
+    epochs: int = TRAIN["epochs"].default
+    batch_size: int = TRAIN["batch_size"].default
+    lr_start: float = TRAIN["lr_start"].default
+    lr_end: float = TRAIN["lr_end"].default
     weights: LossWeights = field(default_factory=LossWeights)
-    seed: int = 0
-    eval_every: int = 0  # 0 disables periodic validation logging
+    seed: int = TRAIN["seed"].default
+    eval_every: int = TRAIN["eval_every"].default
 
     def validate(self) -> None:
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if not (self.lr_start >= self.lr_end >= 0.0):
-            raise ValueError("need lr_start >= lr_end >= 0")
+        for f in fields(self):
+            if f.name in TRAIN:
+                check(f.name, getattr(self, f.name), TRAIN[f.name])
+        if not self.lr_start >= self.lr_end:
+            raise ValueError("need lr_start >= lr_end")
         self.weights.validate()
 
 

@@ -196,6 +196,63 @@ def test_train_flags_checked_before_loading_data(tmp_path, flags, message):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--users", 0], "--users must be >= 1"),
+        (["--items", 0], "--items must be >= 1"),
+        (["--clusters", 0], "--clusters must be >= 1"),
+        (["--density", 0], "--density must be > 0"),
+        (["--density", 1.01], "--density must be <= 1"),
+        (["--density=nan"], "--density must be finite"),
+        (["--held-out", 1], "--held-out must be < 1"),
+        (["--cold-fraction", 0.5], "--cold-fraction must be < 0.5"),
+        (["--cold-fraction", -0.01], "--cold-fraction must be >= 0"),
+    ],
+)
+def test_synth_flags_checked_before_any_work(tmp_path, flags, message):
+    res = run_cli("synth", "--out", tmp_path / "x", *flags)
+    assert res.returncode == 2
+    assert res.stderr == f"error: synth: {message}\n"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "gradcheck"])
+def test_negative_seed_rejected_before_any_work(tmp_path, command):
+    res = run_cli(command, "--data", tmp_path / "does-not-exist", "--out", tmp_path / "x", "--seed", -1)
+    assert res.returncode == 2
+    assert res.stderr == f"error: {command}: --seed must be >= 0\n"
+    assert res.stdout == ""
+    assert not (tmp_path / "x").exists()
+
+
+def _run_meta(path):
+    return dict(line.split("=", 1) for line in path.read_text().splitlines())
+
+
+def test_resolved_defaults_are_pinned(cli_dataset, tmp_path):
+    """Every train and synth default as run.meta records it; the settings
+    table is their one declaration, and this guards it against edits."""
+    res = run_cli("synth", "--out", tmp_path / "synth")
+    assert res.returncode == 0, res.stderr
+    assert _run_meta(tmp_path / "synth" / "run.meta") == {
+        "command": "synth", "clusters": "4", "cold_fraction": "0.03", "config": "None", "data": "None",
+        "density": "0.1", "deterministic": "False", "held_out": "0.2", "items": "300",
+        "out": str(tmp_path / "synth"), "seed": "7", "threads": "0", "users": "200",
+    }
+    d, _ = cli_dataset
+    res = run_cli("train", "--data", d, "--out", tmp_path / "train", "--epochs", 0)
+    assert res.returncode == 0, res.stderr
+    assert _run_meta(tmp_path / "train" / "run.meta") == {
+        "command": "train", "batch_size": "1024", "buckets": "4096", "config": "None",
+        "content_items": "None", "content_users": "None", "data": str(d), "deterministic": "False",
+        "epochs": "0", "epsilon": "0.5", "eval_every": "0", "h": "64", "history_size": "8",
+        "lambda1": "1e-05", "lambda2": "0.01", "lambda_cs": "0.1", "layers": "3", "lr": "0.001",
+        "lr_end": "0.0", "mode": "kmpn", "n_meta": "64", "n_pref": "8", "negatives": "4",
+        "out": str(tmp_path / "train"), "seed": "0", "threads": "0",
+    }
+
+
 @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
 def test_gradcheck_bad_tolerance_rejected_before_any_check(tmp_path, value):
     res = run_cli("gradcheck", "--kind", "content", "--out", tmp_path / "x", f"--tolerance={value}")
@@ -276,6 +333,23 @@ def test_config_file_unknown_key_rejected(cli_dataset, tmp_path):
     res = run_cli("train", "--data", d, "--out", tmp_path / "x", "--config", cfg)
     assert res.returncode == 2
     assert "unknown config key 'epoochs'" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "text, where, message",
+    [
+        ("# run\nepochs=2\n\nusers=40\n", 4, "unknown config key 'users'"),
+        ("epochs=2.5\n", 1, "config key 'epochs': cannot parse '2.5' as int"),
+    ],
+    ids=["unknown-key", "bad-int"],
+)
+def test_config_file_value_errors_name_file_and_line(tmp_path, text, where, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    res = run_cli("train", "--data", tmp_path / "does-not-exist", "--out", tmp_path / "x", "--config", cfg)
+    assert res.returncode == 2
+    assert res.stderr == f"error: {cfg}:{where}: {message}\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_eval_writes_report_matching_stdout(cli_dataset, tmp_path):

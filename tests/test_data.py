@@ -209,6 +209,18 @@ def test_store_rejects_bad_per_user_rows(split, rows, message):
         replace(store, **{split: tuple(np.array(v, dtype=np.int64) for v in rows)})
 
 
+@pytest.mark.parametrize(
+    "row", [np.array([0.0, 2.9]), np.array(["0", "2"]), np.array([True, False])], ids=["float", "string", "bool"]
+)
+def test_store_rejects_non_integer_per_user_rows(row):
+    store = build_store({0: [2, 1], 1: [0]}, valid={1: [2]}, num_items=3)
+    message = f"train: user 1: row has non-integer dtype {row.dtype}"
+    with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+        replace(store, train=(np.array([1, 2]), row))
+    empty = replace(store, train=(np.array([1, 2]), np.array([])))  # an empty row loads whatever its dtype
+    assert [v.tolist() for v in empty.train] == [[1, 2], []] and empty.train.items.dtype == np.int64
+
+
 def test_build_store_rejects_out_of_range_item():
     with pytest.raises(DatasetError, match="out of range"):
         build_store({0: [5]}, num_items=3)
@@ -732,9 +744,9 @@ def test_synthetic_cross_cluster_rate():
 @pytest.mark.parametrize(
     "field, value, message",
     [
-        ("n_users", -5, "user count must be >= 1, got -5"),
-        ("n_items", 0, "item count must be >= 1, got 0"),
-        ("n_clusters", 0, "cluster count must be >= 1, got 0"),
+        ("n_users", -5, "n_users must be >= 1"),
+        ("n_items", 0, "n_items must be >= 1"),
+        ("n_clusters", 0, "n_clusters must be >= 1"),
     ],
 )
 def test_synthetic_spec_rejects_counts_below_one(field, value, message):

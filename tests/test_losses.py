@@ -508,7 +508,7 @@ def test_combine_losses_weighting():
 
 def test_loss_weights_validation():
     LossWeights().validate()
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ValueError, match="^l2 must be >= 0$"):
         LossWeights(l2=-1.0).validate()
     with pytest.raises(ValueError, match="pca_keep"):
         LossWeights(pca_keep=1.2).validate()

@@ -58,7 +58,7 @@ def test_train_config_validation():
         TrainConfig(batch_size=0).validate()
     with pytest.raises(ValueError, match="lr_start >= lr_end"):
         TrainConfig(lr_start=0.1, lr_end=0.2).validate()
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ValueError, match="^dcorr must be >= 0$"):
         TrainConfig(weights=LossWeights(dcorr=-1.0)).validate()
 
 
