@@ -29,13 +29,11 @@ _THREAD_ENV_VARS = (
     "NUMEXPR_NUM_THREADS",
 )
 
-_SHARED = {
-    "data": (None, str),
-    "out": (None, str),
-    "seed": (TRAIN["seed"].default, int),
+_PATH = (None, str)
+_SHARED = {  # every command's; each adds the flags its handler reads
     "threads": (0, int),  # 0 = library default
     "deterministic": (False, bool),
-    "config": (None, str),
+    "config": _PATH,
 }
 
 
@@ -46,26 +44,26 @@ def _flags(table: dict) -> dict:
 
 
 _DEFAULTS = {
-    "prepare": dict(_SHARED),
-    "synth": {**_SHARED, **_flags(SYNTH)},
+    "prepare": {"data": _PATH, **_SHARED},
+    "synth": {"out": _PATH, **_SHARED, **_flags(SYNTH)},
     # an unset --batch-size gets the table's default; content mode rejects a set one
-    "train": {**_SHARED, **_flags(TRAIN), "batch_size": (None, int)},
+    "train": {"data": _PATH, "out": _PATH, **_SHARED, **_flags(TRAIN), "batch_size": (None, int)},
     "eval": {
-        **_SHARED,
-        "checkpoint": (None, str),
+        "data": _PATH, "out": _PATH, **_SHARED,
+        "checkpoint": _PATH,
         "split": ("test", str),
         "k": ("20,60,100", str),
-        "content_items": (None, str),
-        "content_users": (None, str),
+        "content_items": _PATH,
+        "content_users": _PATH,
     },
     "gradcheck": {
-        **_SHARED,
+        "out": _PATH, "seed": (TRAIN["seed"].default, int), **_SHARED,
         "kind": ("all", str),
         "tolerance": (1e-4, float),
     },
     "export-content": {
-        **_SHARED,
-        "checkpoint": (None, str),
+        "data": _PATH, "out": _PATH, **_SHARED,
+        "checkpoint": _PATH,
         "no_binary": (False, bool),
     },
 }
@@ -75,8 +73,17 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises each parse error as ValueError("<command>: <message>"), so
+    main prints it as one line; --help still prints and exits."""
+
+    def error(self, message):
+        command = self.prog.partition(" ")[2]  # "kgrec train" -> "train"
+        raise ValueError(f"{command}: {message}" if command else message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kgrec",
         description="Knowledge-graph recommender: data prep, training, evaluation.",
     )
@@ -194,11 +201,10 @@ def _summary_counts(bundle) -> str:
 
 
 def _cmd_prepare(opts: dict) -> int:
-    from .data import check_inverse_closure, load_bundle
+    from .data import load_bundle
 
     data = _require(opts, "data", "prepare")
     bundle = load_bundle(data)
-    check_inverse_closure(bundle.graph)
     print(_summary_counts(bundle))
     return 0
 
@@ -359,10 +365,14 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stderr)
     try:
+        args, unknown = _build_parser().parse_known_args(argv)
+        if unknown:
+            raise ValueError(f"{args.command}: unrecognized arguments: {' '.join(unknown)}")
         opts = _resolve(args, args.command)
+        if opts["deterministic"] and opts["threads"] > 1:
+            raise ValueError(f"{args.command}: --deterministic runs one thread; --threads must be 0 or 1")
         _apply_threads(opts)
         return _HANDLERS[args.command](opts)
     except (ValueError, OSError) as exc:

@@ -96,6 +96,7 @@ def init_content(
     num_negatives: int = TRAIN["num_negatives"].default,
     seed: int = TRAIN["seed"].default,
 ) -> ContentParams:
+    check("h", h, TRAIN["h"])  # before dividing by it
     rng = np.random.default_rng(seed)
     m = h // 2
     bound_emb = np.sqrt(6.0 / h)

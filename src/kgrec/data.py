@@ -318,20 +318,25 @@ class KnowledgeGraph:
 
     The raw relation set is doubled: each raw triplet (h, r, t) also stores
     the inverse edge (t, r + num_relations_raw, h). Item id i maps to
-    entity id i. Edges are sorted by (degree of head, head, relation, tail),
-    as kg_from_triplets builds them: the one order every sweep walks, in
-    which a degree-d head's d edges are one run and `chunks` cuts the runs
-    into cache-sized blocks of whole heads.
+    entity id i. Edges are sorted by (degree of head, head, relation, tail):
+    the one order every sweep walks, in which a degree-d head's d edges are
+    one run. kg_from_triplets sorts them and fills in, from that sort,
+    `inverse`, the edge index of every edge's inverse, and `chunks`, the
+    (lo, hi, d) blocks that cut the runs into cache-sized pieces: edges
+    [lo, hi) are (hi - lo) / d whole heads of degree d, about CHUNK_EDGES
+    edges in all, so a head reduction over a block is a reshape to
+    [heads, d, h] and a sum over axis 1.
     """
 
     num_entities: int
     num_relations_raw: int
-    num_triplets_raw: int
     edge_rel: np.ndarray  # (num_edges,)
     edge_tail: np.ndarray  # (num_edges,)
     edge_head: np.ndarray  # (num_edges,) expanded head per edge
     degrees: np.ndarray  # (num_entities,)
     inv_degree: np.ndarray  # (num_entities,) 0 for isolated nodes
+    inverse: np.ndarray  # (num_edges,) edge index of each edge's inverse
+    chunks: tuple  # (lo, hi, d) blocks of whole degree-d heads
 
     @property
     def num_relations(self) -> int:
@@ -341,6 +346,10 @@ class KnowledgeGraph:
     def num_edges(self) -> int:
         return len(self.edge_rel)
 
+    @property
+    def num_triplets_raw(self) -> int:
+        return self.num_edges // 2  # each raw triplet makes two edges
+
     def raw_triplets(self) -> np.ndarray:
         """The deduplicated raw triplets (relation < num_relations_raw),
         sorted by (head, relation, tail)."""
@@ -348,35 +357,14 @@ class KnowledgeGraph:
         trip = np.stack([self.edge_head[fwd], self.edge_rel[fwd], self.edge_tail[fwd]], axis=1)
         return trip[np.lexsort(trip.T[::-1])]
 
-    @cached_property
-    def inverse(self) -> np.ndarray:
-        """Edge index of every edge's inverse (check_inverse_closure), kept."""
-        return check_inverse_closure(self)
-
-    @cached_property
-    def chunks(self) -> tuple:
-        """(lo, hi, d) blocks of the edge order: edges [lo, hi) are the runs
-        of (hi - lo) / d whole heads of degree d, about CHUNK_EDGES edges in
-        all, so a head reduction over a block is a reshape to [heads, d, h]
-        and a sum over axis 1. Edges not grouped so raise DatasetError."""
-        degree = self.degrees[self.edge_head]
-        runs = np.count_nonzero(np.diff(self.edge_head)) + 1 if len(degree) else 0
-        if (np.diff(degree) < 0).any() or runs != np.count_nonzero(self.degrees):
-            raise DatasetError("edges are not grouped by head degree; build the graph with kg_from_triplets")
-        values, starts = np.unique(degree, return_index=True)
-        chunks = []
-        for d, lo, hi in zip(values.tolist(), starts.tolist(), [*starts[1:].tolist(), len(degree)]):
-            step = d * max(1, CHUNK_EDGES // d)
-            chunks += [(a, min(a + step, hi), d) for a in range(lo, hi, step)]
-        return tuple(chunks)
-
 
 def kg_from_triplets(triplets, num_relations_raw: int, num_entities: int | None = None) -> KnowledgeGraph:
     """Build a KnowledgeGraph from raw (head, relation, tail) rows.
 
     Exact duplicate triplets are collapsed by their `_edge_keys`; inverse
-    edges are materialized with relation id shifted by num_relations_raw. Edges are sorted by (degree of head, head,
-    relation, tail), as KnowledgeGraph requires.
+    edges are materialized with relation id shifted by num_relations_raw.
+    Edges are sorted by (degree of head, head, relation, tail), and the
+    sort gives `inverse` and `chunks`, as KnowledgeGraph describes.
     """
     trip = np.asarray(triplets, dtype=np.int64).reshape(-1, 3)
     if num_relations_raw < 0:
@@ -398,18 +386,28 @@ def kg_from_triplets(triplets, num_relations_raw: int, num_entities: int | None 
     degrees = np.bincount(heads, minlength=n_ent).astype(np.int64)
     order = np.lexsort((_edge_keys(n_ent, n_rel, heads, rels, tails), degrees[heads]))
     heads, rels, tails = heads[order], rels[order], tails[order]
+    # unsorted edge k's inverse is edge (k + T) mod 2T, T = len(head); sorted edge i is unsorted order[i]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    inverse = np.roll(rank, len(head))[order]
 
-    inv_degree = np.divide(1.0, degrees, out=np.zeros(n_ent), where=degrees > 0)
+    degree = degrees[heads]
+    values, starts = np.unique(degree, return_index=True)
+    chunks = []
+    for d, lo, hi in zip(values.tolist(), starts.tolist(), [*starts[1:].tolist(), len(degree)]):
+        step = d * max(1, CHUNK_EDGES // d)
+        chunks += [(a, min(a + step, hi), d) for a in range(lo, hi, step)]
 
     return KnowledgeGraph(
         num_entities=n_ent,
         num_relations_raw=num_relations_raw,
-        num_triplets_raw=len(head),
         edge_rel=rels,
         edge_tail=tails,
         edge_head=heads,
         degrees=degrees,
-        inv_degree=inv_degree,
+        inv_degree=np.divide(1.0, degrees, out=np.zeros(n_ent), where=degrees > 0),
+        inverse=inverse,
+        chunks=tuple(chunks),
     )
 
 
@@ -432,12 +430,6 @@ def _read_kg(path, num_relations_raw: int | None = None, num_entities: int | Non
     return trip, num_relations_raw if num_relations_raw is not None else int(trip[:, 1].max(initial=-1)) + 1
 
 
-def load_kg(path, num_relations_raw: int | None = None, num_entities: int | None = None) -> KnowledgeGraph:
-    """Load raw triplets from a `head relation tail` file; the relation
-    count is one past the largest relation id when not given."""
-    return kg_from_triplets(*_read_kg(path, num_relations_raw, num_entities), num_entities)
-
-
 def save_kg(graph: KnowledgeGraph, path) -> None:
     """Write the raw (non-inverse) triplets, sorted, one per line."""
     with atomic_open(path) as fh:
@@ -451,26 +443,6 @@ def _edge_keys(n: int, n_rel: int, head, rel, tail) -> np.ndarray:
     if n * n * max(n_rel, 1) >= 2**63:
         raise DatasetError(f"num_entities={n} and num_relations={n_rel} overflow int64 edge keys")
     return (head * n_rel + rel) * n + tail
-
-
-def check_inverse_closure(graph: KnowledgeGraph) -> np.ndarray:
-    """Edge index of the inverse (t, r -/+ num_relations_raw, h) of every
-    edge (h, r, t), found by one searchsorted over the argsorted edge keys.
-    An edge without one raises DatasetError naming the smallest raw
-    triplet that lacks its inverse (or, failing that, the smallest edge)."""
-    n, n_rel, raw = graph.num_entities, graph.num_relations, graph.num_relations_raw
-    head, rel, tail = graph.edge_head, graph.edge_rel, graph.edge_tail
-    keys = _edge_keys(n, n_rel, head, rel, tail)
-    want = _edge_keys(n, n_rel, tail, np.where(rel < raw, rel + raw, rel - raw), head)
-    sorter = np.argsort(keys)
-    pos = sorter[np.minimum(np.searchsorted(keys, want, sorter=sorter), len(keys) - 1)]
-    missing = keys[pos] != want
-    if missing.any():
-        raw_missing = missing & (rel < raw)
-        bad = np.flatnonzero(raw_missing if raw_missing.any() else missing)
-        e = bad[np.argmin(keys[bad])]
-        raise DatasetError(f"missing inverse edge for triplet ({head[e]}, {rel[e]}, {tail[e]})")
-    return pos
 
 
 # ---------------------------------------------------------------------------

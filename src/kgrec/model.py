@@ -102,6 +102,7 @@ def init_params(
     seed: int = TRAIN["seed"].default,
 ) -> KmpnParams:
     """Uniform init in [-sqrt(6/h), +sqrt(6/h)]; mixing logits near zero."""
+    check("h", h, TRAIN["h"])  # before dividing by it
     rng = np.random.default_rng(seed)
     bound = np.sqrt(6.0 / h)
     params = KmpnParams(

@@ -24,8 +24,9 @@ from kgrec.content import (
 )
 from kgrec.data import (
     DatasetError,
+    _read_kg,
+    kg_from_triplets,
     load_interactions,
-    load_kg,
     save_interactions,
     save_kg,
 )
@@ -359,7 +360,7 @@ def test_criterion_10_format_round_trips(capsys, synth_bundle, tmp_path):
     )
 
     save_kg(synth_bundle.graph, tmp_path / "kg1.txt")
-    g = load_kg(tmp_path / "kg1.txt", num_relations_raw=synth_bundle.graph.num_relations_raw)
+    g = kg_from_triplets(*_read_kg(tmp_path / "kg1.txt", num_relations_raw=synth_bundle.graph.num_relations_raw))
     save_kg(g, tmp_path / "kg2.txt")
     kg_ok = (tmp_path / "kg1.txt").read_bytes() == (tmp_path / "kg2.txt").read_bytes()
 

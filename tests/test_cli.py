@@ -72,7 +72,7 @@ def test_prepare_kg_non_integer_names_file_and_line(tmp_path):
 @pytest.mark.parametrize("name", ["items.tsv", "kg.txt", "train.txt", "run.cfg"])
 def test_non_utf8_input_names_file_and_line(tmp_path, name):
     for f, text in (("train.txt", "0 0 1\n"), ("kg.txt", "0 0 1\n"), ("items.tsv", "0\tred\n1\tblue\n"),
-                    ("run.cfg", "seed=1\n")):
+                    ("run.cfg", "threads=1\n")):
         (tmp_path / f).write_text(text)
     bad = tmp_path / name
     bad.write_bytes(bad.read_bytes() + b"\n1 caf\xe9 1\n")  # a Latin-1 byte on a new last line, after a blank one
@@ -219,7 +219,8 @@ def test_synth_flags_checked_before_any_work(tmp_path, flags, message):
 
 @pytest.mark.parametrize("command", ["synth", "train", "gradcheck"])
 def test_negative_seed_rejected_before_any_work(tmp_path, command):
-    res = run_cli(command, "--data", tmp_path / "does-not-exist", "--out", tmp_path / "x", "--seed", -1)
+    data = ["--data", tmp_path / "does-not-exist"] if command == "train" else []
+    res = run_cli(command, *data, "--out", tmp_path / "x", "--seed", -1)
     assert res.returncode == 2
     assert res.stderr == f"error: {command}: --seed must be >= 0\n"
     assert res.stdout == ""
@@ -236,7 +237,7 @@ def test_resolved_defaults_are_pinned(cli_dataset, tmp_path):
     res = run_cli("synth", "--out", tmp_path / "synth")
     assert res.returncode == 0, res.stderr
     assert _run_meta(tmp_path / "synth" / "run.meta") == {
-        "command": "synth", "clusters": "4", "cold_fraction": "0.03", "config": "None", "data": "None",
+        "command": "synth", "clusters": "4", "cold_fraction": "0.03", "config": "None",
         "density": "0.1", "deterministic": "False", "held_out": "0.2", "items": "300",
         "out": str(tmp_path / "synth"), "seed": "7", "threads": "0", "users": "200",
     }
@@ -281,6 +282,43 @@ def test_negative_threads_rejected_before_any_work(tmp_path, form):
     res = run_cli("synth", "--out", tmp_path / "x", "--deterministic", *threads)
     assert res.returncode == 2
     assert res.stderr == "error: --threads must be >= 0\n"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("form", ["flag", "config"])
+def test_deterministic_with_threads_above_one_rejected_before_any_work(tmp_path, form):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("threads=4\n")
+    threads = ["--threads", 4] if form == "flag" else ["--config", cfg]
+    res = run_cli("synth", "--out", tmp_path / "x", "--deterministic", *threads)
+    assert res.returncode == 2
+    assert res.stderr == "error: synth: --deterministic runs one thread; --threads must be 0 or 1\n"
+    assert not (tmp_path / "x").exists()
+    for n in (0, 1):
+        res = run_cli("synth", "--out", tmp_path / f"t{n}", "--deterministic", "--threads", n, "--users", 20)
+        assert res.returncode == 0, res.stderr
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["train", "--epochs", "x"], "train: argument --epochs: invalid int value: 'x'"),
+        (["train", "--bogus", "1"], "train: unrecognized arguments: --bogus 1"),
+        (["prepare", "--out", "{out}"], "prepare: unrecognized arguments: --out {out}"),
+        (["prepare", "--seed", "3"], "prepare: unrecognized arguments: --seed 3"),
+        (["synth", "--out", "{out}", "--data", "{data}"], "synth: unrecognized arguments: --data {data}"),
+        (["eval", "--out", "{out}", "--seed", "3"], "eval: unrecognized arguments: --seed 3"),
+        (["gradcheck", "--out", "{out}", "--data", "{data}"], "gradcheck: unrecognized arguments: --data {data}"),
+        (["export-content", "--out", "{out}", "--seed", "3"], "export-content: unrecognized arguments: --seed 3"),
+        ([], "the following arguments are required: command"),
+    ],
+)
+def test_parser_errors_are_one_line(tmp_path, args, message):
+    paths = {"out": tmp_path / "x", "data": tmp_path / "d"}
+    res = run_cli(*(a.format(**paths) for a in args))
+    assert res.returncode == 2
+    assert res.stderr == f"error: {message.format(**paths)}\n"
+    assert res.stdout == ""
     assert not (tmp_path / "x").exists()
 
 

@@ -12,16 +12,13 @@ from kgrec.data import (
     SPLIT_NAMES,
     DatasetError,
     ItemCorpus,
-    KnowledgeGraph,
     Split,
     SyntheticSpec,
     build_store,
-    check_inverse_closure,
     kg_from_triplets,
     load_bundle,
     load_interactions,
     load_items,
-    load_kg,
     load_split_file,
     make_synthetic_dataset,
     save_interactions,
@@ -254,7 +251,7 @@ def test_kg_inverse_doubling_and_dedup():
     assert g.num_triplets_raw == 2
     assert g.num_edges == 4  # each raw edge plus its inverse
     assert g.num_relations == 4
-    check_inverse_closure(g)
+    assert (g.edge_head[g.inverse] == g.edge_tail).all() and (g.edge_tail[g.inverse] == g.edge_head).all()
     at_2 = g.edge_head == 2
     edges = set(zip(g.edge_rel[at_2].tolist(), g.edge_tail[at_2].tolist()))
     # inverse of (0,1,2) is (2, 1+2, 0); raw edge (2,0,1) also present
@@ -307,7 +304,7 @@ def test_kg_round_trip_bytes(tmp_path):
     g = kg_from_triplets([(3, 1, 0), (0, 0, 2), (1, 1, 3)], num_relations_raw=2)
     p1, p2 = tmp_path / "kg1.txt", tmp_path / "kg2.txt"
     save_kg(g, p1)
-    g2 = load_kg(p1, num_relations_raw=2)
+    g2 = kg_from_triplets(*data._read_kg(p1, num_relations_raw=2))
     save_kg(g2, p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert np.array_equal(g.raw_triplets(), g2.raw_triplets())
@@ -317,82 +314,62 @@ def test_kg_file_errors(tmp_path):
     p = tmp_path / "kg.txt"
     p.write_text("0 0 1 9\n")
     with pytest.raises(DatasetError, match="expected 3 fields"):
-        load_kg(p, num_relations_raw=1)
+        kg_from_triplets(*data._read_kg(p, num_relations_raw=1))
     p.write_text("0 7 1\n")
     with pytest.raises(DatasetError, match="kg.txt:1"):
-        load_kg(p, num_relations_raw=1)
+        kg_from_triplets(*data._read_kg(p, num_relations_raw=1))
     p.write_text("0 1 1\n0 x 1\n")
     with pytest.raises(DatasetError, match="kg.txt:2: non-integer field"):
-        load_kg(p)
+        kg_from_triplets(*data._read_kg(p))
 
 
 def test_kg_file_rejects_id_beyond_int64(tmp_path):
     p = tmp_path / "kg.txt"
     p.write_text("0 0 1\n1 0 99999999999999999999\n")
     with pytest.raises(DatasetError, match="kg.txt:2: id 99999999999999999999 does not fit in int64"):
-        load_kg(p)
+        kg_from_triplets(*data._read_kg(p))
 
 
 def test_kg_file_entity_out_of_range_names_file_and_line(tmp_path):
     p = tmp_path / "kg.txt"
     p.write_text("0 0 1\n2 0 5\n")
     with pytest.raises(DatasetError, match="kg.txt:2: entity id 5 out of range for num_entities=3"):
-        load_kg(p, num_entities=3)
-
-
-def without_edges(g, drop):
-    """`g` with the edges selected by the boolean mask `drop` removed."""
-    keep = ~drop
-    head = g.edge_head[keep]
-    degrees = np.bincount(head, minlength=g.num_entities)
-    inv_degree = np.divide(1.0, degrees, out=np.zeros(g.num_entities), where=degrees > 0)
-    return KnowledgeGraph(
-        g.num_entities, g.num_relations_raw, g.num_triplets_raw,
-        g.edge_rel[keep], g.edge_tail[keep], head, degrees, inv_degree,
-    )
+        kg_from_triplets(*data._read_kg(p, num_entities=3), 3)
 
 
 def test_inverse_closure_maps_every_edge_to_its_inverse():
     g = kg_from_triplets([(0, 0, 1), (1, 1, 2), (2, 0, 3), (3, 1, 0), (2, 0, 2)], num_relations_raw=2)
-    inverse = check_inverse_closure(g)
+    inverse = g.inverse
     assert inverse.tolist() != list(range(g.num_edges))
     np.testing.assert_array_equal(inverse[inverse], np.arange(g.num_edges))
     np.testing.assert_array_equal(g.edge_head[inverse], g.edge_tail)
     np.testing.assert_array_equal(g.edge_tail[inverse], g.edge_head)
     np.testing.assert_array_equal((g.edge_rel[inverse] - g.edge_rel) % 4, np.full(g.num_edges, 2))
-    assert check_inverse_closure(kg_from_triplets([], num_relations_raw=1, num_entities=2)).size == 0
-    empty = np.empty(0, dtype=np.int64)
-    huge = KnowledgeGraph(2**32, 1, 0, empty, empty, empty, empty, np.empty(0))
-    with pytest.raises(DatasetError, match="overflow int64 edge keys"):
-        check_inverse_closure(huge)
+    assert kg_from_triplets([], num_relations_raw=1, num_entities=2).inverse.size == 0
 
 
-def test_missing_inverse_names_smallest_raw_triplet():
-    g = kg_from_triplets([(0, 0, 1), (1, 1, 2), (2, 0, 3), (3, 1, 0)], num_relations_raw=2)
-    # drop the inverses (3, 2, 2) of (2, 0, 3) and (2, 3, 1) of (1, 1, 2)
-    drop = ((g.edge_head == 3) & (g.edge_rel == 2)) | ((g.edge_head == 2) & (g.edge_rel == 3))
-    broken = without_edges(g, drop)
-    for check in (check_inverse_closure, lambda graph: graph.inverse):
-        with pytest.raises(DatasetError, match=r"^missing inverse edge for triplet \(1, 1, 2\)$"):
-            check(broken)
-    # every raw triplet closed, but inverse edge (1, 2, 0) lost its raw (0, 0, 1)
-    orphan = without_edges(g, (g.edge_head == 0) & (g.edge_rel == 0))
-    with pytest.raises(DatasetError, match=r"^missing inverse edge for triplet \(1, 2, 0\)$"):
-        check_inverse_closure(orphan)
-    # the smallest, not the first stored: hub 0 (degree 3) is stored after head 4 (degree 1)
-    hub = kg_from_triplets([(0, 0, 1), (0, 0, 2), (0, 1, 3), (4, 0, 5)], num_relations_raw=2)
-    broken = without_edges(hub, ((hub.edge_head == 1) | (hub.edge_head == 5)) & (hub.edge_rel == 2))
-    with pytest.raises(DatasetError, match=r"^missing inverse edge for triplet \(0, 0, 1\)$"):
-        check_inverse_closure(broken)
+def test_inverse_matches_brute_force_lookup():
+    # self-loops, duplicate triplets, isolated entities and (case 0) the empty graph
+    rng = np.random.default_rng(21)
+    for case in range(240):
+        n_rel, n_ent, m = int(rng.integers(1, 4)), int(rng.integers(1, 25)), int(rng.integers(0, 60)) * (case > 0)
+        trip = np.stack([rng.integers(0, n_ent, m), rng.integers(0, n_rel, m), rng.integers(0, n_ent, m)], axis=1)
+        trip = trip[rng.integers(0, max(m, 1), 2 * m)]  # duplicates, any order
+        g = kg_from_triplets(trip, n_rel, num_entities=n_ent + int(rng.integers(0, 3)))
+        edges = list(zip(g.edge_head.tolist(), g.edge_rel.tolist(), g.edge_tail.tolist()))
+        index = {edge: e for e, edge in enumerate(edges)}
+        want = [index[t, r + n_rel if r < n_rel else r - n_rel, h] for h, r, t in edges]
+        assert g.inverse.dtype == np.int64 and g.inverse.tolist() == want, case
+        assert g.num_triplets_raw == len(set(map(tuple, trip.tolist()))) == len(edges) // 2
 
 
 def test_kg_infers_relation_count(tmp_path):
     p = tmp_path / "kg.txt"
     p.write_text("0 4 1\n\n2\t1\t0\n")
-    g = load_kg(p)
+    g = kg_from_triplets(*data._read_kg(p))
     assert g.num_relations_raw == 5 and g.num_triplets_raw == 2
     p.write_text("")
-    assert load_kg(p).num_relations_raw == 0
+    assert kg_from_triplets(*data._read_kg(p)).num_relations_raw == 0
 
 
 def test_items_round_trip_and_errors(tmp_path):
@@ -528,7 +505,10 @@ def test_int_table_matches_per_line_reference(tmp_path, monkeypatch):
         calls.clear()
         if isinstance(want, str):
             with pytest.raises(DatasetError) as err:
-                load_split_file(path) if kind == "split" else load_kg(path, **sizes)
+                if kind == "split":
+                    load_split_file(path)
+                else:
+                    kg_from_triplets(*data._read_kg(path, **sizes), sizes["num_entities"])
             assert str(err.value) == want, path.read_bytes()
         elif kind == "split":
             users, items = load_split_file(path)
@@ -540,9 +520,9 @@ def test_int_table_matches_per_line_reference(tmp_path, monkeypatch):
             assert np.array_equal(data._read_kg(path, **sizes)[0], trip)  # file order, duplicates kept
             if sizes["num_entities"] ** 2 * max(2 * n_rel, 1) >= 2**63:  # the reader took it; the graph cannot
                 with pytest.raises(DatasetError, match="overflow int64 edge keys"):
-                    load_kg(path, **sizes)
+                    kg_from_triplets(*data._read_kg(path, **sizes), sizes["num_entities"])
             else:
-                g = load_kg(path, **sizes)
+                g = kg_from_triplets(*data._read_kg(path, **sizes), sizes["num_entities"])
                 assert g.num_relations_raw == n_rel
                 assert np.array_equal(g.raw_triplets(), np.unique(trip, axis=0))
         seen["per-line" if calls else "array", isinstance(want, str)] += 1
@@ -567,7 +547,7 @@ def test_int_table_reports_the_first_fault_in_line_order(tmp_path, kind, text, m
     path.write_text(text, newline="")
     assert _reference_read(path, kind, num_entities=10) == f"{path}:{message}"
     with pytest.raises(DatasetError) as err:
-        load_split_file(path) if kind == "split" else load_kg(path, num_entities=10)
+        load_split_file(path) if kind == "split" else kg_from_triplets(*data._read_kg(path, num_entities=10), 10)
     assert str(err.value) == f"{path}:{message}"
 
 
@@ -630,7 +610,7 @@ def test_load_bundle_builds_the_padded_graph_once(tmp_path):
     (tmp_path / "train.txt").write_text("0 3 39\n1 0 7\n")
     bundle = load_bundle(tmp_path)
     # the two-step build: the graph of kg.txt, rebuilt from its raw triplets over every item
-    kg = load_kg(tmp_path / "kg.txt")
+    kg = kg_from_triplets(*data._read_kg(tmp_path / "kg.txt"))
     padded = kg_from_triplets(kg.raw_triplets(), kg.num_relations_raw, num_entities=bundle.store.num_items)
     assert kg.num_entities < padded.num_entities == 40
     _assert_same_graph(bundle.graph, padded)

@@ -233,13 +233,6 @@ def test_plan_chunks_match_per_edge_loop(monkeypatch, chunk_edges):
     np.testing.assert_allclose(d_rel, d_rel_want, rtol=1e-12, atol=1e-15)
     assert np.all(out[13] == 0.0) and np.all(d_prev[13] == 0.0)
 
-    by_head = np.lexsort((g.edge_tail, g.edge_rel, g.edge_head))  # ungrouped: the hub is not last
-    ungrouped = replace(
-        g, edge_head=g.edge_head[by_head], edge_rel=g.edge_rel[by_head], edge_tail=g.edge_tail[by_head],
-    )
-    with pytest.raises(data.DatasetError, match="not grouped by head degree"):
-        conv_layer(ungrouped, prev, rel)
-
 
 def test_conv_sweep_makes_no_edge_width_temporary():
     rng = np.random.default_rng(5)
@@ -253,7 +246,7 @@ def test_conv_sweep_makes_no_edge_width_temporary():
     d_rel = np.zeros_like(rel)
     tracemalloc.start()
     try:
-        _, gates = conv_layer(g, prev, rel)  # also builds the plan
+        _, gates = conv_layer(g, prev, rel)
         _conv_backward(g, prev, rel, gates, grad_out, d_rel)
         _, peak = tracemalloc.get_traced_memory()
     finally:

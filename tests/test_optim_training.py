@@ -5,7 +5,7 @@ import pytest
 from conftest import score_row_grads
 
 from kgrec import training
-from kgrec.content import EmbeddingMatrixFile
+from kgrec.content import EmbeddingMatrixFile, init_content
 from kgrec.data import DatasetBundle, ItemCorpus, build_store, kg_from_triplets
 from kgrec.evaluation import evaluate
 from kgrec.losses import LossWeights, _dist_and_centered, pca_project
@@ -60,6 +60,10 @@ def test_train_config_validation():
         TrainConfig(lr_start=0.1, lr_end=0.2).validate()
     with pytest.raises(ValueError, match="^dcorr must be >= 0$"):
         TrainConfig(weights=LossWeights(dcorr=-1.0)).validate()
+    with pytest.raises(ValueError, match="^h must be >= 1$"):  # not a ZeroDivisionError from sqrt(6 / h)
+        init_params(3, 2, 2, h=0)
+    with pytest.raises(ValueError, match="^h must be >= 1$"):
+        init_content(h=0)
 
 
 # -- Adam -------------------------------------------------------------------------
