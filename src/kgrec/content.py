@@ -72,6 +72,7 @@ class ContentParams:
 
     def validate(self) -> None:
         h = self.h
+        check("h", h, TRAIN["h"])
         if h % 2 != 0:
             raise ValueError("h must be even (hidden width is h/2)")
         m = h // 2
@@ -332,9 +333,9 @@ def check_exchange_pair(item_set: EmbeddingMatrixFile, user_set: EmbeddingMatrix
 def write_embeddings_text(emb: EmbeddingMatrixFile, path) -> None:
     with atomic_open(path) as fh:
         fh.write(f"{EMB_TEXT_MAGIC} {emb.kind} {emb.count} {emb.dim}\n".encode("utf-8"))
-        for i, vec in zip(emb.ids, emb.vectors):
-            line = str(int(i)) + " " + " ".join(f"{float(v):.9g}" for v in vec) + "\n"
-            fh.write(line.encode("utf-8"))
+        row = "%d " + " ".join(["%.9g"] * emb.dim) + "\n"  # "<id> \n" when dim is 0
+        for i, vec in zip(map(int, emb.ids), emb.vectors):
+            fh.write((row % (i, *vec.tolist())).encode("utf-8"))
 
 
 def _record_dtype(dim: int) -> np.dtype:

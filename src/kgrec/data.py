@@ -5,7 +5,7 @@ On-disk layout (one directory per dataset):
     train.txt / valid.txt / test.txt    one line per user: ``user item item ...``
     cold_history.txt / cold_test.txt    same layout, only held-out users
     kg.txt                              one line per raw triplet: ``head relation tail``
-    items.tsv                           ``item_id<TAB>description``
+    items.tsv                           ``item_id<TAB>description``, ids 0..n-1
 
 Files are UTF-8. Tab and single-space separators are both accepted;
 trailing whitespace is ignored. Item ids double as entity ids (items occupy
@@ -186,12 +186,13 @@ class InteractionStore:
         return sum(len(self.split(name).items) for name in SPLIT_NAMES)
 
 
-def _assemble(columns: dict, num_users: int | None, num_items: int | None) -> InteractionStore:
+def _assemble(columns: dict, num_users: int | None, num_items: int | None, data_dir=None) -> InteractionStore:
     """Validate (user, item) columns per split and build the store. Ids are
-    range-checked before anything is sized by them. One `sorted_unique` of the
-    `user * num_items + item` keys (below 2**63) sorts and dedups each split,
-    and the cross-split rules run as set operations. Of several faults the
-    lowest user's is reported, in rule order for one user."""
+    range-checked before anything is sized by them; an item outside the
+    catalog names its split file and items.tsv if read from `data_dir`. One
+    `sorted_unique` of the `user * num_items + item` keys (below 2**63) sorts
+    and dedups each split, and the cross-split rules run as set operations.
+    Of several faults the lowest user's is reported, in rule order for one user."""
     cols = {name: columns.get(name, (np.empty(0, dtype=np.int64),) * 2) for name in SPLIT_NAMES}
     seen = sorted_unique(np.concatenate([u for u, _ in cols.values()]))
     gap = int((seen == np.arange(len(seen))).sum())  # seen[k] - k never falls: a prefix matches
@@ -201,10 +202,13 @@ def _assemble(columns: dict, num_users: int | None, num_items: int | None) -> In
     if len(seen) and seen[-1] >= n_users:
         raise DatasetError(f"user id {int(seen[-1])} out of range for declared num_users={n_users}")
 
-    max_item = max((int(i.max()) for _, i in cols.values() if len(i)), default=-1)
+    max_item, name = max(((int(i.max()), name) for name, (_, i) in cols.items() if len(i)), default=(-1, ""))
     n_items = num_items if num_items is not None else max_item + 1
     if max_item >= n_items:
-        raise DatasetError(f"item id {max_item} out of range for declared num_items={n_items}")
+        if data_dir is None:
+            raise DatasetError(f"item id {max_item} out of range for declared num_items={n_items}")
+        split, items = data_dir / SPLIT_FILES[name], data_dir / "items.tsv"
+        raise DatasetError(f"{split}: item id {max_item} is not in {items} ({n_items} items)")
     if max(n_users, 1) * n_items >= 2**63:
         raise DatasetError(f"num_users={n_users} times num_items={n_items} overflows int64 interaction keys")
 
@@ -272,20 +276,17 @@ def load_split_file(path) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(users, counts - 1), np.delete(ids, first)
 
 
-def load_interactions(path, num_items: int | None = None) -> InteractionStore:
-    """Load an InteractionStore from a directory of split files or from a
-    single train-style file (valid/test empty)."""
-    path = Path(path)
-    if path.is_dir():
-        if not (path / SPLIT_FILES["train"]).exists():
-            raise DatasetError(f"missing interaction file: {path / SPLIT_FILES['train']}")
-        parsed = {name: load_split_file(path / f) for name, f in SPLIT_FILES.items() if (path / f).exists()}
-    else:
-        parsed = {"train": load_split_file(path)}
-    store = _assemble(parsed, None, num_items)
+def load_interactions(data_dir, num_items: int | None = None) -> InteractionStore:
+    """Load an InteractionStore from a directory of split files. A given
+    `num_items` is the size of the catalog the directory's items.tsv sets."""
+    data_dir = Path(data_dir)
+    if not (data_dir / SPLIT_FILES["train"]).exists():
+        raise DatasetError(f"missing interaction file: {data_dir / SPLIT_FILES['train']}")
+    parsed = {name: load_split_file(data_dir / f) for name, f in SPLIT_FILES.items() if (data_dir / f).exists()}
+    store = _assemble(parsed, None, num_items, data_dir)
     duplicates = sum(len(users) for users, _ in parsed.values()) - store.total_interactions()
     if duplicates:
-        log.warning("collapsed %d duplicate interactions while loading %s", duplicates, path)
+        log.warning("collapsed %d duplicate interactions while loading %s", duplicates, data_dir)
     return store
 
 
@@ -468,20 +469,20 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class ItemCorpus:
-    """item id -> description text; missing entries read as empty."""
+    """The item catalog: item i's description is `texts[i]`."""
 
-    num_items: int
-    texts: dict
+    texts: tuple[str, ...]
 
-    def text(self, item: int) -> str:
-        return self.texts.get(item, "")
+    @property
+    def num_items(self) -> int:
+        return len(self.texts)
 
     @cached_property
     def token_hashes(self) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, hashes): item i's tokens, in text order, have the FNV-1a
         hashes `hashes[indptr[i]:indptr[i + 1]]` (uint64). Built on first use
         and kept, as `texts` never changes; each distinct token is hashed once."""
-        tokens = [tokenize(self.text(i)) for i in range(self.num_items)]
+        tokens = [tokenize(text) for text in self.texts]
         indptr = np.concatenate(([0], np.cumsum([len(t) for t in tokens], dtype=np.int64)))
         vocab: dict[str, int] = {}
         ids = np.array([vocab.setdefault(t, len(vocab)) for item in tokens for t in item], dtype=np.int64)
@@ -496,11 +497,12 @@ class ItemCorpus:
         return indptr, (hashes % np.uint64(num_buckets)).astype(np.int64)
 
 
-def load_items(path, num_items: int | None = None) -> ItemCorpus:
-    """Read `item_id<TAB>description` lines; an id must be ASCII digits."""
+def load_items(path) -> ItemCorpus:
+    """Read `item_id<TAB>description` lines. An id must be ASCII digits, and
+    the n id lines must hold each of the ids 0..n-1 once, in any order."""
     path = Path(path)
     texts: dict[int, str] = {}
-    max_id = -1
+    top = (-1, 0)  # the largest id and its line
     for lineno, line in _numbered_lines(path):
         if not line.strip():
             continue
@@ -513,17 +515,19 @@ def load_items(path, num_items: int | None = None) -> ItemCorpus:
         if item in texts:
             raise DatasetError(f"{path}:{lineno}: duplicate item id {item}")
         texts[item] = text
-        max_id = max(max_id, item)
-    n = num_items if num_items is not None else max_id + 1
+        top = max(top, (item, lineno))
+    max_id, line = top
+    n = len(texts)  # n distinct ids are 0..n-1 exactly when the largest is n - 1
     if max_id >= n:
-        raise DatasetError(f"item id {max_id} out of range for num_items={n}")
-    return ItemCorpus(num_items=n, texts=texts)
+        raise DatasetError(
+            f"{path}:{line}: item id {max_id} out of range: the file lists {n} items, so ids must be 0..{n - 1}"
+        )
+    return ItemCorpus(tuple(texts[i] for i in range(n)))
 
 
 def save_items(corpus: ItemCorpus, path) -> None:
     with atomic_open(path) as fh:
-        for i in range(corpus.num_items):
-            text = corpus.text(i)
+        for i, text in enumerate(corpus.texts):
             if any(c in text for c in "\t\n\r"):  # load_items splits lines at CR too
                 raise DatasetError(f"item {i}: text contains tab or newline")
             fh.write(f"{i}\t{text}\n".encode("utf-8"))
@@ -542,8 +546,9 @@ class DatasetBundle:
 
 
 def load_bundle(data_dir) -> DatasetBundle:
-    """Load a full dataset directory. The relation and entity counts come
-    from kg.txt, and the entity range is padded to cover every item."""
+    """Load a full dataset directory. items.tsv, if present, sets the item
+    catalog; kg.txt gives the relation and entity counts, and the entity
+    range is padded to cover every item."""
     data_dir = Path(data_dir)
     kg_path = data_dir / "kg.txt"
     if not kg_path.exists():
@@ -553,7 +558,7 @@ def load_bundle(data_dir) -> DatasetBundle:
     corpus = load_items(items_path) if items_path.exists() else None
     store = load_interactions(data_dir, num_items=corpus.num_items if corpus is not None else None)
     if corpus is None:
-        corpus = ItemCorpus(num_items=store.num_items, texts={})
+        corpus = ItemCorpus(("",) * store.num_items)
     num_entities = max(int(triplets[:, ::2].max(initial=-1)) + 1, store.num_items)
     graph = kg_from_triplets(triplets, num_relations_raw, num_entities=num_entities)
     return DatasetBundle(store=store, graph=graph, corpus=corpus)
@@ -705,7 +710,7 @@ def make_synthetic_dataset(
     # texts from cluster token pools plus a shared pool
     shared = [f"shw{j}" for j in range(SHARED_POOL_SIZE)]
     pools = [[f"c{c}w{j}" for j in range(POOL_SIZE)] for c in range(C)]
-    texts = {}
+    texts = []
     for i in range(spec.n_items):
         c = i % C
         n_tok = int(rng.integers(MIN_TOKENS, MAX_TOKENS + 1))
@@ -715,7 +720,7 @@ def make_synthetic_dataset(
                 toks.append(pools[c][int(rng.integers(POOL_SIZE))])
             else:
                 toks.append(shared[int(rng.integers(SHARED_POOL_SIZE))])
-        texts[i] = " ".join(toks)
-    corpus = ItemCorpus(num_items=spec.n_items, texts=texts)
+        texts.append(" ".join(toks))
+    corpus = ItemCorpus(tuple(texts))
 
     return store, graph, corpus

@@ -331,8 +331,8 @@ def _content_instance(seed: int):
     rng = np.random.default_rng(seed)
     params = init_content(h=8, num_buckets=16, history_size=3, num_negatives=2, seed=seed + 1)
     vocab = ["red", "blue", "green", "disk", "lamp", "rope", "tent", "mug9"]
-    texts = {i: " ".join(rng.choice(vocab, size=int(rng.integers(3, 6)))) for i in range(6)}
-    table = ItemCorpus(num_items=6, texts=texts).buckets(params.num_buckets)
+    texts = tuple(" ".join(rng.choice(vocab, size=int(rng.integers(3, 6)))) for _ in range(6))
+    table = ItemCorpus(texts).buckets(params.num_buckets)
     return params, table, np.arange(3), 3, np.array([4, 5])
 
 

@@ -1,4 +1,5 @@
 import os
+import shutil
 import subprocess
 import sys
 
@@ -80,6 +81,49 @@ def test_non_utf8_input_names_file_and_line(tmp_path, name):
     res = run_cli("prepare", "--data", tmp_path, "--config", tmp_path / "run.cfg")
     assert res.returncode == 2
     assert res.stderr == f"error: {bad}:{line}: not UTF-8\n"
+
+
+def _items_edited(synth_dir, tmp_path, edit):
+    """A copy of the seed-7 dataset (items 0..299, item 299 only in train.txt)
+    whose items.tsv holds `edit` of its lines."""
+    d = tmp_path / "data"
+    shutil.copytree(synth_dir, d)
+    lines = (d / "items.tsv").read_text().splitlines(keepends=True)
+    (d / "items.tsv").write_text("".join(edit(lines)))
+    return d
+
+
+def _commands_fail_with(d, tmp_path, message):
+    """prepare, train and eval on `d` each exit 2 with the one line `message`
+    and write nothing to --out."""
+    ck, out = tmp_path / "c.kmpn", tmp_path / "out"
+    save_checkpoint(init_params(340, 6, 200, h=4, n_layers=1, n_pref=2, n_meta=2, seed=0), ck)
+    for command, *flags in (["prepare"], ["train", "--epochs", 1, "--out", out],
+                            ["eval", "--checkpoint", ck, "--out", out]):
+        res = run_cli(command, "--data", d, *flags)
+        assert (res.returncode, res.stderr) == (2, f"error: {message}\n"), command
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "edit,line,item,listed",
+    [
+        # the last id, 299, typed as 2999; item 150's line deleted
+        (lambda lines: [*lines[:-1], lines[-1].replace("299", "2999", 1)], 300, 2999, 300),
+        (lambda lines: lines[:150] + lines[151:], 299, 299, 299),
+    ],
+    ids=["typo", "gap"],
+)
+def test_items_file_that_skips_an_id_fails_naming_the_line(synth_dir, tmp_path, edit, line, item, listed):
+    d = _items_edited(synth_dir, tmp_path, edit)
+    message = (f"{d / 'items.tsv'}:{line}: item id {item} out of range: "
+               f"the file lists {listed} items, so ids must be 0..{listed - 1}")
+    _commands_fail_with(d, tmp_path, message)
+
+
+def test_truncated_items_file_names_it_and_the_split_file(synth_dir, tmp_path):
+    d = _items_edited(synth_dir, tmp_path, lambda lines: lines[:92])
+    _commands_fail_with(d, tmp_path, f"{d / 'train.txt'}: item id 299 is not in {d / 'items.tsv'} (92 items)")
 
 
 def test_train_zero_epochs_checkpoint_equals_fresh_init(cli_dataset, tmp_path):

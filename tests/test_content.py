@@ -43,14 +43,14 @@ def test_tokenize_lowercases_and_splits():
 
 @pytest.mark.parametrize("num_buckets", [17, 4096, 2**40 + 7])
 def test_corpus_buckets_match_hash_mod(num_buckets):
-    corpus = ItemCorpus(num_items=4, texts={0: "red Lamp red", 1: "", 3: "Blue-lamp 42"})
+    corpus = ItemCorpus(("red Lamp red", "", "", "Blue-lamp 42"))
     indptr, ids = corpus.buckets(num_buckets)
     assert indptr.dtype == np.int64 and ids.dtype == np.int64
     for i in range(4):  # item 1 has no tokens, item 2 no text
-        want = [fnv1a_64(t) % num_buckets for t in tokenize(corpus.text(i))]
+        want = [fnv1a_64(t) % num_buckets for t in tokenize(corpus.texts[i])]
         assert ids[indptr[i] : indptr[i + 1]].tolist() == want  # order and multiplicity preserved
 
-    indptr, ids = ItemCorpus(num_items=3, texts={0: " -- ", 2: ""}).buckets(num_buckets)
+    indptr, ids = ItemCorpus((" -- ", "", "")).buckets(num_buckets)
     assert indptr.tolist() == [0, 0, 0, 0] and len(ids) == 0
     assert indptr.dtype == np.int64 and ids.dtype == np.int64
 
@@ -63,7 +63,7 @@ def test_corpus_is_tokenized_once_per_item(monkeypatch, tmp_path):
         p = init_content(h=8, num_buckets=num_buckets, history_size=2, num_negatives=3, seed=1)
         train_content(corpus, store, p, TrainConfig(epochs=1, seed=num_buckets))
     export_embeddings(p, corpus, store, tmp_path, write_binary=False)
-    assert sorted(texts) == sorted(corpus.text(i) for i in range(corpus.num_items))
+    assert sorted(texts) == sorted(corpus.texts[i] for i in range(corpus.num_items))
 
 
 # -- item encoder ----------------------------------------------------------------
@@ -88,7 +88,7 @@ def _item_mean(p, text):
 )
 def test_encode_items_matches_per_item_mean(h, num_buckets, seed, texts, check):
     p = init_content(h=h, num_buckets=num_buckets, seed=seed)
-    corpus = ItemCorpus(num_items=len(texts), texts=dict(enumerate(texts)))
+    corpus = ItemCorpus(tuple(texts))
     vecs, concat, counts = encode_items(p.bucket_emb, corpus.buckets(num_buckets), np.arange(len(texts)))
     for i, text in enumerate(texts):
         np.testing.assert_array_equal(vecs[i], _item_mean(p, text))
@@ -235,15 +235,15 @@ def test_click_instance_without_grads_returns_none():
 
 
 def _cluster_dataset():
-    texts = {
-        0: "alpha axe",
-        1: "alpha bolt",
-        2: "alpha coal",
-        3: "beta dire",
-        4: "beta echo",
-        5: "beta fang",
-    }
-    corpus = ItemCorpus(num_items=6, texts=texts)
+    texts = (
+        "alpha axe",
+        "alpha bolt",
+        "alpha coal",
+        "beta dire",
+        "beta echo",
+        "beta fang",
+    )
+    corpus = ItemCorpus(texts)
     store = build_store(
         {0: [0, 1, 2], 1: [0, 1, 2], 2: [3, 4, 5], 3: [3, 4, 5]},
         num_items=6,
@@ -300,7 +300,7 @@ def test_train_content_validates_corpus_store_pairing():
     corpus, store = _cluster_dataset()
     p = init_content(h=8, num_buckets=32, seed=0)
     with pytest.raises(ValueError, match="mismatch"):
-        train_content(ItemCorpus(num_items=5, texts={}), store, p, TrainConfig(epochs=1))
+        train_content(ItemCorpus(("",) * 5), store, p, TrainConfig(epochs=1))
 
 
 def _dense_train_content(corpus, store, params, config):
@@ -335,9 +335,9 @@ def _dense_train_content(corpus, store, params, config):
 def _sparse_dataset():
     """Eight items over a few tokens (one item has none): at most 9 of 256
     buckets are hit."""
-    texts = {0: "alpha axe", 1: "alpha bolt bolt", 2: "alpha coal", 3: "beta dire",
-             4: "beta echo", 5: "beta fang", 6: "", 7: "alpha beta"}
-    corpus = ItemCorpus(num_items=8, texts=texts)
+    texts = ("alpha axe", "alpha bolt bolt", "alpha coal", "beta dire",
+             "beta echo", "beta fang", "", "alpha beta")
+    corpus = ItemCorpus(texts)
     store = build_store(
         {0: [0, 1, 2, 6], 1: [0, 1, 7], 2: [3, 4, 5], 3: [3, 4, 6, 7], 4: [2]}, num_items=8
     )
@@ -369,7 +369,7 @@ def test_train_content_leaves_unhit_bucket_rows_bit_identical():
 
 
 def test_train_content_with_no_tokens_anywhere():
-    corpus = ItemCorpus(num_items=4, texts={0: "", 1: "  --  ", 2: "..."})
+    corpus = ItemCorpus(("", "  --  ", "...", ""))
     store = build_store({0: [0, 1], 1: [2, 3]}, num_items=4)
     p = init_content(h=4, num_buckets=16, history_size=2, num_negatives=2, seed=3)
     out, lines = train_content(corpus, store, p, TrainConfig(epochs=2, lr_start=0.05, seed=1))
@@ -433,6 +433,15 @@ def test_text_round_trip_is_byte_stable(tmp_path):
     np.testing.assert_array_equal(back.vectors, emb.vectors)  # %.9g is f32-exact
     write_embeddings_text(back, f2)
     assert f1.read_bytes() == f2.read_bytes()
+
+
+def test_text_rows_are_the_id_then_each_value_as_9g(tmp_path):
+    path = tmp_path / "e.txt"
+    values = np.array([[0.0, -0.0, 1e-45, 3.4028235e38, 0.1, -2.5]], dtype=np.float32)
+    write_embeddings_text(EmbeddingMatrixFile(kind="item", ids=[7], vectors=values), path)
+    assert path.read_bytes() == b"EMB1 item 1 6\n7 0 -0 1.40129846e-45 3.40282347e+38 0.100000001 -2.5\n"
+    write_embeddings_text(EmbeddingMatrixFile(kind="user", ids=[0, 3], vectors=np.zeros((2, 0))), path)
+    assert path.read_bytes() == b"EMB1 user 2 0\n0 \n3 \n"  # a zero-width row keeps the space after its id
 
 
 def test_binary_round_trip_is_byte_stable(tmp_path):
@@ -532,7 +541,7 @@ def test_malformed_exchange_file_fails_naming_the_file(tmp_path, payload, messag
 
 
 def test_export_embeddings_items_users_and_cold_zero(tmp_path):
-    corpus = ItemCorpus(num_items=3, texts={0: "axe bolt", 2: "coal"})
+    corpus = ItemCorpus(("axe bolt", "", "coal"))
     store = build_store(
         {0: [0, 1], 1: [2]},
         cold_history={2: [0]},
@@ -549,7 +558,7 @@ def test_export_embeddings_items_users_and_cold_zero(tmp_path):
     assert np.all(item_set.rows([1])[0] == 0.0)  # no text -> zero vector
 
     # user 0 history fits one attention chunk
-    E = np.stack([_item_mean(p, corpus.text(i)) for i in (0, 1)])
+    E = np.stack([_item_mean(p, corpus.texts[i]) for i in (0, 1)])
     want, _ = encode_user(E, p)
     np.testing.assert_allclose(user_set.rows([0])[0], want, rtol=1e-6)
     # user 2 is cold: no train rows, zero vector
@@ -561,26 +570,24 @@ def test_export_embeddings_items_users_and_cold_zero(tmp_path):
 
 def test_export_embeddings_item_blocks_equal_per_item_means(tmp_path):
     # 2100 items are encoded in two blocks; two in three have text
-    corpus = ItemCorpus(num_items=2100, texts={i: f"tok{i % 50} word{i % 7}" for i in range(0, 2100, 3)})
-    corpus.texts.update({i + 1: f"tok{i % 11}" for i in range(0, 2100, 3)})
+    texts = (text for i in range(0, 2100, 3) for text in (f"tok{i % 50} word{i % 7}", f"tok{i % 11}", ""))
+    corpus = ItemCorpus(tuple(texts))
     store = build_store({0: [0, 1, 2099]}, num_items=2100)
     p = init_content(h=4, num_buckets=64, seed=2)
     item_set, _ = export_embeddings(p, corpus, store, tmp_path, write_binary=False)
-    want = np.stack([_item_mean(p, corpus.text(i)) for i in range(2100)]).astype(np.float32)
+    want = np.stack([_item_mean(p, corpus.texts[i]) for i in range(2100)]).astype(np.float32)
     np.testing.assert_array_equal(item_set.vectors, want)
 
 
 def test_export_embeddings_chunked_pooling(tmp_path):
     # 5 history items with chunk size 2 -> chunks [0,1], [2,3], [4]
-    corpus = ItemCorpus(
-        num_items=5, texts={i: f"tok{i} word{i}" for i in range(5)}
-    )
+    corpus = ItemCorpus(tuple(f"tok{i} word{i}" for i in range(5)))
     store = build_store({0: [0, 1, 2, 3, 4]}, num_items=5)
     p = init_content(h=4, num_buckets=64, history_size=2, seed=1)
     _, user_set = export_embeddings(p, corpus, store, tmp_path, write_binary=False)
     assert not (tmp_path / "content_users.bin").exists()
 
-    vecs = [_item_mean(p, corpus.text(i)) for i in range(5)]
+    vecs = [_item_mean(p, corpus.texts[i]) for i in range(5)]
     chunks = [
         encode_user(np.stack(vecs[0:2]), p)[0],
         encode_user(np.stack(vecs[2:4]), p)[0],
@@ -622,11 +629,18 @@ def test_content_checkpoint_corruption(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "header", [b"CLIT1 16 8 three 2\n", b"CLIT1 16 -8 3 2\n"], ids=["non-integer", "negative"]
+    "header,message",
+    [
+        (b"CLIT1 16 8 three 2\n", "malformed checkpoint header"),
+        (b"CLIT1 16 -8 3 2\n", "malformed checkpoint header"),
+        # h = 0: every tensor but the (1,) bias is empty, and the shapes agree
+        (b"CLIT1 8 0 3 2\n" + np.zeros(1).tobytes(), "h must be >= 1"),
+    ],
+    ids=["non-integer", "negative", "zero-width"],
 )
-def test_content_checkpoint_malformed_header_names_file(tmp_path, header):
+def test_content_checkpoint_malformed_header_names_file(tmp_path, header, message):
     bad = tmp_path / "bad.content"
     bad.write_bytes(header)
     with pytest.raises(ValueError) as err:
         load_content_checkpoint(bad)
-    assert str(err.value) == f"{bad}: malformed checkpoint header"
+    assert str(err.value) == f"{bad}: {message}"

@@ -35,7 +35,7 @@ def test_split_file_parse_and_duplicate_collapse(tmp_path, caplog):
     assert items.tolist() == [3, 1, 3, 7, 7, 5]
     p.write_text("0 3 1 3\n1\t7 7 5\n")
     with caplog.at_level(logging.WARNING, logger="kgrec.data"):
-        store = load_interactions(p)
+        store = load_interactions(tmp_path)
     assert "collapsed 2 duplicate interactions" in caplog.text
     assert store.train[0].tolist() == [1, 3]
     assert store.train[1].tolist() == [5, 7]
@@ -153,7 +153,7 @@ def test_sparse_huge_user_id_fails_before_sizing_anything(tmp_path):
     p = tmp_path / "train.txt"
     p.write_text("0 1\n1 1\n2 1\n3 1\n1000000000000 1\n")
     with pytest.raises(DatasetError, match="^user ids not dense: user 4 has no interactions$"):
-        load_interactions(p)
+        load_interactions(tmp_path)
 
 
 def test_build_store_rejects_int64_key_overflow():
@@ -373,12 +373,12 @@ def test_kg_infers_relation_count(tmp_path):
 
 
 def test_items_round_trip_and_errors(tmp_path):
-    corpus = ItemCorpus(num_items=3, texts={0: "red lamp", 2: "blue tent"})
+    corpus = ItemCorpus(("red lamp", "", "blue tent"))
     p1, p2 = tmp_path / "a.tsv", tmp_path / "b.tsv"
     save_items(corpus, p1)
     loaded = load_items(p1)
-    assert loaded.text(0) == "red lamp"
-    assert loaded.text(1) == ""  # blank line round-trips as empty text
+    assert loaded.texts[0] == "red lamp"
+    assert loaded.texts[1] == ""  # blank line round-trips as empty text
     save_items(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
@@ -387,12 +387,32 @@ def test_items_round_trip_and_errors(tmp_path):
     with pytest.raises(DatasetError, match="duplicate item id"):
         load_items(bad)
     with pytest.raises(DatasetError, match="tab or newline"):
-        save_items(ItemCorpus(num_items=1, texts={0: "a\tb"}), tmp_path / "x.tsv")
+        save_items(ItemCorpus(("a\tb",)), tmp_path / "x.tsv")
+
+
+def test_load_items_takes_ids_in_any_order_but_rejects_a_gap(tmp_path):
+    p = tmp_path / "items.tsv"
+    p.write_text("1\tblue tent\n0\tred lamp\n")
+    assert load_items(p).texts == ("red lamp", "blue tent")
+    p.write_text("0\tred lamp\n2\tblue tent\n")
+    with pytest.raises(DatasetError) as err:
+        load_items(p)
+    assert str(err.value) == f"{p}:2: item id 2 out of range: the file lists 2 items, so ids must be 0..1"
+
+
+def test_empty_items_file_is_an_empty_catalog(tmp_path):
+    (tmp_path / "items.tsv").write_text("")
+    assert load_items(tmp_path / "items.tsv").texts == ()
+    (tmp_path / "train.txt").write_text("0 0\n")
+    (tmp_path / "kg.txt").write_text("0 0 1\n")
+    with pytest.raises(DatasetError) as err:
+        load_bundle(tmp_path)
+    assert str(err.value) == f"{tmp_path / 'train.txt'}: item id 0 is not in {tmp_path / 'items.tsv'} (0 items)"
 
 
 def test_save_items_rejects_carriage_return(tmp_path):
     # a CR would reload as a line break: item 0 "red lamp", then an item 7
-    corpus = ItemCorpus(num_items=2, texts={0: "red lamp\r7", 1: "blue mug"})
+    corpus = ItemCorpus(("red lamp\r7", "blue mug"))
     with pytest.raises(DatasetError, match="item 0: text contains tab or newline"):
         save_items(corpus, tmp_path / "items.tsv")
     assert not (tmp_path / "items.tsv").exists()
@@ -568,7 +588,7 @@ def _fails_after(rows):
 def test_failed_dataset_writes_keep_earlier_files(tmp_path):
     save_interactions(build_store({0: [0, 1], 1: [2]}, num_items=3), tmp_path)
     save_kg(kg_from_triplets([(0, 0, 1)], num_relations_raw=1), tmp_path / "kg.txt")
-    save_items(ItemCorpus(num_items=2, texts={0: "red lamp"}), tmp_path / "items.tsv")
+    save_items(ItemCorpus(("red lamp", "")), tmp_path / "items.tsv")
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
 
     with pytest.raises(TypeError):  # user 1's list breaks after user 0 is written
@@ -576,7 +596,7 @@ def test_failed_dataset_writes_keep_earlier_files(tmp_path):
     with pytest.raises(OSError, match="disk full"):
         save_kg(SimpleNamespace(raw_triplets=lambda: _fails_after([(1, 0, 2)])), tmp_path / "kg.txt")
     with pytest.raises(DatasetError, match="tab or newline"):
-        save_items(ItemCorpus(num_items=2, texts={0: "ok", 1: "a\tb"}), tmp_path / "items.tsv")
+        save_items(ItemCorpus(("ok", "a\tb")), tmp_path / "items.tsv")
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
@@ -693,7 +713,7 @@ def test_synthetic_fixed_text_constants(synth_bundle):
     C = SyntheticSpec().n_clusters
     lengths, own, shared = [], set(), set()
     for i in range(corpus.num_items):
-        tokens = corpus.text(i).split()
+        tokens = corpus.texts[i].split()
         lengths.append(len(tokens))
         for tok in tokens:
             if tok.startswith("shw"):

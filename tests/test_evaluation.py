@@ -234,7 +234,7 @@ def one_hot_bundle():
         num_items=5,
     )
     graph = kg_from_triplets([(0, 0, 1)], num_relations_raw=1, num_entities=5)
-    return DatasetBundle(store=store, graph=graph, corpus=ItemCorpus(5, {}))
+    return DatasetBundle(store=store, graph=graph, corpus=ItemCorpus(("",) * 5))
 
 
 def test_evaluate_embeddings_perfect_pointer_model():
@@ -261,7 +261,7 @@ def test_evaluate_embeddings_skip_accounting():
     b = DatasetBundle(
         store=store,
         graph=kg_from_triplets([(0, 0, 1)], 1, num_entities=4),
-        corpus=ItemCorpus(4, {}),
+        corpus=ItemCorpus(("",) * 4),
     )
     rng = np.random.default_rng(2)
     items = EmbeddingMatrixFile("item", np.arange(4), rng.normal(size=(4, 3)))
@@ -275,7 +275,7 @@ def test_evaluate_embeddings_rejects_a_swapped_pair():
     # as many users as items: every id resolves, so only the kinds tell the
     # files apart
     store = build_store({0: [0], 1: [1], 2: [2]}, test={0: [1], 1: [2], 2: [0]}, num_items=3)
-    b = DatasetBundle(store=store, graph=kg_from_triplets([(0, 0, 1)], 1, num_entities=3), corpus=ItemCorpus(3, {}))
+    b = DatasetBundle(store=store, graph=kg_from_triplets([(0, 0, 1)], 1, num_entities=3), corpus=ItemCorpus(("",) * 3))
     rng = np.random.default_rng(4)
     items = EmbeddingMatrixFile("item", np.arange(3), rng.normal(size=(3, 2)))
     users = EmbeddingMatrixFile("user", np.arange(3), rng.normal(size=(3, 2)))
@@ -337,7 +337,7 @@ def graph_bundle():
     )
     triplets = [(i, i % 2, 6 + i % 3) for i in range(6)]
     graph = kg_from_triplets(triplets, num_relations_raw=2, num_entities=9)
-    return DatasetBundle(store=store, graph=graph, corpus=ItemCorpus(6, {}))
+    return DatasetBundle(store=store, graph=graph, corpus=ItemCorpus(("",) * 6))
 
 
 def graph_params(b, seed=0):
@@ -486,7 +486,7 @@ def test_evaluate_split_absent_errors():
     b = DatasetBundle(
         store=store,
         graph=kg_from_triplets([(0, 0, 1)], 1, num_entities=3),
-        corpus=ItemCorpus(3, {}),
+        corpus=ItemCorpus(("",) * 3),
     )
     p = init_params(3, 2, 1, h=4, n_layers=1, n_pref=2, n_meta=2, seed=0)
     with pytest.raises(DatasetError, match="split absent: no valid interactions"):

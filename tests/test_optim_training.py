@@ -173,7 +173,7 @@ def tiny_bundle():
     )
     triplets = [(i, i % 2, 6 + (i % 3)) for i in range(6)]
     graph = kg_from_triplets(triplets, num_relations_raw=2, num_entities=9)
-    corpus = ItemCorpus(num_items=6, texts={i: f"tok{i}" for i in range(6)})
+    corpus = ItemCorpus(tuple(f"tok{i}" for i in range(6)))
     return DatasetBundle(store=store, graph=graph, corpus=corpus)
 
 
