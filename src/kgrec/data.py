@@ -326,7 +326,7 @@ class KnowledgeGraph:
     (lo, hi, d) blocks that cut the runs into cache-sized pieces: edges
     [lo, hi) are (hi - lo) / d whole heads of degree d, about CHUNK_EDGES
     edges in all, so a head reduction over a block is a reshape to
-    [heads, d, h] and a sum over axis 1.
+    [heads, d, h] and a weighted sum over axis 1.
     """
 
     num_entities: int

@@ -22,7 +22,12 @@ DEFAULT_KS = (20, 60, 100)
 BLOCK_SCORES = 1 << 20  # scores per ranking block; rows = this // catalog size
 
 
-def rank_block(user_vecs, item_embs, seen, test, ks):
+def _block_buffers(rows: int, n_items: int):
+    """Fresh (scores, partition scratch, `<=` mask) arrays for rank_block."""
+    return np.empty((rows, n_items)), np.empty((rows, n_items)), np.empty((rows, n_items), dtype=bool)
+
+
+def rank_block(user_vecs, item_embs, seen, test, ks, buffers=None):
     """Rank the catalog for a block of users and score their top-K lists.
 
     `seen` and `test` are flat per-user lists `(concatenation, counts)`,
@@ -33,22 +38,27 @@ def rank_block(user_vecs, item_embs, seen, test, ks):
     small per-row table, ids ascending and padded with +inf keys and id -1;
     a stable argsort of each row then breaks equal scores that straddle
     the cut toward the smaller id. Positions past the unmasked catalog
-    read -1.
+    read -1. `buffers`, (scores, scratch, mask) arrays as `_block_buffers`
+    makes them with at least B rows, are written over instead of allocated.
 
     Returns (ids [B, kk], metrics [3, len(ks), B]): recall, ndcg and hit
     ratio at each k.
     """
     if min(ks) < 1:
         raise ValueError("k must be >= 1")
+    user_vecs, item_embs = np.asarray(user_vecs, dtype=np.float64), np.asarray(item_embs, dtype=np.float64)
+    n_rows, n_items = len(user_vecs), len(item_embs)
+    neg, part, below = (b[:n_rows] for b in buffers or _block_buffers(n_rows, n_items))
     # negating the small side is exact, so these are the negated scores bit for bit
-    neg = -np.asarray(user_vecs, dtype=np.float64) @ np.asarray(item_embs, dtype=np.float64).T
-    n_rows, n_items = neg.shape
+    np.matmul(-user_vecs, item_embs.T, out=neg)
     kk = min(max(ks), n_items)
     rows = np.arange(n_rows)
     neg[np.repeat(rows, seen[1]), seen[0]] = np.inf
 
-    cut = np.partition(neg, kk - 1, axis=1)[:, kk - 1].copy()  # frees the partitioned copy
-    flat = np.flatnonzero(neg <= cut[:, None])  # row-major: rows ascending, ids ascending within
+    np.copyto(part, neg)
+    part.partition(kk - 1, axis=1)
+    # row-major: rows ascending, ids ascending within
+    flat = np.flatnonzero(np.less_equal(neg, part[:, kk - 1 : kk], out=below))
     key = neg.ravel()[flat]
     live = key != np.inf  # masked items only ever pad
     flat, key = flat[live], key[live]
@@ -138,11 +148,12 @@ def _rank_users(user_vecs, users, skipped, item_embs, seen, test, split, ks):
     """Run `rank_block` over blocks of about BLOCK_SCORES scores, masking each
     user's `seen` items, and average every metric over the users in order."""
     rows = max(1, BLOCK_SCORES // len(item_embs))
+    buffers = _block_buffers(min(rows, len(users)), len(item_embs))
     per_user = np.empty((3, len(ks), len(users)))
     for a in range(0, len(users), rows):
         block = users[a : a + rows]
         _, per_user[:, :, a : a + rows] = rank_block(
-            user_vecs[a : a + rows], item_embs, seen.rows(block), test.rows(block), ks
+            user_vecs[a : a + rows], item_embs, seen.rows(block), test.rows(block), ks, buffers
         )
     recall, ndcg, hit = ({k: float(np.mean(m[j])) for j, k in enumerate(ks)} for m in per_user)
     return MetricsReport(split, ks, recall, ndcg, hit, users_evaluated=len(users), users_skipped=skipped)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .data import InteractionStore, KnowledgeGraph
+from .data import CHUNK_EDGES, InteractionStore, KnowledgeGraph
 from .numeric import read_tensor_file, segment_sum, sigmoid, softmax_rows, write_tensor_file
 from .settings import TRAIN, check
 
@@ -132,20 +132,19 @@ def conv_layer(graph: KnowledgeGraph, prev: np.ndarray, relation_emb: np.ndarray
     read at (head, rel). The messages run in the cache-sized graph.chunks,
     each a run of whole degree-d heads: the graph stores a head's d edges
     contiguously in (relation, tail) order, so a chunk gathers
-    w_e * (rel_r o prev_j) for its edges and sums every head's d rows in
-    edge order, as one np.bincount over the edges would, and no [E, h]
-    array is ever made. Isolated entities output zero. Returns
-    (out, per-edge gate values in graph edge order).
+    rel_r o prev_j for its edges and one einsum sums every head's d rows
+    weighted by w_e, in edge order, as one np.bincount over the edges would
+    (for h >= 2), and no [E, h] array is ever made. Isolated entities output
+    zero. Returns (out, per-edge gate values in graph edge order).
     """
     head, rel, tail, h = graph.edge_head, graph.edge_rel, graph.edge_tail, prev.shape[1]
     gates = sigmoid((prev @ relation_emb.T)[head, rel])  # [E]
     w = gates * graph.inv_degree[head]
     out = np.zeros(prev.shape)
     for lo, hi, d in graph.chunks:
-        m = prev[tail[lo:hi]]
-        m *= relation_emb[rel[lo:hi]]
-        m *= w[lo:hi, None]
-        out[head[lo:hi:d]] = m.reshape(-1, d, h).sum(axis=1)
+        m = np.take(prev, tail[lo:hi], axis=0)
+        m *= np.take(relation_emb, rel[lo:hi], axis=0)
+        out[head[lo:hi:d]] = np.einsum("nd,ndh->nh", w[lo:hi].reshape(-1, d), m.reshape(-1, d, h))
     return out, gates
 
 
@@ -193,7 +192,9 @@ def user_forward(entity_agg: np.ndarray, histories, users: np.ndarray, profile: 
     (store.train or store.cold_history). `profile` is one preference mix
     per user, alpha_u @ pref [U, h], or a single row shared by all of them
     (uniform attention: pref.mean(axis=0)). The factorized product equals
-    the per-preference sum sum_p alpha_p * (hist_mean o pref_p).
+    the per-preference sum sum_p alpha_p * (hist_mean o pref_p). History
+    rows are gathered and summed in cache-sized blocks of whole users, about
+    CHUNK_EDGES rows each: bit for bit one whole-history np.add.reduceat.
 
     Returns (history means of the summed table [U, h], user vectors [U, h],
     and the history concatenation and counts that the backward pass
@@ -202,7 +203,15 @@ def user_forward(entity_agg: np.ndarray, histories, users: np.ndarray, profile: 
     concat, counts = histories.rows(users)
     if not counts.all():
         raise ValueError(f"user {int(users[np.argmin(counts)])} has no history")
-    msum = np.add.reduceat(entity_agg[concat], np.cumsum(counts) - counts, axis=0) / counts[:, None]
+    bounds = np.concatenate([[0], np.cumsum(counts)])  # user k's rows: bounds[k] to bounds[k + 1]
+    msum = np.empty((len(users), entity_agg.shape[1]))
+    a = 0
+    while a < len(users):  # users a..b-1 fill at most CHUNK_EDGES rows, or b = a + 1
+        b = max(a + 1, int(np.searchsorted(bounds, bounds[a] + CHUNK_EDGES, side="right")) - 1)
+        block = np.take(entity_agg, concat[bounds[a] : bounds[b]], axis=0)
+        msum[a:b] = np.add.reduceat(block, bounds[a:b] - bounds[a], axis=0)
+        a = b
+    msum /= counts[:, None]
     return msum, msum * profile, concat, counts
 
 
@@ -322,8 +331,8 @@ def _conv_backward(
         (a [R, c] by [c, h] product per chunk).
     message path to prev: d_prev_j += sum over edges (i, r, j) of
         g_e G_i o rel_r. Summed over the inverse edges (j, r', i) of j's own
-        run, this is a head reduction like the forward's, not a scatter
-        over tails.
+        run, this is the forward's weighted head sum, not a scatter over
+        tails.
     gate path: d_dot_e = g_e (1 - g_e) (q_e . rel_r) is the adjoint of
         logit (i, r); binned into Dm [N, R], it gives d_prev += Dm @ rel
         and d_rel += Dm^T @ prev.
@@ -338,16 +347,15 @@ def _conv_backward(
     for lo, hi, d in graph.chunks:
         heads, tails, rels = head[lo:hi:d], tail[lo:hi], rel[lo:hi]
         rows = np.arange(hi - lo)
-        q = prev[tails]
-        q.reshape(-1, d, h)[...] *= g_scaled[heads][:, None, :]
+        q = np.take(prev, tails, axis=0)
+        q.reshape(-1, d, h)[...] *= np.take(g_scaled, heads, axis=0)[:, None, :]
         d_dot[lo:hi] = (q @ relation_emb.T)[rows, rels]
         one_hot = np.zeros((hi - lo, n_rel))
         one_hot[rows, rels] = gates[lo:hi]
         d_relation += one_hot.T @ q
-        v = g_scaled[tails]
-        v *= relation_emb[rel_inverse[lo:hi]]
-        v *= g_inverse[lo:hi, None]
-        d_prev[heads] = v.reshape(-1, d, h).sum(axis=1)
+        v = np.take(g_scaled, tails, axis=0)
+        v *= np.take(relation_emb, rel_inverse[lo:hi], axis=0)
+        d_prev[heads] = np.einsum("nd,ndh->nh", g_inverse[lo:hi].reshape(-1, d), v.reshape(-1, d, h))
     d_dot *= gates * (1.0 - gates)  # sigmoid'
     dm = np.bincount(head * n_rel + rel, weights=d_dot, minlength=n * n_rel).reshape(n, n_rel)
     d_relation += dm.T @ prev

@@ -157,6 +157,23 @@ def test_rank_block_matches_lexsort_reference():
         np.testing.assert_array_equal(got, want)
 
 
+def test_rank_block_with_stale_buffers_equals_fresh_buffers():
+    rng = np.random.default_rng(17)
+    n, rows, users = 40, 7, 17  # blocks of 7, 7 and a short 3
+    item_embs = rng.integers(-1, 2, size=(n, 2)).astype(np.float64)
+    user_vecs = rng.integers(-1, 2, size=(users, 2)).astype(np.float64)
+    masks = [rng.choice(n, size=int(rng.integers(0, n)), replace=False) for _ in range(users)]
+    tests = [rng.integers(0, n, size=int(rng.integers(1, 6))) for _ in range(users)]
+    buffers = (np.full((rows, n), np.nan), np.full((rows, n), np.nan), np.ones((rows, n), dtype=bool))
+    for a in range(0, users, rows):
+        block = slice(a, a + rows)
+        args = (user_vecs[block], item_embs, flat(masks[block]), flat(tests[block]), (1, 5, 50))
+        want_ids, want = rank_block(*args)
+        ids, got = rank_block(*args, buffers)
+        np.testing.assert_array_equal(ids, want_ids)
+        np.testing.assert_array_equal(got, want)
+
+
 def test_rank_block_memory_stays_near_the_score_block():
     rng = np.random.default_rng(5)
     rows, n, h = 131, 8000, 16

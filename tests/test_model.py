@@ -187,14 +187,32 @@ def bucket_graph():
     return kg_from_triplets(triplets, num_relations_raw=3, num_entities=14)
 
 
-def bincount_conv(g, prev, rel):
-    """conv_layer as one flat np.bincount over every edge in graph order."""
-    n, h = prev.shape
-    gates = sigmoid((prev @ rel.T)[g.edge_head, g.edge_rel])
-    w = gates * g.inv_degree[g.edge_head]
-    values = w[:, None] * (rel[g.edge_rel] * prev[g.edge_tail])
+def head_sums(g, values):
+    """Per-head sums of per-edge rows [E, h] as one flat np.bincount over
+    every edge in graph order."""
+    n, h = g.num_entities, values.shape[1]
     flat = (g.edge_head[:, None] * h + np.arange(h)).ravel()
     return np.bincount(flat, weights=values.ravel(), minlength=n * h).reshape(n, h)
+
+
+def bincount_conv(g, prev, rel):
+    """conv_layer as one flat np.bincount over every edge in graph order."""
+    gates = sigmoid((prev @ rel.T)[g.edge_head, g.edge_rel])
+    w = gates * g.inv_degree[g.edge_head]
+    return head_sums(g, w[:, None] * (rel[g.edge_rel] * prev[g.edge_tail]))
+
+
+def bincount_conv_adjoint(g, prev, rel, gates, grad_out):
+    """_conv_backward's gradient on `prev`: the message path as one flat
+    np.bincount over the edges in graph order, each edge (j, r', i) adding
+    g_inverse * (G_i o rel_r) of its inverse (i, r, j), plus Dm @ rel."""
+    n, n_rel = g.num_entities, g.num_relations
+    G = grad_out * g.inv_degree[:, None]
+    message = head_sums(g, gates[g.inverse][:, None] * (G[g.edge_tail] * rel[g.edge_rel[g.inverse]]))
+    q = prev[g.edge_tail] * G[g.edge_head]
+    d_dot = (q @ rel.T)[np.arange(g.num_edges), g.edge_rel] * (gates * (1.0 - gates))
+    dm = np.bincount(g.edge_head * n_rel + g.edge_rel, weights=d_dot, minlength=n * n_rel)
+    return message + dm.reshape(n, n_rel) @ rel
 
 
 @pytest.mark.parametrize("chunk_edges", [1, 4, 1024])
@@ -234,6 +252,21 @@ def test_plan_chunks_match_per_edge_loop(monkeypatch, chunk_edges):
     assert np.all(out[13] == 0.0) and np.all(d_prev[13] == 0.0)
 
 
+@pytest.mark.parametrize("h", [2, 3, 8, 64])
+def test_conv_and_adjoint_equal_flat_bincounts_bit_for_bit(monkeypatch, h):
+    # h = 1 is left out: there the head sums and a flat bincount differ in the last bit
+    monkeypatch.setattr(data, "CHUNK_EDGES", 4)
+    g = bucket_graph()
+    rng = np.random.default_rng(14)
+    prev = rng.normal(size=(14, h))
+    rel = rng.normal(size=(g.num_relations, h))
+    grad_out = rng.normal(size=(14, h))
+    out, gates = conv_layer(g, prev, rel)
+    d_prev = _conv_backward(g, prev, rel, gates, grad_out, np.zeros_like(rel))
+    assert np.array_equal(out, bincount_conv(g, prev, rel))
+    assert np.array_equal(d_prev, bincount_conv_adjoint(g, prev, rel, gates, grad_out))
+
+
 def test_conv_sweep_makes_no_edge_width_temporary():
     rng = np.random.default_rng(5)
     n, h = 1000, 64
@@ -252,6 +285,23 @@ def test_conv_sweep_makes_no_edge_width_temporary():
     finally:
         tracemalloc.stop()
     assert peak < g.num_edges * h * 8, f"traced peak {peak} B reaches one [E, h] array"
+
+
+def test_user_forward_makes_no_history_width_temporary():
+    rng = np.random.default_rng(6)
+    n_users, n_items, h = 400, 2000, 32
+    histories = {u: np.sort(rng.choice(n_items, size=40, replace=False)) for u in range(n_users)}
+    store = build_store(histories, num_items=n_items)
+    entity_agg = rng.normal(size=(n_items, h))
+    rows = len(store.train.items)
+    assert rows > 8 * data.CHUNK_EDGES
+    tracemalloc.start()
+    try:
+        user_forward(entity_agg, store.train, np.arange(n_users), np.ones(h))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < rows * h * 8, f"traced peak {peak} B reaches one [history rows, h] gather"
 
 
 def test_edgeless_graph_forward_and_backward_equal_depth_zero():
@@ -341,6 +391,28 @@ def test_user_forward_matches_per_preference_sum():
     msum, vecs, _, _ = user_forward(aggregate_layers(layers), store.train, users, shared)
     np.testing.assert_allclose(vecs, msum * shared[None, :], rtol=1e-15)
     np.testing.assert_array_equal(msum, trace.hist_msum)
+
+
+def test_user_forward_blocks_equal_one_whole_reduceat():
+    rng = np.random.default_rng(21)
+    n_items, h = 3000, 6
+    # several blocks under CHUNK_EDGES rows, and a 1300-row history that fills one alone
+    lengths = [700, 200, 1, 400, 1300, 5, 900, 350, 120, 60, 3, 250]
+    assert sum(lengths) > 3 * data.CHUNK_EDGES and max(lengths) > data.CHUNK_EDGES
+    store = build_store(
+        {u: np.sort(rng.choice(n_items, size=n, replace=False)) for u, n in enumerate(lengths)},
+        num_items=n_items,
+    )
+    entity_agg = rng.normal(size=(n_items, h))
+    users = rng.permutation(len(lengths))
+    profile = rng.normal(size=(len(users), h))
+    msum, vecs, concat, counts = user_forward(entity_agg, store.train, users, profile)
+
+    want_concat, want_counts = store.train.rows(users)
+    want = np.add.reduceat(entity_agg[want_concat], np.cumsum(want_counts) - want_counts, axis=0)
+    want /= want_counts[:, None]
+    assert np.array_equal(msum, want) and np.array_equal(vecs, want * profile)
+    assert np.array_equal(concat, want_concat) and np.array_equal(counts, want_counts)
 
 
 def test_user_forward_single_preference_ignores_query_vector():
