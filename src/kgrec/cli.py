@@ -313,7 +313,16 @@ def _cmd_eval(opts: dict) -> int:
     bundle = load_bundle(data)
     split = opts["split"]
     if opts["checkpoint"]:
-        report = evaluate(load_checkpoint(opts["checkpoint"]), bundle, split, ks=ks)
+        ck = opts["checkpoint"]
+        params = load_checkpoint(ck)
+        for what, have, want in (
+            ("entities", params.num_entities, bundle.graph.num_entities),
+            ("relations (inverses included)", params.num_relations, bundle.graph.num_relations),
+            ("users", params.num_users, bundle.store.num_users),
+        ):
+            if have != want:
+                raise ValueError(f"eval: checkpoint {ck} has {have} {what} but --data {data} has {want}")
+        report = evaluate(params, bundle, split, ks=ks)
     else:
         users, items = read_embeddings(opts["content_users"]), read_embeddings(opts["content_items"])
         report = evaluate_embeddings(users, items, bundle, split, ks=ks)

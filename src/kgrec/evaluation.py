@@ -174,8 +174,7 @@ def evaluate(params: KmpnParams, bundle: DatasetBundle, split: str, ks=DEFAULT_K
     if store.num_users != params.num_users:
         raise DatasetError("checkpoint/dataset user count mismatch")
 
-    layers, _ = entity_forward(params, bundle.graph)
-    entity_agg = aggregate_layers(layers)
+    entity_agg = aggregate_layers(entity_forward(params, bundle.graph)[0])  # the layers die here
     _, pref = preference_embeddings(params)
     seen = store.cold_history if split == "cold_start" else store.train
     users, skipped = _split_users(seen, test, split)

@@ -359,7 +359,7 @@ def _conv_backward(
     d_dot *= gates * (1.0 - gates)  # sigmoid'
     dm = np.bincount(head * n_rel + rel, weights=d_dot, minlength=n * n_rel).reshape(n, n_rel)
     d_relation += dm.T @ prev
-    d_prev += dm @ relation_emb
+    d_prev += np.matmul(dm, relation_emb, out=g_scaled)  # g_scaled is dead: reuse its memory
     return d_prev
 
 
@@ -414,20 +414,26 @@ def backward(
     inner_b = (d_beta * trace.beta).sum(axis=1, keepdims=True)
     d_pref_logits = trace.beta * (d_beta - inner_b)
 
-    # history means: the same scatter feeds every depth
-    weights = np.repeat(d_msum / trace.hist_counts[:, None], trace.hist_counts, axis=0)
-    hist_scatter = segment_sum(trace.hist_concat, weights, len(entity_agg))
-
-    per_depth = d_entity_agg + hist_scatter  # reaches layers[l] for every l
+    # history means: the same scatter feeds every depth. Added in place, it
+    # makes d_entity_agg the gradient that reaches layers[l] for every l.
+    per_depth = d_entity_agg
+    per_depth += segment_sum(
+        trace.hist_concat,
+        np.repeat(d_msum / trace.hist_counts[:, None], trace.hist_counts, axis=0),
+        len(entity_agg),
+    )
+    # layer l's gradient is per_depth plus the adjoint of sweep l + 1, added
+    # in place to that adjoint's output; rebinding `grad` frees the adjoint's
+    # input, so at most four [N, h] arrays live at once. The top layer takes
+    # per_depth itself: bincount bins are never -0.0, so it is per_depth + 0.
     d_relation = np.zeros_like(params.relation_emb)
-    carry = np.zeros_like(entity_agg)
+    grad = per_depth
     for l in range(params.n_layers, 0, -1):
-        grad_layer = per_depth + carry
-        carry = _conv_backward(
-            graph, trace.layers[l - 1], params.relation_emb, trace.gates[l - 1], grad_layer,
-            d_relation,
+        grad = _conv_backward(
+            graph, trace.layers[l - 1], params.relation_emb, trace.gates[l - 1], grad, d_relation,
         )
-    d_entity = per_depth + carry
+        grad += per_depth
+    d_entity = grad
 
     return {
         "entity_emb": d_entity,

@@ -13,13 +13,12 @@ import numpy as np
 
 
 def sigmoid(x):
-    """Stable logistic function, elementwise."""
+    """Stable logistic function, elementwise: 1 / (1 + e^-x) for x >= 0 and
+    e^x / (1 + e^x) below, both from e = e^-|x|, so no exp overflows."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    out = np.where(x >= 0, 1.0 / d, e / d)
     if out.ndim == 0:
         return float(out)
     return out
@@ -97,14 +96,15 @@ def write_tensor_file(path, magic: str, header: tuple, tensors) -> None:
     with atomic_open(path) as fh:
         fh.write(line.encode("ascii"))
         for t in tensors:
-            fh.write(np.ascontiguousarray(t, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(t, dtype="<f8"))  # the array's own buffer, no bytes copy
 
 
 def read_tensor_file(path, magic: str, n_header: int, shapes):
     """Inverse of write_tensor_file. `shapes(*header)` gives the tensor
     shapes in file order. The payload size those shapes imply is checked
     against the file size before any tensor is read. Returns (header
-    integers, tensors); every error names the file."""
+    integers, tensors); every error names the file. Each tensor is read
+    straight into its own array, with no intermediate bytes copy."""
     path = Path(path)
     with open(path, "rb") as fh:
         fields = fh.readline().decode("ascii", errors="replace").split()
@@ -120,9 +120,13 @@ def read_tensor_file(path, magic: str, n_header: int, shapes):
             raise ValueError(f"{path}: truncated checkpoint")
         if payload > sum(n_bytes):
             raise ValueError(f"{path}: trailing bytes after checkpoint payload")
-        try:  # numpy refuses a zero-size shape whose other sides are too big
-            tensors = [np.frombuffer(fh.read(n), dtype="<f8").reshape(shape).astype(np.float64)
-                       for shape, n in zip(shape_list, n_bytes)]
-        except ValueError:
-            raise ValueError(f"{path}: malformed checkpoint header") from None
+        tensors = []
+        for shape, n in zip(shape_list, n_bytes):
+            try:  # numpy refuses a zero-size shape whose other sides are too big
+                t = np.empty(shape, dtype="<f8")
+            except ValueError:
+                raise ValueError(f"{path}: malformed checkpoint header") from None
+            if fh.readinto(t) != n:  # the file shrank after the size check
+                raise ValueError(f"{path}: truncated checkpoint")
+            tensors.append(t.astype(np.float64, copy=False))
     return header, tensors

@@ -49,6 +49,15 @@ class LossParts:
         return self.bpr + w.l2 * self.l2 + w.dcorr * self.dcorr + w.cross_system * self.cs
 
 
+def _row_terms(weights: LossWeights, rows: np.ndarray, d_align) -> np.ndarray:
+    """Gradient on batch rows of the terms that act on them directly:
+    l2 * rows, plus cross_system * d_align when alignment is on."""
+    out = weights.l2 * rows
+    if d_align is not None:
+        out += weights.cross_system * d_align
+    return out
+
+
 def kmpn_loss_and_grads(
     params: KmpnParams,
     graph: KnowledgeGraph,
@@ -85,15 +94,14 @@ def kmpn_loss_and_grads(
         dcorr_val, d_pref, basis = soft_dcorr_loss(trace.pref, weights.pca_keep, basis=frozen_basis)
 
     cs_val = 0.0
-    d_cu = d_cp = d_cn = None
+    d_cu = d_ci = None  # alignment gradients on the user rows and the item rows
     if content is not None and weights.cross_system != 0.0:
         item_set, user_set = content
-        cu = user_set.rows(trace.users)
-        cp = item_set.rows(trace.pos_items)
-        cn = item_set.rows(trace.neg_items)
-        cs_val, d_cu, d_cp, d_cn = cross_system_loss(
-            user_rows, pos_rows, neg_rows, cu, cp, cn
+        cs_val, d_cu, *d_ci = cross_system_loss(
+            user_rows, pos_rows, neg_rows,
+            user_set.rows(trace.users), item_set.rows(trace.pos_items), item_set.rows(trace.neg_items),
         )
+        d_ci = np.concatenate(d_ci)
 
     parts = LossParts(bpr=bpr_val, l2=l2_val, dcorr=dcorr_val, cs=cs_val)
     total = parts.total(weights)
@@ -101,15 +109,17 @@ def kmpn_loss_and_grads(
         return total, None, parts, basis
 
     # a score is <user row, item row>: its gradient reaches each row
-    # scaled by the other row; l2 and alignment act on the rows directly
-    d_user_rows = d_pos[:, None] * pos_rows + d_neg[:, None] * neg_rows
+    # scaled by the other row; l2 and alignment act on the rows directly.
+    # Each sum (score terms) + (row terms) is built in place and the batch
+    # rows are dropped, so backward runs with only the two sums alive.
+    d_user_rows = d_pos[:, None] * pos_rows
+    d_user_rows += d_neg[:, None] * neg_rows
+    d_user_rows += _row_terms(weights, user_rows, d_cu)
     d_item_rows = np.concatenate([d_pos, d_neg])[:, None] * np.tile(user_rows, (2, 1))
-    d_user_reg, d_item_reg = weights.l2 * user_rows, weights.l2 * item_rows
-    if d_cu is not None:
-        d_user_reg = d_user_reg + weights.cross_system * d_cu
-        d_item_reg = d_item_reg + weights.cross_system * np.concatenate([d_cp, d_cn])
+    d_item_rows += _row_terms(weights, item_rows, d_ci)
+    del user_rows, item_rows, pos_rows, neg_rows, d_cu, d_ci
     d_pref = None if d_pref is None else weights.dcorr * d_pref
-    grads = backward(params, graph, trace, d_user_rows + d_user_reg, d_item_rows + d_item_reg, d_pref)
+    grads = backward(params, graph, trace, d_user_rows, d_item_rows, d_pref)
     return total, grads, parts, basis
 
 

@@ -489,13 +489,23 @@ def test_eval_flags_checked_before_loading_data(tmp_path, flags, message):
     assert not (tmp_path / "x").exists()
 
 
-def test_eval_rejects_checkpoint_with_other_relation_count(cli_dataset, tmp_path):
-    d, _ = cli_dataset
+@pytest.mark.parametrize(
+    "counts, what, have, want",
+    [
+        ((100, 6, 40), "entities", 100, 90),
+        ((90, 8, 40), "relations (inverses included)", 8, 6),
+        ((90, 6, 41), "users", 41, 40),
+    ],
+    ids=["entities", "relations", "users"],
+)
+def test_eval_rejects_checkpoint_with_other_count(cli_dataset, tmp_path, counts, what, have, want):
+    d, _ = cli_dataset  # 90 entities, 3 raw relations (6 with inverses), 40 users
     ck = tmp_path / "c.kmpn"
-    save_checkpoint(init_params(90, 8, 40, h=4, n_layers=1, n_pref=2, n_meta=2, seed=0), ck)  # graph has 6
-    res = run_cli("eval", "--data", d, "--checkpoint", ck, "--split", "test")
+    save_checkpoint(init_params(*counts, h=4, n_layers=1, n_pref=2, n_meta=2, seed=0), ck)
+    res = run_cli("eval", "--data", d, "--checkpoint", ck, "--split", "test", "--out", tmp_path / "x")
     assert res.returncode == 2
-    assert res.stderr == "error: graph/params relation count mismatch\n"
+    assert res.stderr == f"error: eval: checkpoint {ck} has {have} {what} but --data {d} has {want}\n"
+    assert res.stdout == "" and not (tmp_path / "x").exists()
 
 
 def _rewrite_checkpoint(path, header_field=None, value=None, nan=False):

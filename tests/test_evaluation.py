@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -517,6 +518,25 @@ def test_evaluate_split_absent_errors():
     users = EmbeddingMatrixFile("user", np.arange(5), np.zeros((5, 2), dtype=np.float32))
     with pytest.raises(DatasetError, match="needs model parameters"):
         evaluate_embeddings(users, items, cold, "cold_start")
+
+
+def test_evaluate_ranks_without_the_per_depth_layers(monkeypatch):
+    b, alive = graph_bundle(), []
+
+    def forward_spy(params, graph):
+        layers, gates = entity_forward(params, graph)
+        alive.extend(weakref.ref(m) for m in layers[1:])
+        return layers, gates
+
+    def rank_spy(*args):
+        assert alive and all(ref() is None for ref in alive), "a per-depth layer outlives aggregation"
+        return rank_users(*args)
+
+    rank_users = evaluation._rank_users
+    monkeypatch.setattr(evaluation, "entity_forward", forward_spy)
+    monkeypatch.setattr(evaluation, "_rank_users", rank_spy)
+    for split in ("test", "cold_start"):
+        evaluate(graph_params(b), b, split)
 
 
 def test_evaluate_checkpoint_mismatch_errors():

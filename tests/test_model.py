@@ -563,6 +563,28 @@ def test_backward_row_contract_matches_central_difference(seed):
         assert abs(fd - an) <= 1e-6 * max(abs(fd), abs(an)), (name, fd, an)
 
 
+def test_backward_holds_at_most_four_entity_tables():
+    # per_depth, one adjoint's input, its scaled copy and its output; the
+    # rest of the peak is per-edge and per-chunk arrays, under one table here
+    rng = np.random.default_rng(9)
+    n, n_items, n_users, h = 8000, 1000, 50, 64
+    triplets = np.stack([rng.integers(0, n, n), rng.integers(0, 2, n), rng.integers(0, n, n)], axis=1)
+    g = kg_from_triplets(triplets, num_relations_raw=2, num_entities=n)
+    store = build_store({u: rng.choice(n_items, size=5, replace=False) for u in range(n_users)}, num_items=n_items)
+    p = init_params(n, g.num_relations, n_users, h=h, n_layers=3, seed=0)
+    batch = rng.integers(0, n_users, 64), rng.integers(0, n_items, 64), rng.integers(0, n_items, 64)
+    trace, _, _ = forward(p, g, store, *batch)
+    d_user_rows, d_item_rows = rng.normal(size=(64, h)), rng.normal(size=(128, h))
+    tracemalloc.start()
+    try:
+        backward(p, g, trace, d_user_rows, d_item_rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    table = n * h * 8
+    assert peak < 5 * table, f"traced peak {peak / table:.2f}x one [N, h] float64 table"
+
+
 def test_backward_validates_upstream_shape():
     g = small_graph()
     p = small_params(g)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy import special
 from kgrec.content import init_content, load_content_checkpoint, save_content_checkpoint
 from kgrec.model import CHECKPOINT_MAGIC, init_params, load_checkpoint, save_checkpoint
 from kgrec.numeric import (
+    read_tensor_file,
     segment_sum,
     sigmoid,
     softmax_rows,
@@ -34,6 +36,27 @@ def test_sigmoid_extreme_arguments_stay_finite():
 def test_sigmoid_matches_scipy():
     x = np.linspace(-40, 40, 101)
     np.testing.assert_allclose(sigmoid(x), special.expit(x), rtol=1e-14)
+
+
+def branch_sigmoid(x):
+    """The two-branch formula, by boolean masks."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_bits_equal_the_branch_formula():
+    rng = np.random.default_rng(3)
+    special_values = [0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 1e-320, -1e-320, np.nan]
+    x = np.concatenate([rng.normal(scale=s, size=20_000) for s in (0.1, 1.0, 10.0, 100.0, 1000.0)] + [special_values])
+    got, want = sigmoid(x), branch_sigmoid(x)
+    assert np.array_equal(got, want, equal_nan=True)
+    real = ~np.isnan(x)  # only a NaN's sign and payload bits may differ
+    assert np.array_equal(got[real].view(np.int64), want[real].view(np.int64))
+    assert sigmoid(-0.0) == 0.5 and isinstance(sigmoid(2.0), float)
 
 
 def test_softplus_anchors_and_stability():
@@ -74,6 +97,24 @@ def test_tensor_file_write_failure_keeps_earlier_checkpoint(tmp_path):
         write_tensor_file(path, CHECKPOINT_MAGIC, (1, 2, 3), tensors_then_crash())
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.kmpn"]
+
+
+def test_tensor_file_reads_without_a_second_copy(tmp_path):
+    path = tmp_path / "t.bin"
+    big = np.random.default_rng(0).normal(size=(512, 512))  # 2 MiB
+    small = np.arange(6, dtype=np.float32).reshape(2, 3)
+    write_tensor_file(path, "TEST1", (512,), [big.T, small])  # a strided view and a float32 array
+    assert path.read_bytes() == b"TEST1 512\n" + big.T.astype("<f8").tobytes() + small.astype("<f8").tobytes()
+    tracemalloc.start()
+    try:
+        header, tensors = read_tensor_file(path, "TEST1", 1, lambda n: [(n, n), (2, 3)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert header == [512]
+    assert np.array_equal(tensors[0], big.T) and np.array_equal(tensors[1], small)
+    assert all(t.dtype == np.float64 and t.flags.c_contiguous for t in tensors)
+    assert peak < big.nbytes + 64 * 1024, f"traced peak {peak} B for a {big.nbytes} B payload"
 
 
 @pytest.mark.parametrize("rows", [2**40, 2**61], ids=["huge", "int64-wrap"])
