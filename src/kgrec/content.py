@@ -234,7 +234,9 @@ def train_content(corpus: ItemCorpus, store: InteractionStore, params: ContentPa
 
     indptr, buckets = corpus.buckets(params.num_buckets)
     active = sorted_unique(buckets)
-    table = (indptr, np.searchsorted(active, buckets))  # compact bucket ids
+    compact_ids = np.empty(params.num_buckets, dtype=np.int64)  # bucket -> row of `compact`
+    compact_ids[active] = np.arange(len(active))
+    table = (indptr, compact_ids[buckets])
     compact = replace(params, bucket_emb=params.bucket_emb[active])  # other tensors shared
     train_users = np.flatnonzero(store.train.counts())
     if len(train_users) == 0:

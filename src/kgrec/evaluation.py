@@ -22,9 +22,11 @@ DEFAULT_KS = (20, 60, 100)
 BLOCK_SCORES = 1 << 20  # scores per ranking block; rows = this // catalog size
 
 
-def _block_buffers(rows: int, n_items: int):
-    """Fresh (scores, partition scratch, `<=` mask) arrays for rank_block."""
-    return np.empty((rows, n_items)), np.empty((rows, n_items)), np.empty((rows, n_items), dtype=bool)
+def _block_buffers(rows: int, n_items: int, kk: int):
+    """Fresh (scores, group minima, `<=` mask) arrays for rank_block: about
+    8·kk groups, or one per item in catalogs under 16·kk."""
+    n_groups = n_items // max(1, n_items // (8 * kk))
+    return np.empty((rows, n_items)), np.empty((rows, n_groups)), np.empty((rows, n_items), dtype=bool)
 
 
 def rank_block(user_vecs, item_embs, seen, test, ks, buffers=None):
@@ -33,13 +35,15 @@ def rank_block(user_vecs, item_embs, seen, test, ks, buffers=None):
     `seen` and `test` are flat per-user lists `(concatenation, counts)`,
     one count per row of `user_vecs`; seen lists may be empty, test lists
     may not. Seen items score -inf. The top kk = min(max(ks), catalog) ids
-    per row are exact under (score desc, id asc): `np.partition` finds the
-    kk-th score and every unmasked candidate at or above it goes into a
-    small per-row table, ids ascending and padded with +inf keys and id -1;
-    a stable argsort of each row then breaks equal scores that straddle
-    the cut toward the smaller id. Positions past the unmasked catalog
-    read -1. `buffers`, (scores, scratch, mask) arrays as `_block_buffers`
-    makes them with at least B rows, are written over instead of allocated.
+    per row are exact under (score desc, id asc). The cut is the kk-th best
+    of the maxima of disjoint item groups: kk distinct items reach it, so
+    no top-kk score lies below it. Every unmasked candidate at or above the
+    cut goes into a small per-row table, ids ascending and padded with +inf
+    keys and id -1; a stable argsort of each row then keeps the first kk,
+    breaking equal scores toward the smaller id. Positions past the
+    unmasked catalog read -1. `buffers`, (scores, group minima, mask) arrays
+    as `_block_buffers` makes them with at least B rows, are written over
+    instead of allocated.
 
     Returns (ids [B, kk], metrics [3, len(ks), B]): recall, ndcg and hit
     ratio at each k.
@@ -48,14 +52,16 @@ def rank_block(user_vecs, item_embs, seen, test, ks, buffers=None):
         raise ValueError("k must be >= 1")
     user_vecs, item_embs = np.asarray(user_vecs, dtype=np.float64), np.asarray(item_embs, dtype=np.float64)
     n_rows, n_items = len(user_vecs), len(item_embs)
-    neg, part, below = (b[:n_rows] for b in buffers or _block_buffers(n_rows, n_items))
+    kk = min(max(ks), n_items)
+    neg, part, below = (b[:n_rows] for b in buffers or _block_buffers(n_rows, n_items, kk))
     # negating the small side is exact, so these are the negated scores bit for bit
     np.matmul(-user_vecs, item_embs.T, out=neg)
-    kk = min(max(ks), n_items)
     rows = np.arange(n_rows)
     neg[np.repeat(rows, seen[1]), seen[0]] = np.inf
 
-    np.copyto(part, neg)
+    # group j of g = part's width holds items j, j + g, j + 2g, ...
+    size, n_groups = n_items // part.shape[1], part.shape[1]
+    np.minimum.reduce(neg[:, : size * n_groups].reshape(n_rows, size, n_groups), axis=1, out=part)
     part.partition(kk - 1, axis=1)
     # row-major: rows ascending, ids ascending within
     flat = np.flatnonzero(np.less_equal(neg, part[:, kk - 1 : kk], out=below))
@@ -148,7 +154,7 @@ def _rank_users(user_vecs, users, skipped, item_embs, seen, test, split, ks):
     """Run `rank_block` over blocks of about BLOCK_SCORES scores, masking each
     user's `seen` items, and average every metric over the users in order."""
     rows = max(1, BLOCK_SCORES // len(item_embs))
-    buffers = _block_buffers(min(rows, len(users)), len(item_embs))
+    buffers = _block_buffers(min(rows, len(users)), len(item_embs), min(max(ks), len(item_embs)))
     per_user = np.empty((3, len(ks), len(users)))
     for a in range(0, len(users), rows):
         block = users[a : a + rows]

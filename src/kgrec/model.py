@@ -222,7 +222,7 @@ class ForwardTrace:
     gates, the preference pieces, and the batched user pieces; backward()
     takes its upstream gradients on user_rows() and item_rows()."""
 
-    layers: list  # L+1 matrices [N_v, h]
+    layers: list  # L sweep inputs [N_v, h], layers[0..L-1]; backward never reads layers[L]
     entity_agg: np.ndarray  # sum of the layers [N_v, h]
     gates: list  # L arrays [E]
     beta: np.ndarray  # [P, M]
@@ -288,7 +288,7 @@ def forward(
     neg_scores = (user_rows * entity_agg[neg_items]).sum(axis=1)
 
     trace = ForwardTrace(
-        layers=layers,
+        layers=layers[:-1],
         entity_agg=entity_agg,
         gates=gates,
         beta=beta,

@@ -158,6 +158,34 @@ def test_rank_block_matches_lexsort_reference():
         np.testing.assert_array_equal(got, want)
 
 
+def test_rank_block_grouped_cut_matches_lexsort_reference():
+    # catalogs of at least 16·kk items bound the cut by group minima; with
+    # small-integer embeddings equal scores straddle it in most rows
+    rng = np.random.default_rng(23)
+    for _ in range(12):
+        n, users = int(rng.integers(800, 3001)), int(rng.integers(4, 9))
+        ks = tuple(sorted({int(k) for k in rng.integers(1, n // 16 + 1, size=3)}))
+        kk = max(ks)
+        size = n // (8 * kk)
+        assert size >= 2
+        n_groups = n // size
+        item_embs = rng.integers(-2, 3, size=(n, 3)).astype(np.float64)
+        user_vecs = rng.integers(-2, 3, size=(users, 3)).astype(np.float64)
+        user_vecs[0] = 0.0  # every item ties in this row
+        masks = [rng.choice(n, size=int(rng.integers(0, n // 4)), replace=False) for _ in range(users)]
+        masks[1] = rng.permutation(n)[int(rng.integers(1, kk + 1)) :]  # fewer than kk unmasked
+        # the unmasked items fill fewer than kk groups, so fewer than kk group minima are finite
+        crowded = np.arange(n) % n_groups < max(1, kk // 2)
+        masks[2] = np.flatnonzero(~crowded)
+        # unsorted, often duplicated test lists
+        tests = [rng.integers(0, n, size=int(rng.integers(1, 30))) for _ in range(users)]
+        args = (user_vecs, item_embs, flat(masks), flat(tests), ks)
+        want_ids, want = lexsort_rank_block(*args)
+        ids, got = rank_block(*args)
+        np.testing.assert_array_equal(ids, want_ids)
+        np.testing.assert_array_equal(got, want)
+
+
 def test_rank_block_with_stale_buffers_equals_fresh_buffers():
     rng = np.random.default_rng(17)
     n, rows, users = 40, 7, 17  # blocks of 7, 7 and a short 3

@@ -470,10 +470,12 @@ def test_degenerate_shapes_finite_and_gradchecked(seed, n_layers):
     params, graph, store, (users, pos, neg) = degenerate_instance(seed, n_layers)
     assert graph.degrees[5] == 0 and graph.degrees[9] == 0
     trace, pos_s, neg_s = forward(params, graph, store, users, pos, neg)
-    assert len(trace.layers) == n_layers + 1
+    assert len(trace.layers) == n_layers  # the sweep inputs; the last layer lives on in entity_agg
     for layer in trace.layers:
         assert layer.shape == (10, 3) and np.isfinite(layer).all()
         assert layer is trace.layers[0] or np.all(layer[[5, 9]] == 0.0)
+    assert np.isfinite(trace.entity_agg).all()
+    assert np.all(trace.entity_agg[[5, 9]] == params.entity_emb[[5, 9]])  # no sweep reaches them
     assert pos_s.shape == neg_s.shape == (5,)
     assert np.isfinite(pos_s).all() and np.isfinite(neg_s).all()
     grads = backward(params, graph, trace, *score_row_grads(trace, np.ones(5), -np.ones(5)))
