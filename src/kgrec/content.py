@@ -374,6 +374,8 @@ def _read_embeddings_text(path):
             if not line:
                 raise ValueError(f"{path}: truncated at row {row}")
             fields = line.split()
+            if not fields:
+                raise ValueError(f"{path}: row {row} is blank, expected an id and {dim} values")
             if len(fields) != dim + 1:
                 raise ValueError(f"{path}: row {row} has {len(fields) - 1} values, expected {dim}")
             try:
@@ -383,7 +385,7 @@ def _read_embeddings_text(path):
                 raise ValueError(f"{path}: row {row}: {exc}") from None
             if not 0 <= ids[-1] < 2**63:
                 raise ValueError(f"{path}: row {row}: id {ids[-1]} is not in [0, 2**63)")
-        if fh.readline().strip():
+        if fh.read().strip():  # only whitespace may follow the declared rows
             raise ValueError(f"{path}: trailing data after {count} rows")
     return kind, np.array(ids, dtype=np.int64), np.array(vectors, dtype=np.float32).reshape(count, dim)
 

@@ -175,8 +175,6 @@ def evaluate(params: KmpnParams, bundle: DatasetBundle, split: str, ks=DEFAULT_K
     ks = _sorted_ks(ks)
     store = bundle.store
     test = _check_split(store, split)
-    if bundle.graph.num_entities != params.num_entities:
-        raise DatasetError("checkpoint/graph entity count mismatch")
     if store.num_users != params.num_users:
         raise DatasetError("checkpoint/dataset user count mismatch")
 

@@ -122,6 +122,25 @@ def init_params(
 # ---------------------------------------------------------------------------
 
 
+def _head_sum(graph: KnowledgeGraph, table: np.ndarray, relation_emb: np.ndarray, rels, weights):
+    """out_i = sum over edges e = (i, ., j) of weights_e * (relation_emb[rels_e] o table_j):
+    the weighted head sum of conv_layer and of its adjoint's message path.
+
+    It runs over the cache-sized graph.chunks, each a run of whole degree-d
+    heads whose d edges the graph stores contiguously: a chunk gathers its
+    edges' rows and one einsum sums each head's d rows weighted by w_e, in
+    edge order, as one np.bincount over the edges would (for h >= 2); no
+    [E, h] array is ever made. Isolated entities output zero.
+    """
+    head, tail, h = graph.edge_head, graph.edge_tail, table.shape[1]
+    out = np.zeros(table.shape)
+    for lo, hi, d in graph.chunks:
+        m = np.take(table, tail[lo:hi], axis=0)
+        m *= np.take(relation_emb, rels[lo:hi], axis=0)
+        out[head[lo:hi:d]] = np.einsum("nd,ndh->nh", weights[lo:hi].reshape(-1, d), m.reshape(-1, d, h))
+    return out
+
+
 def conv_layer(graph: KnowledgeGraph, prev: np.ndarray, relation_emb: np.ndarray):
     """One gated convolution sweep over every entity.
 
@@ -129,22 +148,12 @@ def conv_layer(graph: KnowledgeGraph, prev: np.ndarray, relation_emb: np.ndarray
             sigmoid(prev_i . rel_r) * (rel_r o prev_j)
 
     The gate logits are entries of the small [N, R] product prev @ rel^T,
-    read at (head, rel). The messages run in the cache-sized graph.chunks,
-    each a run of whole degree-d heads: the graph stores a head's d edges
-    contiguously in (relation, tail) order, so a chunk gathers
-    rel_r o prev_j for its edges and one einsum sums every head's d rows
-    weighted by w_e, in edge order, as one np.bincount over the edges would
-    (for h >= 2), and no [E, h] array is ever made. Isolated entities output
-    zero. Returns (out, per-edge gate values in graph edge order).
+    read at (head, rel); the messages are one _head_sum weighted by
+    gate / deg. Returns (out, per-edge gate values in graph edge order).
     """
-    head, rel, tail, h = graph.edge_head, graph.edge_rel, graph.edge_tail, prev.shape[1]
+    head, rel = graph.edge_head, graph.edge_rel
     gates = sigmoid((prev @ relation_emb.T)[head, rel])  # [E]
-    w = gates * graph.inv_degree[head]
-    out = np.zeros(prev.shape)
-    for lo, hi, d in graph.chunks:
-        m = np.take(prev, tail[lo:hi], axis=0)
-        m *= np.take(relation_emb, rel[lo:hi], axis=0)
-        out[head[lo:hi:d]] = np.einsum("nd,ndh->nh", w[lo:hi].reshape(-1, d), m.reshape(-1, d, h))
+    out = _head_sum(graph, prev, relation_emb, rel, gates * graph.inv_degree[head])
     return out, gates
 
 
@@ -331,8 +340,8 @@ def _conv_backward(
         (a [R, c] by [c, h] product per chunk).
     message path to prev: d_prev_j += sum over edges (i, r, j) of
         g_e G_i o rel_r. Summed over the inverse edges (j, r', i) of j's own
-        run, this is the forward's weighted head sum, not a scatter over
-        tails.
+        run, this is the forward's _head_sum of G over the inverse edges'
+        relations and gates, not a scatter over tails.
     gate path: d_dot_e = g_e (1 - g_e) (q_e . rel_r) is the adjoint of
         logit (i, r); binned into Dm [N, R], it gives d_prev += Dm @ rel
         and d_rel += Dm^T @ prev.
@@ -340,10 +349,7 @@ def _conv_backward(
     head, rel, tail, inverse = graph.edge_head, graph.edge_rel, graph.edge_tail, graph.inverse
     n, n_rel, h = prev.shape[0], relation_emb.shape[0], prev.shape[1]
     g_scaled = grad_out * graph.inv_degree[:, None]
-    g_inverse = gates[inverse]
-    rel_inverse = rel[inverse]
     d_dot = np.empty(len(gates))
-    d_prev = np.zeros(prev.shape)
     for lo, hi, d in graph.chunks:
         heads, tails, rels = head[lo:hi:d], tail[lo:hi], rel[lo:hi]
         rows = np.arange(hi - lo)
@@ -353,9 +359,7 @@ def _conv_backward(
         one_hot = np.zeros((hi - lo, n_rel))
         one_hot[rows, rels] = gates[lo:hi]
         d_relation += one_hot.T @ q
-        v = np.take(g_scaled, tails, axis=0)
-        v *= np.take(relation_emb, rel_inverse[lo:hi], axis=0)
-        d_prev[heads] = np.einsum("nd,ndh->nh", g_inverse[lo:hi].reshape(-1, d), v.reshape(-1, d, h))
+    d_prev = _head_sum(graph, g_scaled, relation_emb, rel[inverse], gates[inverse])
     d_dot *= gates * (1.0 - gates)  # sigmoid'
     dm = np.bincount(head * n_rel + rel, weights=d_dot, minlength=n * n_rel).reshape(n, n_rel)
     d_relation += dm.T @ prev

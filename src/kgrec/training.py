@@ -23,7 +23,7 @@ import numpy as np
 import logging
 
 from .content import EmbeddingMatrixFile, check_exchange_pair, click_instance, init_content
-from .data import DatasetBundle, InteractionStore, ItemCorpus, KnowledgeGraph, build_store, kg_from_triplets
+from .data import DatasetBundle, InteractionStore, KnowledgeGraph, SyntheticSpec, make_synthetic_dataset
 from .evaluation import evaluate
 from .losses import LossWeights, bpr_loss, cross_system_loss, dcorr_fd_margin, pca_project, soft_dcorr_loss
 from .model import KmpnParams, backward, forward, init_params, preference_embeddings
@@ -34,6 +34,12 @@ log = logging.getLogger(__name__)
 
 FD_STEP = 1e-4
 _REL_FLOOR = 1e-8
+# the dataset of every gradcheck instance: 12 entities (6 items, 6 attributes),
+# 36 edges and 4 users; a test pins that it reaches several head degrees,
+# every relation and uneven train histories
+GRADCHECK_SPEC = SyntheticSpec(
+    n_users=4, n_items=6, n_clusters=1, attrs_per_cluster=6, density=0.5, cold_user_fraction=0.0
+)
 
 
 @dataclass(frozen=True)
@@ -265,27 +271,6 @@ def _fd_sweep(tensors: dict, analytic: dict, value_fn, tolerance: float, step: f
     return entries
 
 
-def _toy_graph(rng: np.random.Generator, num_entities: int, num_relations_raw: int):
-    """Small connected-ish random graph: a ring plus random chords."""
-    triplets = []
-    for i in range(num_entities):
-        triplets.append((i, int(rng.integers(num_relations_raw)), (i + 1) % num_entities))
-    for _ in range(num_entities // 2):
-        h = int(rng.integers(num_entities))
-        t = int(rng.integers(num_entities))
-        if h != t:
-            triplets.append((h, int(rng.integers(num_relations_raw)), t))
-    return kg_from_triplets(triplets, num_relations_raw, num_entities=num_entities)
-
-
-def _toy_store(rng: np.random.Generator, num_users: int, num_items: int) -> InteractionStore:
-    train = {}
-    for u in range(num_users):
-        n = int(rng.integers(2, 4))
-        train[u] = rng.choice(num_items, size=n, replace=False)
-    return build_store(train, num_users=num_users, num_items=num_items)
-
-
 def _fd_conditioning(params: KmpnParams, keep_fraction: float) -> float:
     """How safely a step-1e-4 central difference can probe the
     decorrelation term on this instance (losses.dcorr_fd_margin of the
@@ -297,16 +282,14 @@ def _fd_conditioning(params: KmpnParams, keep_fraction: float) -> float:
 
 def _kmpn_instance(seed: int, with_content: bool):
     rng = np.random.default_rng(seed)
-    num_entities, num_items, num_users = 12, 6, 4
-    graph = _toy_graph(rng, num_entities, num_relations_raw=2)
-    store = _toy_store(rng, num_users, num_items)
+    store, graph, _ = make_synthetic_dataset(GRADCHECK_SPEC, seed)
     params = None
     for attempt in range(256):
         inst_rng = np.random.default_rng(seed + 1 + 1000 * attempt)
         candidate = init_params(
-            num_entities,
+            graph.num_entities,
             graph.num_relations,
-            num_users,
+            store.num_users,
             h=8,
             n_layers=2,
             n_pref=4,
@@ -328,21 +311,18 @@ def _kmpn_instance(seed: int, with_content: bool):
     weights = LossWeights(l2=0.05, dcorr=0.5, cross_system=0.3 if with_content else 0.0, pca_keep=0.5)
     content = None
     if with_content:
-        item_vecs = rng.normal(0.0, 0.5, size=(num_items, params.h))
-        user_vecs = rng.normal(0.0, 0.5, size=(num_users, params.h))
+        item_vecs = rng.normal(0.0, 0.5, size=(store.num_items, params.h))
+        user_vecs = rng.normal(0.0, 0.5, size=(store.num_users, params.h))
         content = (
-            EmbeddingMatrixFile(kind="item", ids=np.arange(num_items), vectors=item_vecs),
-            EmbeddingMatrixFile(kind="user", ids=np.arange(num_users), vectors=user_vecs),
+            EmbeddingMatrixFile(kind="item", ids=np.arange(store.num_items), vectors=item_vecs),
+            EmbeddingMatrixFile(kind="user", ids=np.arange(store.num_users), vectors=user_vecs),
         )
     return params, graph, store, (users, pos, neg), weights, content
 
 
 def _content_instance(seed: int):
-    rng = np.random.default_rng(seed)
     params = init_content(h=8, num_buckets=16, history_size=3, num_negatives=2, seed=seed + 1)
-    vocab = ["red", "blue", "green", "disk", "lamp", "rope", "tent", "mug9"]
-    texts = tuple(" ".join(rng.choice(vocab, size=int(rng.integers(3, 6)))) for _ in range(6))
-    table = ItemCorpus(texts).buckets(params.num_buckets)
+    table = make_synthetic_dataset(GRADCHECK_SPEC, seed)[2].buckets(params.num_buckets)
     return params, table, np.arange(3), 3, np.array([4, 5])
 
 

@@ -509,6 +509,8 @@ def test_embedding_file_corruption_errors(tmp_path):
     [
         (b"EMB1 item 2 2\n0 1 2\n1 a 3\n", "row 1: could not convert string to float: 'a'"),
         (b"EMB1 item 3 1\n0 1\n", "truncated at row 1"),
+        (b"EMB1 item 2 2\n0 1 2\n\n1 5 6\n", "row 1 is blank, expected an id and 2 values"),
+        (b"EMB1 item 2 2\n0 1 2\n1 3 4\n\n2 5 6\n", "trailing data after 2 rows"),
         (b"EMB1 item two 2\n0 1 2\n", "header count 'two' and dim '2' must be integers >= 0"),
         (b"EMB1 item 1 2\n9223372036854775808 1 2\n", "row 0: id 9223372036854775808 is not in [0, 2**63)"),
         (b"EMB1 item 1 1\n-3 1\n", "row 0: id -3 is not in [0, 2**63)"),
@@ -523,7 +525,8 @@ def test_embedding_file_corruption_errors(tmp_path):
         ),
     ],
     ids=[
-        "text-value", "text-short", "text-count", "text-id", "text-negative-id", "text-duplicate",
+        "text-value", "text-short", "text-blank-row", "text-trailing-after-blank", "text-count", "text-id",
+        "text-negative-id", "text-duplicate",
         "text-dim-beyond-int64", "text-dim-too-big",
         "binary-header", "binary-count", "binary-id",
     ],

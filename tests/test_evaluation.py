@@ -579,7 +579,7 @@ def test_evaluate_checkpoint_mismatch_errors():
         b.graph.num_entities + 3, b.graph.num_relations, b.store.num_users,
         h=4, n_layers=1, n_pref=2, n_meta=2, seed=0,
     )
-    with pytest.raises(DatasetError, match="entity count mismatch"):
+    with pytest.raises(ValueError, match="^graph/params entity count mismatch$"):
         evaluate(wrong_entities, b, "test")
     for n_rel in (b.graph.num_relations - 2, b.graph.num_relations + 2):  # fewer and more rows than the graph
         wrong_relations = init_params(

@@ -6,7 +6,7 @@ from conftest import score_row_grads
 
 from kgrec import training
 from kgrec.content import EmbeddingMatrixFile, init_content
-from kgrec.data import DatasetBundle, ItemCorpus, build_store, kg_from_triplets
+from kgrec.data import SPLIT_NAMES, DatasetBundle, ItemCorpus, build_store, kg_from_triplets, make_synthetic_dataset
 from kgrec.evaluation import evaluate
 from kgrec.losses import LossWeights, _dist_and_centered, pca_project
 from kgrec.model import backward, forward, init_params, preference_embeddings
@@ -440,6 +440,27 @@ def test_fd_conditioning_matches_pair_loop_reference():
                 want = pair_loop_fd_conditioning(p, keep)
                 assert training._fd_conditioning(p, keep) == pytest.approx(want, rel=1e-12)
         assert training._fd_conditioning(params, 0.5) > 1e-3 > training._fd_conditioning(shrunk, 0.5)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gradcheck_instance_is_a_rich_synthetic_dataset(seed):
+    # criterion 1 runs on these instances: pin where they come from and that
+    # they reach several degree chunks, every relation and uneven histories
+    _, graph, store, _, _, _ = training._kmpn_instance(seed, with_content=False)
+    want_store, want_graph, corpus = make_synthetic_dataset(training.GRADCHECK_SPEC, seed)
+    assert graph.num_entities == want_graph.num_entities
+    np.testing.assert_array_equal(graph.raw_triplets(), want_graph.raw_triplets())
+    assert (store.num_users, store.num_items) == (want_store.num_users, want_store.num_items)
+    for name in SPLIT_NAMES:
+        np.testing.assert_array_equal(store.split(name).indptr, want_store.split(name).indptr)
+        np.testing.assert_array_equal(store.split(name).items, want_store.split(name).items)
+    content_params, table = training._content_instance(seed)[:2]
+    for got, want in zip(table, corpus.buckets(content_params.num_buckets)):
+        np.testing.assert_array_equal(got, want)
+
+    assert len({d for _, _, d in graph.chunks}) >= 3
+    assert set(graph.edge_rel.tolist()) == set(range(graph.num_relations))
+    assert len(set(store.train.counts().tolist())) >= 2
 
 
 # -- degenerate shapes -----------------------------------------------------------------
