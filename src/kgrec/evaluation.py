@@ -121,7 +121,7 @@ class MetricsReport:
 
 
 def _sorted_ks(ks) -> tuple:
-    ks = tuple(sorted(int(k) for k in ks))
+    ks = tuple(sorted({int(k) for k in ks}))  # distinct: one report row per metric and k
     if not ks or ks[0] < 1:
         raise ValueError("ks must be positive")
     return ks

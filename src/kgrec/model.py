@@ -122,23 +122,34 @@ def init_params(
 # ---------------------------------------------------------------------------
 
 
-def _head_sum(graph: KnowledgeGraph, table: np.ndarray, relation_emb: np.ndarray, rels, weights):
-    """out_i = sum over edges e = (i, ., j) of weights_e * (relation_emb[rels_e] o table_j):
-    the weighted head sum of conv_layer and of its adjoint's message path.
+def _head_sum(graph: KnowledgeGraph, table: np.ndarray, relation_emb: np.ndarray, rels, weights, out):
+    """The one chunk walk of conv_layer and its adjoint: writes, for every
+    head i with edges, out_i = sum over edges e = (i, ., j) of
+    weights_e * (relation_emb[rels_e] o table_j), and yields each chunk.
 
     It runs over the cache-sized graph.chunks, each a run of whole degree-d
-    heads whose d edges the graph stores contiguously: a chunk gathers its
-    edges' rows and one einsum sums each head's d rows weighted by w_e, in
-    edge order, as one np.bincount over the edges would (for h >= 2); no
-    [E, h] array is ever made. Isolated entities output zero.
+    heads whose d edges the graph stores contiguously. A chunk gathers its
+    table rows and relation rows into two scratch arrays made once per call
+    and multiplies them in place; one einsum sums each head's d products
+    weighted by w_e, in edge order, as one np.bincount over the edges would
+    (for h >= 2). Nothing is allocated per chunk and no [E, h] array is ever
+    made. Rows of `out` without edges are left as they are.
+
+    Yields (lo, hi, heads [n], rows [n, d, h], products [n, d, h]) per chunk
+    once its head sums are in `out`: rows holds table[tail], products the
+    relation rows times it. Both are scratch views that the caller may
+    overwrite and that the next chunk reuses.
     """
     head, tail, h = graph.edge_head, graph.edge_tail, table.shape[1]
-    out = np.zeros(table.shape)
+    size = max((hi - lo for lo, hi, _ in graph.chunks), default=0)
+    rows, prods, sums = np.empty((size, h)), np.empty((size, h)), np.empty((size, h))
     for lo, hi, d in graph.chunks:
-        m = np.take(table, tail[lo:hi], axis=0)
-        m *= np.take(relation_emb, rels[lo:hi], axis=0)
-        out[head[lo:hi:d]] = np.einsum("nd,ndh->nh", weights[lo:hi].reshape(-1, d), m.reshape(-1, d, h))
-    return out
+        c, heads = hi - lo, head[lo:hi:d]
+        r = np.take(table, tail[lo:hi], axis=0, out=rows[:c], mode="clip").reshape(-1, d, h)
+        m = np.take(relation_emb, rels[lo:hi], axis=0, out=prods[:c], mode="clip").reshape(-1, d, h)
+        m *= r
+        out[heads] = np.einsum("nd,ndh->nh", weights[lo:hi].reshape(-1, d), m, out=sums[: len(heads)])
+        yield lo, hi, heads, r, m
 
 
 def conv_layer(graph: KnowledgeGraph, prev: np.ndarray, relation_emb: np.ndarray):
@@ -148,12 +159,14 @@ def conv_layer(graph: KnowledgeGraph, prev: np.ndarray, relation_emb: np.ndarray
             sigmoid(prev_i . rel_r) * (rel_r o prev_j)
 
     The gate logits are entries of the small [N, R] product prev @ rel^T,
-    read at (head, rel); the messages are one _head_sum weighted by
+    read at (head, rel); the messages are one _head_sum walk weighted by
     gate / deg. Returns (out, per-edge gate values in graph edge order).
     """
     head, rel = graph.edge_head, graph.edge_rel
     gates = sigmoid((prev @ relation_emb.T)[head, rel])  # [E]
-    out = _head_sum(graph, prev, relation_emb, rel, gates * graph.inv_degree[head])
+    out = np.zeros(prev.shape)  # isolated entities output zero
+    for _ in _head_sum(graph, prev, relation_emb, rel, gates * graph.inv_degree[head], out):
+        pass  # the head sums are all the forward needs
     return out, gates
 
 
@@ -332,38 +345,44 @@ def _conv_backward(
     """Adjoint of conv_layer. Accumulates into d_relation and returns the
     gradient with respect to `prev`.
 
-    With G = grad_out / deg and, for edge e = (i, r, j) of gate g_e,
-    q_e = G_i o prev_j, one pass over graph.chunks (in the graph's edge
-    order, a head's edges contiguous) gives
+    Edge e = (i, r, j) of gate g_e sends g_e / deg_i (rel_r o prev_j) to i.
+    Its inverse e' = (j, r', i) is an edge of j's own run, so one
+    _head_sum walk over the edges with the inverses' relations r and
+    weights w_e' = g_e / deg_i gathers, per chunk, the upstream rows
+    grad_out_i and the products p_e' = grad_out_i o rel_r, and feeds all
+    three paths from them:
 
-    message path to rel: d_rel_r += sum of g_e q_e over edges of relation r
-        (a [R, c] by [c, h] product per chunk).
-    message path to prev: d_prev_j += sum over edges (i, r, j) of
-        g_e G_i o rel_r. Summed over the inverse edges (j, r', i) of j's own
-        run, this is the forward's _head_sum of G over the inverse edges'
-        relations and gates, not a scatter over tails.
-    gate path: d_dot_e = g_e (1 - g_e) (q_e . rel_r) is the adjoint of
-        logit (i, r); binned into Dm [N, R], it gives d_prev += Dm @ rel
-        and d_rel += Dm^T @ prev.
+    message path to prev: d_prev_j += sum over j's run of w_e' p_e', the
+        walk's own head sum; the upstream gradient is never scaled by 1/deg
+        as a whole.
+    gate path: d_dot_e = w_e' (1 - g_e) (p_e' . prev_j) is the adjoint of
+        logit (i, r), with prev_j gathered once per head; binned into
+        Dm [N, R], it gives d_prev += Dm @ rel and d_rel += Dm^T @ prev.
+    message path to rel: d_rel_r += sum of w_e' grad_out_i o prev_j over
+        the edges of relation r, from the upstream rows multiplied in place
+        and one [R, c] by [c, h] one-hot product per chunk.
     """
-    head, rel, tail, inverse = graph.edge_head, graph.edge_rel, graph.edge_tail, graph.inverse
+    tail, inverse = graph.edge_tail, graph.inverse
     n, n_rel, h = prev.shape[0], relation_emb.shape[0], prev.shape[1]
-    g_scaled = grad_out * graph.inv_degree[:, None]
-    d_dot = np.empty(len(gates))
-    for lo, hi, d in graph.chunks:
-        heads, tails, rels = head[lo:hi:d], tail[lo:hi], rel[lo:hi]
-        rows = np.arange(hi - lo)
-        q = np.take(prev, tails, axis=0)
-        q.reshape(-1, d, h)[...] *= np.take(g_scaled, heads, axis=0)[:, None, :]
-        d_dot[lo:hi] = (q @ relation_emb.T)[rows, rels]
-        one_hot = np.zeros((hi - lo, n_rel))
-        one_hot[rows, rels] = gates[lo:hi]
-        d_relation += one_hot.T @ q
-    d_prev = _head_sum(graph, g_scaled, relation_emb, rel[inverse], gates[inverse])
-    d_dot *= gates * (1.0 - gates)  # sigmoid'
-    dm = np.bincount(head * n_rel + rel, weights=d_dot, minlength=n * n_rel).reshape(n, n_rel)
+    rels, inv_gates = graph.edge_rel[inverse], gates[inverse]  # of each edge's inverse
+    weights = inv_gates * graph.inv_degree[tail]
+    size = max((hi - lo for lo, hi, _ in graph.chunks), default=0)
+    head_rows, one_hot, idx = np.empty((size, h)), np.zeros((size, n_rel)), np.arange(size)
+    d_dot, d_prev = np.empty(len(gates)), np.zeros(prev.shape)
+    for lo, hi, heads, rows, prods in _head_sum(graph, grad_out, relation_emb, rels, weights, d_prev):
+        c = hi - lo
+        prev_j = np.take(prev, heads, axis=0, out=head_rows[: len(heads)], mode="clip")
+        np.einsum("ndh,nh->nd", prods, prev_j, out=d_dot[lo:hi].reshape(prods.shape[:2]))
+        rows *= prev_j[:, None, :]
+        one_hot[idx[:c], rels[lo:hi]] = weights[lo:hi]
+        d_relation += one_hot[:c].T @ rows.reshape(c, h)
+        one_hot[:c] = 0.0
+    d_dot *= weights
+    d_dot *= 1.0 - inv_gates  # sigmoid' = g (1 - g); g / deg is in the weights
+    dm = np.bincount(tail * n_rel + rels, weights=d_dot, minlength=n * n_rel).reshape(n, n_rel)
     d_relation += dm.T @ prev
-    d_prev += np.matmul(dm, relation_emb, out=g_scaled)  # g_scaled is dead: reuse its memory
+    for a in range(0, n, CHUNK_EDGES):  # row blocks: no [N, h] temporary
+        d_prev[a : a + CHUNK_EDGES] += dm[a : a + CHUNK_EDGES] @ relation_emb
     return d_prev
 
 
@@ -428,7 +447,7 @@ def backward(
     )
     # layer l's gradient is per_depth plus the adjoint of sweep l + 1, added
     # in place to that adjoint's output; rebinding `grad` frees the adjoint's
-    # input, so at most four [N, h] arrays live at once. The top layer takes
+    # input, so at most three [N, h] arrays live at once. The top layer takes
     # per_depth itself: bincount bins are never -0.0, so it is per_depth + 0.
     d_relation = np.zeros_like(params.relation_emb)
     grad = per_depth

@@ -12,6 +12,7 @@ from .settings import TRAIN, check
 BETA1 = 0.9  # Adam first-moment decay
 BETA2 = 0.999  # Adam second-moment decay
 ADAM_EPS = 1e-8  # added to the bias-corrected root second moment
+ADAM_BLOCK = 16384  # elements per block of an update: about 128 KB per array
 
 
 @dataclass
@@ -53,8 +54,23 @@ def init_adam(tensors: dict) -> AdamState:
     return AdamState(
         m={k: np.zeros_like(t) for k, t in tensors.items()},
         v={k: np.zeros_like(t) for k, t in tensors.items()},
-        step=0,
     )
+
+
+def _adam_rows(param, g, m, v, lr: float, c1: float, c2: float) -> None:
+    """Adam's update of a block of rows, in place, built in one scratch array:
+    bit for bit lr * (m / c1) / (sqrt(v / c2) + eps)."""
+    scratch = np.empty_like(param)
+    m *= BETA1
+    m += np.multiply(g, 1.0 - BETA1, out=scratch)
+    v *= BETA2
+    np.multiply(g, g, out=scratch)
+    scratch *= 1.0 - BETA2
+    v += scratch
+    np.divide(v, c2, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += ADAM_EPS
+    param -= np.divide(lr * (m / c1), scratch, out=scratch)
 
 
 def adam_step(tensors: dict, grads: dict, state: AdamState, lr: float) -> None:
@@ -68,15 +84,10 @@ def adam_step(tensors: dict, grads: dict, state: AdamState, lr: float) -> None:
         if not np.isfinite(g).all():
             raise ValueError(f"non-finite gradient in {name}")
     state.step += 1
-    t = state.step
-    c1 = 1.0 - BETA1**t
-    c2 = 1.0 - BETA2**t
+    c1, c2 = 1.0 - BETA1**state.step, 1.0 - BETA2**state.step  # bias corrections
     for name, param in tensors.items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= BETA1
-        m += (1.0 - BETA1) * g
-        v *= BETA2
-        v += (1.0 - BETA2) * (g * g)
-        param -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        arrays = param, grads[name], state.m[name], state.v[name]
+        rows = max(1, ADAM_BLOCK * len(param) // max(1, param.size))
+        whole = rows >= len(param)  # one block, used whole: slicing costs as much as a small update
+        for a in range(0, len(param), rows):  # row blocks: each block's passes run in cache
+            _adam_rows(*(arrays if whole else [x[a : a + rows] for x in arrays]), lr, c1, c2)

@@ -4,11 +4,17 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
-import pytest
+# One BLAS/OpenMP thread unless the caller chose a count: the suite's calls
+# are small, and thread hand-offs cost more than they save on them. Set
+# before numpy loads; the CLI processes the tests start inherit it.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-import kgrec
-from kgrec.data import DatasetBundle, SyntheticSpec, make_synthetic_dataset
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+import kgrec  # noqa: E402
+from kgrec.data import DatasetBundle, SyntheticSpec, make_synthetic_dataset  # noqa: E402
 
 SRC = Path(kgrec.__file__).resolve().parents[1]  # the import root of the kgrec under test
 

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 from conftest import run_cli
+from dcor_reference import distance_correlation
 
 from kgrec.content import (
     EmbeddingMatrixFile,
@@ -36,7 +37,6 @@ from kgrec.losses import (
     bpr_loss,
     click_softmax_loss,
     cross_system_loss,
-    distance_correlation,
     pca_project,
     soft_dcorr_loss,
 )

@@ -461,6 +461,17 @@ def test_eval_writes_report_matching_stdout(cli_dataset, tmp_path):
     assert "split=cold_start" in cold.stdout
 
 
+@pytest.mark.parametrize("split", ["test", "cold_start"])
+def test_eval_repeated_k_writes_one_row_per_metric_and_k(cli_dataset, tmp_path, split):
+    d, _ = cli_dataset
+    ck = tmp_path / "init.kmpn"
+    save_checkpoint(init_params(90, 6, 40, h=8, n_layers=2, n_pref=2, n_meta=2, seed=0), ck)
+    res = run_cli("eval", "--data", d, "--checkpoint", ck, "--split", split, "--k", "20,20,5", "--out", tmp_path / "e")
+    assert res.returncode == 0, res.stderr
+    rows = [line.split("\t")[:2] for line in (tmp_path / "e" / "report.txt").read_text().splitlines() if "\t" in line]
+    assert rows == [[name, k] for name in ("recall", "ndcg", "hit_ratio") for k in ("5", "20")]
+
+
 def test_eval_needs_checkpoint_or_embeddings(cli_dataset):
     d, _ = cli_dataset
     res = run_cli("eval", "--data", d, "--split", "test")

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from scipy import special
 
+from dcor_reference import dist_and_centered, distance_correlation
+
 from kgrec.data import build_store, kg_from_triplets
 from kgrec.losses import (
     LossWeights,
-    _dist_and_centered,
     bpr_loss,
     click_softmax_loss,
     cross_system_loss,
-    distance_correlation,
     pca_project,
     project_with_basis,
     soft_dcorr_loss,
@@ -292,8 +292,8 @@ def _dcorr_pair_with_grad(x, y):
     reference)."""
     k = len(x)
     zg = np.zeros_like(x), np.zeros_like(y)
-    A = _dist_and_centered(x)[1]
-    B = _dist_and_centered(y)[1]
+    A = dist_and_centered(x)[1]
+    B = dist_and_centered(y)[1]
     k2 = float(k * k)
     vxy2, vxx2, vyy2 = (A * B).sum() / k2, (A * A).sum() / k2, (B * B).sum() / k2
     vx, vy = np.sqrt(max(vxx2, 0.0)), np.sqrt(max(vyy2, 0.0))
@@ -349,7 +349,7 @@ def test_soft_dcorr_matches_pair_loop_reference():
     # two tiny rows whose dVars pass the guard while their dCov does not
     r, t1, t2 = np.random.default_rng(2).normal(size=(3, 5)) * [[1.0], [3e-12], [3e-12]]
     X = np.stack([r, -r - t1 - t2, t1, t2])
-    A, B = (_dist_and_centered(z)[1] for z in project_with_basis(X, np.eye(5))[2:])
+    A, B = (dist_and_centered(z)[1] for z in project_with_basis(X, np.eye(5))[2:])
     assert min((A * A).mean(), (B * B).mean()) >= 1e-24 > (A * B).mean()
     cases.append((X, 1.0, np.eye(5)))
     for X, keep, basis in cases:

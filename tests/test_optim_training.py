@@ -3,12 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import score_row_grads
+from dcor_reference import dist_and_centered
 
 from kgrec import training
 from kgrec.content import EmbeddingMatrixFile, init_content
 from kgrec.data import SPLIT_NAMES, DatasetBundle, ItemCorpus, build_store, kg_from_triplets, make_synthetic_dataset
 from kgrec.evaluation import evaluate
-from kgrec.losses import LossWeights, _dist_and_centered, pca_project
+from kgrec.losses import LossWeights, pca_project
 from kgrec.model import backward, forward, init_params, preference_embeddings
 from kgrec.optim import AdamState, TrainConfig, adam_step, init_adam, lr_at
 from kgrec.training import (
@@ -117,6 +118,32 @@ def test_adam_two_steps_match_closed_form():
     np.testing.assert_allclose(state.m["w"], 0.1 * (0.9 * g1 + g2), rtol=1e-15, atol=0)
     np.testing.assert_allclose(state.v["w"], 0.001 * (0.999 * g1**2 + g2**2), rtol=1e-15, atol=0)
     assert state.step == 2
+
+
+def test_adam_steps_equal_the_plain_update_expression_bit_for_bit():
+    def plain_step(tensors, grads, m, v, t, lr):  # the update as one numpy expression per line
+        c1, c2 = 1.0 - 0.9**t, 1.0 - 0.999**t
+        for name, param in tensors.items():
+            g = grads[name]
+            m[name] *= 0.9
+            m[name] += (1.0 - 0.9) * g
+            v[name] *= 0.999
+            v[name] += (1.0 - 0.999) * (g * g)
+            param -= lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + 1e-8)
+
+    rng = np.random.default_rng(17)
+    shapes = {"table": (300, 64), "row": (7,), "tiny": (5, 3)}
+    tensors = {k: rng.normal(size=s) for k, s in shapes.items()}
+    want = {k: t.copy() for k, t in tensors.items()}
+    m, v = ({k: np.zeros(s) for k, s in shapes.items()} for _ in range(2))
+    state = init_adam(tensors)
+    for t in range(1, 6):
+        grads = {k: rng.normal(size=s) * 10.0 ** rng.integers(-9, 2, size=s) for k, s in shapes.items()}
+        adam_step(tensors, grads, state, 0.05 / t)
+        plain_step(want, grads, m, v, t, 0.05 / t)
+        for k in shapes:
+            assert np.array_equal(tensors[k], want[k]), (t, k)
+            assert np.array_equal(state.m[k], m[k]) and np.array_equal(state.v[k], v[k]), (t, k)
 
 
 def test_adam_error_messages_name_tensor():
@@ -415,7 +442,7 @@ def pair_loop_fd_conditioning(params, keep_fraction):
         iu = np.triu_indices(k, 1)
         if len(iu[0]):
             margin = min(margin, float(diff[iu].min()))
-        centered.append(_dist_and_centered(row)[1])
+        centered.append(dist_and_centered(row)[1])
     k2 = float(k * k)
     for i in range(n):
         for j in range(i + 1, n):
