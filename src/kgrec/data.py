@@ -192,13 +192,21 @@ def _assemble(columns: dict, num_users: int | None, num_items: int | None, data_
     catalog names its split file and items.tsv if read from `data_dir`. One
     `sorted_unique` of the `user * num_items + item` keys (below 2**63) sorts
     and dedups each split, and the cross-split rules run as set operations.
-    Of several faults the lowest user's is reported, in rule order for one user."""
+    Of several faults the lowest user's is reported, in rule order for one
+    user; read from `data_dir`, it names the split files involved."""
+
+    def fault(message, names):
+        if data_dir is None:
+            return DatasetError(message)
+        return DatasetError(", ".join(str(data_dir / SPLIT_FILES[name]) for name in names) + f": {message}")
+
     cols = {name: columns.get(name, (np.empty(0, dtype=np.int64),) * 2) for name in SPLIT_NAMES}
     seen = sorted_unique(np.concatenate([u for u, _ in cols.values()]))
     gap = int((seen == np.arange(len(seen))).sum())  # seen[k] - k never falls: a prefix matches
     n_users = num_users if num_users is not None else (int(seen[-1]) + 1 if len(seen) else 0)
     if gap < n_users:
-        raise DatasetError(f"user ids not dense: user {gap} has no interactions")
+        read = [name for name in SPLIT_NAMES if name in columns]
+        raise fault(f"user ids not dense: user {gap} has no interactions", read)
     if len(seen) and seen[-1] >= n_users:
         raise DatasetError(f"user id {int(seen[-1])} out of range for declared num_users={n_users}")
 
@@ -215,18 +223,19 @@ def _assemble(columns: dict, num_users: int | None, num_items: int | None, data_
     keys = {name: sorted_unique(u * n_items + i) for name, (u, i) in cols.items()}
     pairs = {name: np.divmod(k, max(n_items, 1)) for name, k in keys.items()}
     users = {name: sorted_unique(u) for name, (u, _) in pairs.items()}
-    faults = []
+    faults = []  # (user, message, the splits involved)
     for a, b in (("train", "valid"), ("train", "test"), ("valid", "test"), ("cold_history", "cold_test")):
         for u, i in zip(*np.divmod(np.intersect1d(keys[a], keys[b], assume_unique=True)[:1], n_items)):
-            faults.append((u, f"user {u}: item {i} in both {a} and {b}"))
+            faults.append((u, f"user {u}: item {i} in both {a} and {b}", (a, b)))
     warm = sorted_unique(np.concatenate([users[name] for name in ("train", "valid", "test")]))
     cold = sorted_unique(np.concatenate([users["cold_history"], users["cold_test"]]))
     for u in np.intersect1d(warm, cold, assume_unique=True)[:1]:
-        faults.append((u, f"user {u} is cold-start but also appears in train/valid/test"))
+        holding = [name for name in SPLIT_NAMES if np.isin(u, users[name])]
+        faults.append((u, f"user {u} is cold-start but also appears in train/valid/test", holding))
     for u in np.setdiff1d(users["cold_test"], users["cold_history"], assume_unique=True)[:1]:
-        faults.append((u, f"user {u}: cold_test without cold_history"))
+        faults.append((u, f"user {u}: cold_test without cold_history", ("cold_test", "cold_history")))
     if faults:
-        raise DatasetError(min(faults, key=lambda f: f[0])[1])
+        raise fault(*min(faults, key=lambda f: f[0])[1:])
 
     splits = {name: Split(np.searchsorted(u, np.arange(n_users + 1)), i) for name, (u, i) in pairs.items()}
     return InteractionStore(num_users=n_users, num_items=n_items, **splits)

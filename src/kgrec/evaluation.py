@@ -178,7 +178,7 @@ def evaluate(params: KmpnParams, bundle: DatasetBundle, split: str, ks=DEFAULT_K
     if store.num_users != params.num_users:
         raise DatasetError("checkpoint/dataset user count mismatch")
 
-    entity_agg = aggregate_layers(entity_forward(params, bundle.graph)[0])  # the layers die here
+    entity_agg = aggregate_layers(entity_forward(params, bundle.graph, store.num_items)[0])  # the layers die here
     _, pref = preference_embeddings(params)
     seen = store.cold_history if split == "cold_start" else store.train
     users, skipped = _split_users(seen, test, split)
@@ -187,7 +187,7 @@ def evaluate(params: KmpnParams, bundle: DatasetBundle, split: str, ks=DEFAULT_K
     else:
         profile = softmax_rows(params.user_emb[users] @ pref.T) @ pref
     _, user_vecs, _, _ = user_forward(entity_agg, seen, users, profile)
-    return _rank_users(user_vecs, users, skipped, entity_agg[: store.num_items], seen, test, split, ks)
+    return _rank_users(user_vecs, users, skipped, entity_agg, seen, test, split, ks)
 
 
 def evaluate_embeddings(

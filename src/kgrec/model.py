@@ -122,18 +122,21 @@ def init_params(
 # ---------------------------------------------------------------------------
 
 
-def _head_sum(graph: KnowledgeGraph, table: np.ndarray, relation_emb: np.ndarray, rels, weights, out):
+def _head_sum(graph: KnowledgeGraph, table: np.ndarray, relation_emb: np.ndarray, rels, weights, out, chunks):
     """The one chunk walk of conv_layer and its adjoint: writes, for every
-    head i with edges, out_i = sum over edges e = (i, ., j) of
-    weights_e * (relation_emb[rels_e] o table_j), and yields each chunk.
+    head i of `chunks` (cuts of graph.chunks), out_i = sum over edges
+    e = (i, ., j) of weights_e * (relation_emb[rels_e] o table_j), and
+    yields each chunk.
 
-    It runs over the cache-sized graph.chunks, each a run of whole degree-d
-    heads whose d edges the graph stores contiguously. A chunk gathers its
-    table rows and relation rows into two scratch arrays made once per call
-    and multiplies them in place; one einsum sums each head's d products
-    weighted by w_e, in edge order, as one np.bincount over the edges would
-    (for h >= 2). Nothing is allocated per chunk and no [E, h] array is ever
-    made. Rows of `out` without edges are left as they are.
+    A chunk is a cache-sized run of whole degree-d heads whose d edges the
+    graph stores contiguously. It gathers its table rows and relation rows
+    into two scratch arrays made once per call and multiplies them in
+    place; one einsum sums each head's d products weighted by w_e, in edge
+    order, as one np.bincount over the edges would (for h >= 2). Nothing is
+    allocated per chunk and no [E, h] array is ever made. Rows of `out`
+    without edges in `chunks` are left as they are. Tails past the end of
+    `table` read its last row (mode="clip"): the callers give such edges
+    weight 0.
 
     Yields (lo, hi, heads [n], rows [n, d, h], products [n, d, h]) per chunk
     once its head sums are in `out`: rows holds table[tail], products the
@@ -141,9 +144,9 @@ def _head_sum(graph: KnowledgeGraph, table: np.ndarray, relation_emb: np.ndarray
     overwrite and that the next chunk reuses.
     """
     head, tail, h = graph.edge_head, graph.edge_tail, table.shape[1]
-    size = max((hi - lo for lo, hi, _ in graph.chunks), default=0)
+    size = max((hi - lo for lo, hi, _ in chunks), default=0)
     rows, prods, sums = np.empty((size, h)), np.empty((size, h)), np.empty((size, h))
-    for lo, hi, d in graph.chunks:
+    for lo, hi, d in chunks:
         c, heads = hi - lo, head[lo:hi:d]
         r = np.take(table, tail[lo:hi], axis=0, out=rows[:c], mode="clip").reshape(-1, d, h)
         m = np.take(relation_emb, rels[lo:hi], axis=0, out=prods[:c], mode="clip").reshape(-1, d, h)
@@ -152,48 +155,69 @@ def _head_sum(graph: KnowledgeGraph, table: np.ndarray, relation_emb: np.ndarray
         yield lo, hi, heads, r, m
 
 
-def conv_layer(graph: KnowledgeGraph, prev: np.ndarray, relation_emb: np.ndarray):
-    """One gated convolution sweep over every entity.
+def conv_layer(graph: KnowledgeGraph, prev: np.ndarray, relation_emb: np.ndarray, rows: int | None = None):
+    """One gated convolution sweep over the first `rows` entities (all of
+    them by default).
 
     out_i = (1/deg_i) * sum over edges (i, r, j) of
             sigmoid(prev_i . rel_r) * (rel_r o prev_j)
 
     The gate logits are entries of the small [N, R] product prev @ rel^T,
     read at (head, rel); the messages are one _head_sum walk weighted by
-    gate / deg. Returns (out, per-edge gate values in graph edge order).
+    gate / deg. A chunk's heads ascend, so its heads below `rows` are a
+    prefix of it: the walk cuts every chunk there and skips the chunks
+    that keep no head. Returns (out [rows, h], per-edge gate values in
+    graph edge order); the edges of the heads left out get gate 0, so the
+    adjoint weighs them 0 too.
     """
     head, rel = graph.edge_head, graph.edge_rel
+    rows = len(prev) if rows is None else rows
     gates = sigmoid((prev @ relation_emb.T)[head, rel])  # [E]
-    out = np.zeros(prev.shape)  # isolated entities output zero
-    for _ in _head_sum(graph, prev, relation_emb, rel, gates * graph.inv_degree[head], out):
+    gates[head >= rows] = 0.0
+    cuts = [(lo, lo + d * int(np.searchsorted(head[lo:hi:d], rows)), d) for lo, hi, d in graph.chunks
+            if head[lo] < rows]
+    out = np.zeros((rows, prev.shape[1]))  # isolated entities output zero
+    for _ in _head_sum(graph, prev, relation_emb, rel, gates * graph.inv_degree[head], out, cuts):
         pass  # the head sums are all the forward needs
     return out, gates
 
 
-def entity_forward(params: KmpnParams, graph: KnowledgeGraph):
+def entity_forward(params: KmpnParams, graph: KnowledgeGraph, rows: int | None = None):
     """All per-depth entity matrices plus per-edge gates per sweep.
 
     Returns (layers, gates): layers[0] is the raw embedding table,
     layers[l] the l-th convolution output; gates[l-1] belongs to sweep l.
+    Every layer is [N, h] by default. With `rows` the top layer layers[L]
+    holds only the first `rows` entities: a score reads the top layer only
+    at item rows (users are means of items), so forward and evaluate pass
+    the item count and the last sweep computes nothing else. At depth 0
+    the top layer is the leading rows of the raw table.
     """
     if graph.num_entities != params.num_entities:
         raise ValueError("graph/params entity count mismatch")
     if graph.num_relations != params.num_relations:
         raise ValueError("graph/params relation count mismatch")
+    top = params.num_entities if rows is None else rows
+    if top > params.num_entities:
+        raise ValueError("more item rows than entities")
     layers = [params.entity_emb]
     gates = []
-    for _ in range(params.n_layers):
-        out, g = conv_layer(graph, layers[-1], params.relation_emb)
+    for depth in range(1, params.n_layers + 1):
+        out, g = conv_layer(graph, layers[-1], params.relation_emb, top if depth == params.n_layers else None)
         layers.append(out)
         gates.append(g)
+    if len(layers[-1]) > top:  # depth 0: no sweep cut the top layer
+        layers[-1] = layers[-1][:top]
     return layers, gates
 
 
 def aggregate_layers(layers: list) -> np.ndarray:
-    """Elementwise sum of the per-depth matrices: the aggregated embeddings."""
-    out = np.array(layers[0], dtype=np.float64, copy=True)
+    """Elementwise sum of the per-depth matrices over the rows of the top
+    layer (the last one): the aggregated embeddings."""
+    n = len(layers[-1])
+    out = np.array(layers[0][:n], dtype=np.float64, copy=True)
     for m in layers[1:]:
-        out += m
+        out += m[:n]
     return out
 
 
@@ -245,7 +269,7 @@ class ForwardTrace:
     takes its upstream gradients on user_rows() and item_rows()."""
 
     layers: list  # L sweep inputs [N_v, h], layers[0..L-1]; backward never reads layers[L]
-    entity_agg: np.ndarray  # sum of the layers [N_v, h]
+    entity_agg: np.ndarray  # sum of the layers at the item rows [num_items, h], all the top sweep made
     gates: list  # L arrays [E]
     beta: np.ndarray  # [P, M]
     pref: np.ndarray  # [P, h]
@@ -297,7 +321,7 @@ def forward(
         if arr.min() < 0 or arr.max() >= hi:
             raise ValueError(f"{name} id out of range")
 
-    layers, gates = entity_forward(params, graph)
+    layers, gates = entity_forward(params, graph, n_items)
     entity_agg = aggregate_layers(layers)
     beta, pref = preference_embeddings(params)
 
@@ -343,7 +367,9 @@ def _conv_backward(
     d_relation: np.ndarray,
 ):
     """Adjoint of conv_layer. Accumulates into d_relation and returns the
-    gradient with respect to `prev`.
+    gradient with respect to `prev` [N, h]. A `grad_out` of fewer rows than
+    the graph, with the gates of the sweep that made them, is the adjoint
+    of that restricted sweep.
 
     Edge e = (i, r, j) of gate g_e sends g_e / deg_i (rel_r o prev_j) to i.
     Its inverse e' = (j, r', i) is an edge of j's own run, so one
@@ -361,15 +387,21 @@ def _conv_backward(
     message path to rel: d_rel_r += sum of w_e' grad_out_i o prev_j over
         the edges of relation r, from the upstream rows multiplied in place
         and one [R, c] by [c, h] one-hot product per chunk.
+
+    Every path of e' is a multiple of grad_out_i. An i past the rows of
+    `grad_out` was left out of the sweep, so its edges carry gate 0 and e'
+    weight 0: the walk skips the chunks whose tails all lie there, and in
+    the rest those edges add exact zeros.
     """
     tail, inverse = graph.edge_tail, graph.inverse
     n, n_rel, h = prev.shape[0], relation_emb.shape[0], prev.shape[1]
     rels, inv_gates = graph.edge_rel[inverse], gates[inverse]  # of each edge's inverse
     weights = inv_gates * graph.inv_degree[tail]
-    size = max((hi - lo for lo, hi, _ in graph.chunks), default=0)
+    chunks = [(lo, hi, d) for lo, hi, d in graph.chunks if tail[lo:hi].min() < len(grad_out)]
+    size = max((hi - lo for lo, hi, _ in chunks), default=0)
     head_rows, one_hot, idx = np.empty((size, h)), np.zeros((size, n_rel)), np.arange(size)
-    d_dot, d_prev = np.empty(len(gates)), np.zeros(prev.shape)
-    for lo, hi, heads, rows, prods in _head_sum(graph, grad_out, relation_emb, rels, weights, d_prev):
+    d_dot, d_prev = np.zeros(len(gates)), np.zeros(prev.shape)
+    for lo, hi, heads, rows, prods in _head_sum(graph, grad_out, relation_emb, rels, weights, d_prev, chunks):
         c = hi - lo
         prev_j = np.take(prev, heads, axis=0, out=head_rows[: len(heads)], mode="clip")
         np.einsum("ndh,nh->nd", prods, prev_j, out=d_dot[lo:hi].reshape(prods.shape[:2]))
@@ -406,9 +438,9 @@ def backward(
     if np.shape(d_user_rows) != (B, h) or np.shape(d_item_rows) != (2 * B, h):
         raise ValueError("row gradient shape mismatch with trace batch")
 
-    entity_agg = trace.entity_agg
+    n = len(trace.entity_agg)  # the item rows: all the top sweep made
     items = np.concatenate([trace.pos_items, trace.neg_items])
-    d_entity_agg = segment_sum(items, d_item_rows, len(entity_agg))
+    d_entity_agg = segment_sum(items, d_item_rows, n)
 
     # fold batch rows onto unique users
     d_uagg = segment_sum(trace.batch_inv, d_user_rows, len(trace.uniq_users))
@@ -438,24 +470,29 @@ def backward(
     d_pref_logits = trace.beta * (d_beta - inner_b)
 
     # history means: the same scatter feeds every depth. Added in place, it
-    # makes d_entity_agg the gradient that reaches layers[l] for every l.
+    # makes d_entity_agg the gradient that reaches the item rows of
+    # layers[l] for every l.
     per_depth = d_entity_agg
     per_depth += segment_sum(
         trace.hist_concat,
         np.repeat(d_msum / trace.hist_counts[:, None], trace.hist_counts, axis=0),
-        len(entity_agg),
+        n,
     )
     # layer l's gradient is per_depth plus the adjoint of sweep l + 1, added
-    # in place to that adjoint's output; rebinding `grad` frees the adjoint's
-    # input, so at most three [N, h] arrays live at once. The top layer takes
-    # per_depth itself: bincount bins are never -0.0, so it is per_depth + 0.
+    # in place to the item rows of that adjoint's output; rebinding `grad`
+    # frees the adjoint's input, so at most three [N, h] arrays live at once.
+    # The top layer takes per_depth itself: bincount bins are never -0.0, so
+    # it is per_depth + 0. Its n rows make the first adjoint the one of the
+    # item-row sweep.
     d_relation = np.zeros_like(params.relation_emb)
     grad = per_depth
     for l in range(params.n_layers, 0, -1):
         grad = _conv_backward(
             graph, trace.layers[l - 1], params.relation_emb, trace.gates[l - 1], grad, d_relation,
         )
-        grad += per_depth
+        grad[:n] += per_depth
+    if params.n_layers == 0:  # the raw table's item rows; no edge reaches the rest
+        grad = np.concatenate([per_depth, np.zeros((params.num_entities - n, h))])
     d_entity = grad
 
     return {

@@ -152,7 +152,29 @@ def test_build_store_rejects_user_id_gap():
 def test_sparse_huge_user_id_fails_before_sizing_anything(tmp_path):
     p = tmp_path / "train.txt"
     p.write_text("0 1\n1 1\n2 1\n3 1\n1000000000000 1\n")
-    with pytest.raises(DatasetError, match="^user ids not dense: user 4 has no interactions$"):
+    with pytest.raises(DatasetError, match=f"^{re.escape(str(p))}: user ids not dense: user 4 has no interactions$"):
+        load_interactions(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "files,named,message",
+    [
+        # user 1 is in no file: every split file read is named
+        (dict(train="0 1\n2 1\n", valid="0 2\n", test="2 0\n"), ("train", "valid", "test"),
+         "user ids not dense: user 1 has no interactions"),
+        (dict(train="0 1 2\n1 0\n", valid="0 2\n"), ("train", "valid"),
+         "user 0: item 2 in both train and valid"),
+        (dict(train="0 1\n1 0\n", valid="1 2\n", cold_history="1 1\n"), ("train", "valid", "cold_history"),
+         "user 1 is cold-start but also appears in train/valid/test"),
+        (dict(train="0 1\n", cold_test="1 0\n"), ("cold_test", "cold_history"),
+         "user 1: cold_test without cold_history"),
+    ],
+)
+def test_cross_file_split_faults_name_their_files(tmp_path, files, named, message):
+    for name, text in files.items():
+        (tmp_path / f"{name}.txt").write_text(text)
+    paths = ", ".join(str(tmp_path / f"{name}.txt") for name in named)
+    with pytest.raises(DatasetError, match=f"^{re.escape(paths)}: {re.escape(message)}$"):
         load_interactions(tmp_path)
 
 

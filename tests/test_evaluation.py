@@ -551,8 +551,8 @@ def test_evaluate_split_absent_errors():
 def test_evaluate_ranks_without_the_per_depth_layers(monkeypatch):
     b, alive = graph_bundle(), []
 
-    def forward_spy(params, graph):
-        layers, gates = entity_forward(params, graph)
+    def forward_spy(params, graph, rows):
+        layers, gates = entity_forward(params, graph, rows)
         alive.extend(weakref.ref(m) for m in layers[1:])
         return layers, gates
 

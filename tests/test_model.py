@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from conftest import score_row_grads
 
-from kgrec import data
-from kgrec.data import build_store, kg_from_triplets
+from kgrec import data, evaluation, model
+from kgrec.data import DatasetBundle, build_store, kg_from_triplets
+from kgrec.losses import LossWeights
 from kgrec.model import (
     _conv_backward,
     aggregate_layers,
@@ -22,7 +23,7 @@ from kgrec.model import (
     user_forward,
 )
 from kgrec.numeric import sigmoid
-from kgrec.training import _kmpn_instance
+from kgrec.training import _kmpn_instance, kmpn_loss_and_grads
 
 
 def small_graph(num_entities=6):
@@ -292,6 +293,79 @@ def test_conv_and_adjoint_match_per_edge_loop_on_a_synthetic_graph():
     np.testing.assert_allclose(d_rel, d_rel_want, rtol=1e-12, atol=1e-15)
 
 
+def mixed_graph():
+    """Items 0-7 and attribute entities 8-13 linked every way: item-item,
+    item-attribute and attribute-attribute edges, an isolated item (6) and
+    an isolated attribute (13)."""
+    triplets = [(0, 0, 1), (1, 1, 2), (2, 0, 8), (3, 2, 9), (4, 1, 10), (8, 0, 9), (9, 1, 10),
+                (10, 2, 11), (11, 0, 12), (5, 0, 11), (7, 1, 12), (0, 2, 10), (3, 0, 4), (7, 2, 8), (7, 0, 9)]
+    return kg_from_triplets(triplets, num_relations_raw=3, num_entities=14)
+
+
+MIXED_ITEMS = 8
+
+
+@pytest.mark.parametrize("chunk_edges", [4, 1024])
+def test_item_row_sweep_and_adjoint_equal_the_full_ones_on_a_mixed_graph(monkeypatch, chunk_edges):
+    monkeypatch.setattr(data, "CHUNK_EDGES", chunk_edges)
+    g, n, h = mixed_graph(), MIXED_ITEMS, 6
+    assert g.degrees[6] == 0 and g.degrees[13] == 0
+    heads, tails = g.edge_head, g.edge_tail
+    assert any((heads[lo:hi] < n).any() and (heads[lo:hi] >= n).any() for lo, hi, _ in g.chunks)
+    assert any((tails[lo:hi] < n).any() and (tails[lo:hi] >= n).any() for lo, hi, _ in g.chunks)
+    assert any((tails[heads == i] < n).any() and (tails[heads == i] >= n).any() for i in range(14))
+    assert any((heads[lo:hi] >= n).all() for lo, hi, _ in g.chunks)  # the sweep skips it
+    assert any((tails[lo:hi] >= n).all() for lo, hi, _ in g.chunks)  # the adjoint skips it
+    rng = np.random.default_rng(16)
+    prev = rng.normal(size=(14, h))
+    rel = rng.normal(size=(g.num_relations, h))
+    grad_out = rng.normal(size=(n, h))
+
+    out, gates = conv_layer(g, prev, rel)
+    out_n, gates_n = conv_layer(g, prev, rel, n)
+    assert out_n.shape == (n, h) and np.array_equal(out_n, out[:n])
+    assert np.array_equal(gates_n, np.where(heads < n, gates, 0.0))
+
+    padded = np.zeros((14, h))
+    padded[:n] = grad_out
+    d_rel, d_rel_n = np.zeros_like(rel), np.zeros_like(rel)
+    d_prev = _conv_backward(g, prev, rel, gates, padded, d_rel)
+    d_prev_n = _conv_backward(g, prev, rel, gates_n, grad_out, d_rel_n)
+    assert np.all(d_prev_n == d_prev) and np.all(d_rel_n == d_rel)  # a zero may change sign
+
+
+@pytest.mark.parametrize("n_layers", [0, 1, 3])
+def test_item_row_top_sweep_gives_the_gradients_and_reports_of_full_sweeps(monkeypatch, n_layers):
+    g = mixed_graph()
+    store = build_store(
+        {0: [0, 1], 1: [2, 7], 2: [3, 4, 5], 3: [6]}, test={0: [2, 3], 1: [0], 2: [7], 3: [1]},
+        cold_history={4: [1, 2], 5: [7]}, cold_test={4: [4], 5: [0, 3]}, num_items=MIXED_ITEMS,
+    )
+    bundle = DatasetBundle(store=store, graph=g, corpus=None)
+    p = small_params(g, num_users=6, h=6, n_layers=n_layers)
+    batch = np.array([0, 1, 2, 3, 2, 0]), np.array([1, 7, 4, 6, 3, 0]), np.array([5, 3, 0, 2, 6, 7])
+
+    def run():
+        grads = kmpn_loss_and_grads(p, g, store, *batch, LossWeights())[1]
+        return grads, [evaluation.evaluate(p, bundle, split).render() for split in ("test", "cold_start")]
+
+    grads, reports = run()
+
+    def full_sweeps(params, graph, rows=None):  # every sweep over all entities, the top one too
+        return entity_forward(params, graph)
+
+    def full_sweeps_item_rows(params, graph, rows):
+        layers, gates = entity_forward(params, graph)
+        return layers[:-1] + [layers[-1][:rows]], gates
+
+    monkeypatch.setattr(model, "entity_forward", full_sweeps)
+    monkeypatch.setattr(evaluation, "entity_forward", full_sweeps_item_rows)
+    want_grads, want_reports = run()
+    assert reports == want_reports
+    for name, t in want_grads.items():
+        assert t.shape == grads[name].shape and np.array_equal(t.view(np.uint64), grads[name].view(np.uint64)), name
+
+
 def test_conv_sweep_makes_no_edge_width_temporary():
     rng = np.random.default_rng(5)
     n, h = 1000, 64
@@ -357,6 +431,20 @@ def test_entity_forward_layer_count_and_depth_zero():
     p0 = small_params(g, n_layers=0)
     layers0, gates0 = entity_forward(p0, g)
     assert len(layers0) == 1 and gates0 == []
+
+
+def test_entity_forward_default_layers_are_full_tables():
+    # the benchmark's ranking oracle reads every row of every layer
+    g = small_graph(num_entities=8)
+    for n_layers in (0, 1, 3):
+        p = small_params(g, n_layers=n_layers)
+        layers, gates = entity_forward(p, g)
+        assert len(layers) == n_layers + 1 and len(gates) == n_layers
+        assert all(m.shape == (8, p.h) for m in layers)
+        assert all(x.shape == (g.num_edges,) for x in gates)
+        top, _ = entity_forward(p, g, 5)
+        assert [m.shape[0] for m in top] == [8] * n_layers + [5]
+        assert all(np.array_equal(a[: len(b)], b) for a, b in zip(layers, top))
 
 
 # -- layer aggregation -------------------------------------------------------
@@ -515,6 +603,8 @@ def test_forward_validates_ids_and_shapes():
         forward(p, g, store, [0, 1], [0], [1])
     with pytest.raises(ValueError, match="empty batch"):
         forward(p, g, store, [], [], [])
+    with pytest.raises(ValueError, match="more item rows than entities"):  # 7 items, 6 entities
+        forward(p, g, build_store({0: [0, 1], 1: [2], 2: [6]}), [0], [0], [1])
 
 
 # -- backward -----------------------------------------------------------------

@@ -523,7 +523,8 @@ def test_degenerate_shapes_finite_and_gradchecked(seed, n_layers):
         assert layer.shape == (10, 3) and np.isfinite(layer).all()
         assert layer is trace.layers[0] or np.all(layer[[5, 9]] == 0.0)
     assert np.isfinite(trace.entity_agg).all()
-    assert np.all(trace.entity_agg[[5, 9]] == params.entity_emb[[5, 9]])  # no sweep reaches them
+    assert trace.entity_agg.shape == (store.num_items, 3)  # entity 9 is no item: the top sweep skips it
+    assert np.all(trace.entity_agg[5] == params.entity_emb[5])  # no sweep reaches item 5
     assert pos_s.shape == neg_s.shape == (5,)
     assert np.isfinite(pos_s).all() and np.isfinite(neg_s).all()
     grads = backward(params, graph, trace, *score_row_grads(trace, np.ones(5), -np.ones(5)))
