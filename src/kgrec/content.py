@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import InteractionStore, ItemCorpus
+from .data import InteractionStore, ItemCorpus, _numbered_lines
 from .losses import click_softmax_loss
 from .numeric import (atomic_open, csr_rows, read_tensor_file, segment_sum, softmax_rows, sorted_unique,
                       write_tensor_file)
@@ -275,11 +275,13 @@ def train_content(corpus: ItemCorpus, store: InteractionStore, params: ContentPa
 
 @dataclass
 class EmbeddingMatrixFile:
-    """(id, vector) rows for one side of the exchange; float32 payload."""
+    """(id, vector) rows for one side of the exchange; float32 payload.
+    `path`, the file read (None if built in memory), is named in errors."""
 
     kind: str
     ids: np.ndarray
     vectors: np.ndarray
+    path: Path | None = None
 
     def __post_init__(self):
         if self.kind not in KIND_CODES:
@@ -314,22 +316,31 @@ class EmbeddingMatrixFile:
         found[found] = self._sorted_ids[pos[found]] == wanted[found]
         if not found.all():
             first = wanted[np.argmin(found)]
-            raise ValueError(f"embedding file ({self.kind}) is missing id {first}")
+            raise ValueError(f"{_where(self)}embedding file ({self.kind}) is missing id {first}")
         return self.vectors[self._order[pos]].astype(np.float64)
 
 
-def check_exchange_pair(item_set: EmbeddingMatrixFile, user_set: EmbeddingMatrixFile, h=None) -> None:
-    """An exchange pair is an item file then a user file of one dim (the
-    model's `h` when given); anything else fails before it is scored."""
+def _where(*sets: EmbeddingMatrixFile) -> str:
+    """The error prefix "<path>, <path>: " of the sets read from files."""
+    paths = [str(emb.path) for emb in sets if emb.path is not None]
+    return f"{', '.join(paths)}: " if paths else ""
+
+
+def exchange_tables(item_set: EmbeddingMatrixFile, user_set: EmbeddingMatrixFile, item_ids, user_ids, h=None):
+    """The one check of an exchange pair: an item file then a user file of
+    one dim (the model's `h` when given) that hold every requested id; a
+    fault is one ValueError naming its files. Returns the float64 rows of
+    `item_ids` and of `user_ids`, in request order, as two dense tables."""
+    both = _where(item_set, user_set)
     if (item_set.kind, user_set.kind) != ("item", "user"):
-        raise ValueError(
-            f"content pair must be (item file, user file), got ({item_set.kind} file, {user_set.kind} file)"
-        )
+        kinds = f"({item_set.kind} file, {user_set.kind} file)"
+        raise ValueError(f"{both}content pair must be (item file, user file), got {kinds}")
     for emb in (item_set, user_set):
         if h is not None and emb.dim != h:
-            raise ValueError(f"content embedding dim {emb.dim} != model h {h}")
+            raise ValueError(f"{_where(emb)}content embedding dim {emb.dim} != model h {h}")
     if item_set.dim != user_set.dim:
-        raise ValueError(f"content pair dims differ: item file {item_set.dim}, user file {user_set.dim}")
+        raise ValueError(f"{both}content pair dims differ: item file {item_set.dim}, user file {user_set.dim}")
+    return item_set.rows(item_ids), user_set.rows(user_ids)
 
 
 def write_embeddings_text(emb: EmbeddingMatrixFile, path) -> None:
@@ -356,37 +367,37 @@ def write_embeddings_binary(emb: EmbeddingMatrixFile, path) -> None:
 
 
 def _read_embeddings_text(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 4 or header[0] != EMB_TEXT_MAGIC:
-            raise ValueError(f"{path}: not an {EMB_TEXT_MAGIC} embedding file")
-        kind = header[1]
-        if kind not in KIND_CODES:
-            raise ValueError(f"{path}: unknown embedding kind {kind!r}")
-        if not all(f.isascii() and f.isdigit() for f in header[2:]):
-            raise ValueError(f"{path}: header count {header[2]!r} and dim {header[3]!r} must be integers >= 0")
-        count, dim = int(header[2]), int(header[3])
-        if 8 + 4 * dim >= 2**31:  # the binary format's limit, which numpy sets
-            raise ValueError(f"{path}: dim {dim} is too large")
-        ids, vectors = [], []
-        for row in range(count):
-            line = fh.readline()
-            if not line:
-                raise ValueError(f"{path}: truncated at row {row}")
-            fields = line.split()
-            if not fields:
-                raise ValueError(f"{path}: row {row} is blank, expected an id and {dim} values")
-            if len(fields) != dim + 1:
-                raise ValueError(f"{path}: row {row} has {len(fields) - 1} values, expected {dim}")
-            try:
-                ids.append(int(fields[0]))
-                vectors.append(np.array([np.float32(x) for x in fields[1:]], dtype=np.float32))
-            except ValueError as exc:
-                raise ValueError(f"{path}: row {row}: {exc}") from None
-            if not 0 <= ids[-1] < 2**63:
-                raise ValueError(f"{path}: row {row}: id {ids[-1]} is not in [0, 2**63)")
-        if fh.read().strip():  # only whitespace may follow the declared rows
-            raise ValueError(f"{path}: trailing data after {count} rows")
+    lines = (line for _, line in _numbered_lines(path))
+    header = next(lines, "").split()
+    if len(header) != 4 or header[0] != EMB_TEXT_MAGIC:
+        raise ValueError(f"{path}: not an {EMB_TEXT_MAGIC} embedding file")
+    kind = header[1]
+    if kind not in KIND_CODES:
+        raise ValueError(f"{path}: unknown embedding kind {kind!r}")
+    if not all(f.isascii() and f.isdigit() for f in header[2:]):
+        raise ValueError(f"{path}: header count {header[2]!r} and dim {header[3]!r} must be integers >= 0")
+    count, dim = int(header[2]), int(header[3])
+    if 8 + 4 * dim >= 2**31:  # the binary format's limit, which numpy sets
+        raise ValueError(f"{path}: dim {dim} is too large")
+    ids, vectors = [], []
+    for row in range(count):
+        line = next(lines, "")
+        if not line:
+            raise ValueError(f"{path}: truncated at row {row}")
+        fields = line.split()
+        if not fields:
+            raise ValueError(f"{path}: row {row} is blank, expected an id and {dim} values")
+        if len(fields) != dim + 1:
+            raise ValueError(f"{path}: row {row} has {len(fields) - 1} values, expected {dim}")
+        try:
+            ids.append(int(fields[0]))
+            vectors.append(np.array([np.float32(x) for x in fields[1:]], dtype=np.float32))
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {row}: {exc}") from None
+        if not 0 <= ids[-1] < 2**63:
+            raise ValueError(f"{path}: row {row}: id {ids[-1]} is not in [0, 2**63)")
+    if any(line.strip() for line in lines):  # only whitespace may follow the declared rows
+        raise ValueError(f"{path}: trailing data after {count} rows")
     return kind, np.array(ids, dtype=np.int64), np.array(vectors, dtype=np.float32).reshape(count, dim)
 
 
@@ -416,18 +427,16 @@ def _read_embeddings_binary(path):
 
 
 def read_embeddings(path) -> EmbeddingMatrixFile:
-    """Load either exchange format (sniffed from the first bytes). Every
-    malformed input fails with a one-line ValueError naming the file."""
+    """Load either exchange format (sniffed from the first bytes) into a set
+    that records `path`. Every malformed input fails with a one-line
+    ValueError naming the file; text goes through `data._numbered_lines`."""
     path = Path(path)
     with open(path, "rb") as fh:
         magic = fh.read(4)
     reader = _read_embeddings_binary if magic == EMB_BIN_MAGIC else _read_embeddings_text
+    kind, ids, vectors = reader(path)
     try:
-        kind, ids, vectors = reader(path)
-    except UnicodeDecodeError:
-        raise ValueError(f"{path}: not an {EMB_TEXT_MAGIC} embedding file (not UTF-8)") from None
-    try:
-        return EmbeddingMatrixFile(kind=kind, ids=ids, vectors=vectors)
+        return EmbeddingMatrixFile(kind=kind, ids=ids, vectors=vectors, path=path)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .content import check_exchange_pair
+from .content import exchange_tables
 from .data import DatasetBundle, DatasetError
 from .model import KmpnParams, aggregate_layers, entity_forward, preference_embeddings, user_forward
 from .numeric import softmax_rows
@@ -194,15 +194,14 @@ def evaluate_embeddings(
     user_set, item_set, bundle: DatasetBundle, split: str, ks=DEFAULT_KS
 ) -> MetricsReport:
     """Same protocol but scoring directly with exchange-file embeddings
-    (content-model evaluation or comparison hooks). The pair is checked
-    (kinds, one dim) before anything is scored."""
-    check_exchange_pair(item_set, user_set)
+    (content-model evaluation or comparison hooks). After the split checks,
+    content.exchange_tables checks the pair and returns the item table and
+    the evaluated users' rows, before anything is scored."""
     ks = _sorted_ks(ks)
     store = bundle.store
     test = _check_split(store, split)
     if split == "cold_start":
         raise DatasetError("cold_start evaluation needs model parameters, not embedding files")
-    item_embs = item_set.rows(np.arange(store.num_items, dtype=np.int64))
     users, skipped = _split_users(store.train, test, split)
-    user_vecs = user_set.rows(users)
+    item_embs, user_vecs = exchange_tables(item_set, user_set, np.arange(store.num_items, dtype=np.int64), users)
     return _rank_users(user_vecs, users, skipped, item_embs, store.train, test, split, ks)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .numeric import sigmoid, softmax_rows, softplus
+from .numeric import sigmoid, softplus
 from .settings import TRAIN, check
 
 _EPS_GUARD = 1e-12
@@ -246,11 +246,11 @@ def click_softmax_loss(pos_scores: np.ndarray, neg_scores: np.ndarray):
     if neg.ndim != 2 or neg.shape[0] != pos.shape[0]:
         raise ValueError("neg_scores must be [batch, n_neg]")
     logits = np.concatenate([pos, neg], axis=1)
-    probs = softmax_rows(logits)
     m = logits.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
-    value = float((lse - pos[:, 0]).sum())
-    d = probs.copy()
+    ex = np.exp(logits - m)
+    s = ex.sum(axis=1, keepdims=True)
+    value = float((m[:, 0] + np.log(s[:, 0]) - pos[:, 0]).sum())  # log-sum-exp minus the positive logit
+    d = ex / s  # the softmax probabilities
     d[:, 0] -= 1.0
     return value, d[:, 0], d[:, 1:]
 

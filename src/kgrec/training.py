@@ -22,12 +22,12 @@ import numpy as np
 
 import logging
 
-from .content import EmbeddingMatrixFile, check_exchange_pair, click_instance, init_content
+from .content import EmbeddingMatrixFile, click_instance, exchange_tables, init_content
 from .data import DatasetBundle, InteractionStore, KnowledgeGraph, SyntheticSpec, make_synthetic_dataset
 from .evaluation import evaluate
 from .losses import LossWeights, bpr_loss, cross_system_loss, dcorr_fd_margin, pca_project, soft_dcorr_loss
 from .model import KmpnParams, backward, forward, init_params, preference_embeddings
-from .optim import AdamState, TrainConfig, adam_step, init_adam, lr_at
+from .optim import TrainConfig, adam_step, init_adam, lr_at
 from .sampling import build_sampler
 
 log = logging.getLogger(__name__)
@@ -78,9 +78,10 @@ def kmpn_loss_and_grads(
 ):
     """Composite objective on one batch.
 
-    `content` is an (item_set, user_set) EmbeddingMatrixFile pair enabling
-    the alignment term. `frozen_basis` pins the decorrelation PCA basis
-    (used by the FD harness); when None the basis is recomputed here.
+    `content`, the (item_table, user_table) of content.exchange_tables
+    indexed by item and user id, enables the alignment term; the batch
+    reads its rows by plain indexing. `frozen_basis` pins the decorrelation
+    PCA basis (used by the FD harness); when None it is recomputed here.
     The gradients of every term are summed here on the batch rows
     (trace.user_rows(), trace.item_rows()) and passed to model.backward.
 
@@ -102,10 +103,9 @@ def kmpn_loss_and_grads(
     cs_val = 0.0
     d_cu = d_ci = None  # alignment gradients on the user rows and the item rows
     if content is not None and weights.cross_system != 0.0:
-        item_set, user_set = content
+        items, users = content
         cs_val, d_cu, *d_ci = cross_system_loss(
-            user_rows, pos_rows, neg_rows,
-            user_set.rows(trace.users), item_set.rows(trace.pos_items), item_set.rows(trace.neg_items),
+            user_rows, pos_rows, neg_rows, users[trace.users], items[trace.pos_items], items[trace.neg_items]
         )
         d_ci = np.concatenate(d_ci)
 
@@ -129,15 +129,6 @@ def kmpn_loss_and_grads(
     return total, grads, parts, basis
 
 
-def _validate_content_pair(content, store: InteractionStore, h: int) -> None:
-    item_set, user_set = content
-    check_exchange_pair(item_set, user_set, h)
-    for emb, n in ((item_set, store.num_items), (user_set, store.num_users)):
-        missing = np.setdiff1d(np.arange(n), emb.ids)
-        if len(missing):
-            raise ValueError(f"content {emb.kind} file missing {emb.kind} {int(missing[0])}")
-
-
 def _format_log_line(epoch, parts_sum, lr) -> str:
     total, bpr, l2, dc, cs = parts_sum
     return f"{epoch}\t{total!r}\t{bpr!r}\t{l2!r}\t{dc!r}\t{cs!r}\t{lr!r}"
@@ -149,13 +140,15 @@ def _train_cf(
     config: TrainConfig,
     content=None,
 ):
-    """Shared loop. `content` is only consulted when the alignment weight
-    is nonzero, so a zero weight reproduces the plain run bit-for-bit."""
+    """Shared loop. `content`, an (item set, user set) exchange pair, is
+    checked once by content.exchange_tables, which returns its dense
+    tables; they are only consulted when the alignment weight is nonzero,
+    so a zero weight reproduces the plain run bit-for-bit."""
     config.validate()
     params = params.copy()
     store, graph = bundle.store, bundle.graph
     if content is not None:
-        _validate_content_pair(content, store, params.h)
+        content = exchange_tables(*content, np.arange(store.num_items), np.arange(store.num_users), params.h)
 
     lines: list[str] = []
     if config.epochs == 0:
@@ -311,12 +304,9 @@ def _kmpn_instance(seed: int, with_content: bool):
     weights = LossWeights(l2=0.05, dcorr=0.5, cross_system=0.3 if with_content else 0.0, pca_keep=0.5)
     content = None
     if with_content:
-        item_vecs = rng.normal(0.0, 0.5, size=(store.num_items, params.h))
-        user_vecs = rng.normal(0.0, 0.5, size=(store.num_users, params.h))
-        content = (
-            EmbeddingMatrixFile(kind="item", ids=np.arange(store.num_items), vectors=item_vecs),
-            EmbeddingMatrixFile(kind="user", ids=np.arange(store.num_users), vectors=user_vecs),
-        )
+        ids = np.arange(store.num_items), np.arange(store.num_users)
+        vecs = [rng.normal(0.0, 0.5, size=(len(i), params.h)) for i in ids]
+        content = exchange_tables(*map(EmbeddingMatrixFile, ("item", "user"), ids, vecs), *ids)
     return params, graph, store, (users, pos, neg), weights, content
 
 

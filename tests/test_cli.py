@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import SRC, run_cli
 
-from kgrec.content import init_content, save_content_checkpoint
+from kgrec.content import EmbeddingMatrixFile, init_content, read_embeddings, save_content_checkpoint, write_embeddings_text
 from kgrec.model import init_params, load_checkpoint, save_checkpoint
 
 
@@ -632,7 +632,8 @@ def test_content_train_export_eval_pipeline(cli_dataset, tmp_path):
         "--content-users", emb / "content_items.txt",
     )
     assert res.returncode == 2
-    assert res.stderr.strip() == "error: content pair must be (item file, user file), got (user file, item file)"
+    assert res.stderr == (f"error: {emb / 'content_users.txt'}, {emb / 'content_items.txt'}: "
+                          "content pair must be (item file, user file), got (user file, item file)\n")
 
     # alignment-mode training accepts the exported pair
     ck = tmp_path / "ck_run"
@@ -645,6 +646,37 @@ def test_content_train_export_eval_pipeline(cli_dataset, tmp_path):
     assert res.returncode == 0, res.stderr
     line = (ck / "loss.log").read_text().splitlines()[0]
     assert float(line.split("\t")[5]) > 0.0  # alignment component active
+
+
+@pytest.fixture(scope="module")
+def cli_exchange(cli_dataset, tmp_path_factory):
+    """The exchange files of a one-epoch h 8 content model on cli_dataset."""
+    d, _ = cli_dataset
+    out = tmp_path_factory.mktemp("cli_exchange")
+    res = run_cli("train", "--data", d, "--out", out / "run", "--mode", "content", "--epochs", 1, "--h", 8)
+    assert res.returncode == 0, res.stderr
+    res = run_cli("export-content", "--data", d, "--out", out, "--checkpoint", out / "run" / "checkpoint.content")
+    assert res.returncode == 0, res.stderr
+    return out
+
+
+@pytest.mark.parametrize("case", ["dim", "swapped", "missing-id"])
+def test_exchange_pair_faults_name_their_files(cli_dataset, cli_exchange, tmp_path, case):
+    d, _ = cli_dataset
+    items, users = cli_exchange / "content_items.txt", cli_exchange / "content_users.bin"
+    ckmpn = ("train", "--data", d, "--out", tmp_path / "run", "--mode", "ckmpn", "--epochs", 1)
+    if case == "dim":
+        res = run_cli(*ckmpn, "--h", 16, "--content-items", items, "--content-users", users)
+        message = f"{items}: content embedding dim 8 != model h 16"
+    elif case == "swapped":
+        res = run_cli(*ckmpn, "--h", 8, "--content-items", users, "--content-users", items)
+        message = f"{users}, {items}: content pair must be (item file, user file), got (user file, item file)"
+    else:
+        full, short = read_embeddings(items), tmp_path / "no_item_0.txt"
+        write_embeddings_text(EmbeddingMatrixFile("item", full.ids[1:], full.vectors[1:]), short)
+        res = run_cli("eval", "--data", d, "--content-items", short, "--content-users", users)
+        message = f"{short}: embedding file (item) is missing id 0"
+    assert (res.returncode, res.stderr) == (2, f"error: {message}\n")
 
 
 def test_export_content_no_binary_flag(cli_dataset, tmp_path):

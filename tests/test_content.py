@@ -11,6 +11,7 @@ from kgrec.content import (
     click_instance,
     encode_items,
     encode_user,
+    exchange_tables,
     export_embeddings,
     init_content,
     load_content_checkpoint,
@@ -538,6 +539,47 @@ def test_malformed_exchange_file_fails_naming_the_file(tmp_path, payload, messag
         read_embeddings(path)
     text = str(err.value)
     assert text.startswith(f"{path}: ") and message in text and "\n" not in text
+
+
+@pytest.mark.parametrize("head", [b"EMB1 item 2 1\n0 1\n1 caf", b"EMB1 item 9 1\n0 1\n"], ids=["row", "after-a-fault"])
+def test_text_exchange_file_that_is_not_utf8_names_the_line(tmp_path, head):
+    # decoding comes first: a bad byte on line 3 wins over the short row count
+    path = tmp_path / "emb.txt"
+    path.write_bytes(head + b"\xe9\n")
+    with pytest.raises(data.DatasetError) as err:
+        read_embeddings(path)
+    assert str(err.value) == f"{path}:3: not UTF-8"
+
+
+def _pair_fault(*args) -> str:
+    with pytest.raises(ValueError) as err:
+        exchange_tables(*args)
+    return str(err.value)
+
+
+def test_exchange_tables_returns_requested_rows():
+    items, users = _emb("item", n=5, dim=2), _emb("user", n=3, dim=2, seed=1)
+    item_table, user_table = exchange_tables(items, users, np.arange(5), [2, 0], 2)
+    assert item_table.dtype == user_table.dtype == np.float64
+    np.testing.assert_array_equal(item_table, items.vectors)
+    np.testing.assert_array_equal(user_table, users.vectors[[2, 0]])
+
+
+def test_exchange_pair_faults_name_the_files_read(tmp_path):
+    i_path, u_path, wide_path = tmp_path / "i.bin", tmp_path / "u.txt", tmp_path / "wide.txt"
+    write_embeddings_binary(_emb("item", n=5, dim=2), i_path)
+    write_embeddings_text(_emb("user", n=3, dim=2), u_path)
+    write_embeddings_text(_emb("user", n=3, dim=4), wide_path)
+    items, users, wide = map(read_embeddings, (i_path, u_path, wide_path))
+    assert (items.path, users.path) == (i_path, u_path)
+    assert _pair_fault(users, items, [], []) == (
+        f"{u_path}, {i_path}: content pair must be (item file, user file), got (user file, item file)"
+    )
+    assert _pair_fault(items, users, [], [], 4) == f"{i_path}: content embedding dim 2 != model h 4"
+    assert _pair_fault(items, wide, [], []) == f"{i_path}, {wide_path}: content pair dims differ: item file 2, user file 4"
+    assert _pair_fault(items, users, [4, 0], [1, 3]) == f"{u_path}: embedding file (user) is missing id 3"
+    # a set built in memory has no file to name
+    assert _pair_fault(_emb("item", dim=2), users, [9], []) == "embedding file (item) is missing id 9"
 
 
 # -- export ------------------------------------------------------------------------

@@ -6,11 +6,11 @@ from conftest import score_row_grads
 from dcor_reference import dist_and_centered
 
 from kgrec import training
-from kgrec.content import EmbeddingMatrixFile, init_content
+from kgrec.content import EmbeddingMatrixFile, exchange_tables, init_content, read_embeddings, write_embeddings_text
 from kgrec.data import SPLIT_NAMES, DatasetBundle, ItemCorpus, build_store, kg_from_triplets, make_synthetic_dataset
-from kgrec.evaluation import evaluate
+from kgrec.evaluation import evaluate, evaluate_embeddings
 from kgrec.losses import LossWeights, pca_project
-from kgrec.model import backward, forward, init_params, preference_embeddings
+from kgrec.model import backward, forward, init_params, preference_embeddings, save_checkpoint
 from kgrec.optim import AdamState, TrainConfig, adam_step, init_adam, lr_at
 from kgrec.training import (
     FD_STEP,
@@ -233,6 +233,12 @@ def tiny_content(bundle, h=8, seed=1):
     )
 
 
+def tiny_tables(bundle):
+    """tiny_content's pair as the dense (item, user) tables the loss reads."""
+    store = bundle.store
+    return exchange_tables(*tiny_content(bundle), np.arange(store.num_items), np.arange(store.num_users), 8)
+
+
 def test_loss_parts_total_is_linear_combination():
     parts = LossParts(bpr=1.0, l2=2.0, dcorr=3.0, cs=4.0)
     w = LossWeights(l2=0.5, dcorr=0.25, cross_system=2.0)
@@ -243,7 +249,7 @@ def test_objective_value_agrees_with_and_without_grads():
     b = tiny_bundle()
     p = tiny_params(b)
     w = LossWeights(l2=0.01, dcorr=0.5, cross_system=0.2, pca_keep=0.5)
-    content = tiny_content(b)
+    content = tiny_tables(b)
     users = np.array([0, 1, 2])
     pos = np.array([0, 2, 4])
     neg = np.array([3, 5, 1])
@@ -267,7 +273,7 @@ def test_objective_skips_disabled_terms():
     users, pos, neg = np.array([0, 1]), np.array([1, 2]), np.array([4, 0])
     w = LossWeights(l2=0.01, dcorr=0.0, cross_system=0.0)
     total, _, parts, basis = kmpn_loss_and_grads(
-        p, b.graph, b.store, users, pos, neg, w, content=tiny_content(b)
+        p, b.graph, b.store, users, pos, neg, w, content=tiny_tables(b)
     )
     assert parts.dcorr == 0.0 and parts.cs == 0.0 and basis is None
     assert total == pytest.approx(parts.bpr + w.l2 * parts.l2, rel=1e-13)
@@ -383,7 +389,7 @@ def test_train_content_pair_validation_errors():
 
     items, users = tiny_content(b)
     short = EmbeddingMatrixFile("item", np.arange(4), items.vectors[:4])
-    with pytest.raises(ValueError, match="content item file missing item 4"):
+    with pytest.raises(ValueError, match=r"^embedding file \(item\) is missing id 4$"):
         train_ckmpn(b, p, (short, users), cfg)
 
     rng = np.random.default_rng(0)
@@ -395,6 +401,32 @@ def test_train_content_pair_validation_errors():
 
     with pytest.raises(ValueError, match=r"\(item file, user file\)"):
         train_ckmpn(b, p, (users, items), cfg)
+
+
+def test_exchange_rows_in_any_id_order_give_identical_runs(synth_bundle, tmp_path):
+    """The dense tables gather each id's row through the file's own id
+    order: a pair written with its rows shuffled, and with ids beyond the
+    catalog, trains and scores byte for byte like the canonical pair."""
+    store, g = synth_bundle.store, synth_bundle.graph
+    rng = np.random.default_rng(11)
+    item_vecs, user_vecs = rng.normal(size=(store.num_items + 3, 8)), rng.normal(size=(store.num_users + 3, 8))
+    p = init_params(g.num_entities, g.num_relations, store.num_users, h=8, n_layers=1, n_pref=2, n_meta=2, seed=3)
+    cfg = TrainConfig(epochs=1, batch_size=512, lr_start=0.01, seed=4, weights=LossWeights(cross_system=0.5))
+    outputs = []
+    for tag, item_ids, user_ids in (
+        ("canonical", np.arange(store.num_items), np.arange(store.num_users)),
+        ("permuted", rng.permutation(store.num_items + 3), rng.permutation(store.num_users + 3)),
+    ):
+        pair = []
+        for kind, vecs, ids in (("item", item_vecs, item_ids), ("user", user_vecs, user_ids)):
+            write_embeddings_text(EmbeddingMatrixFile(kind, ids, vecs[ids]), tmp_path / f"{tag}_{kind}s.txt")
+            pair.append(read_embeddings(tmp_path / f"{tag}_{kind}s.txt"))
+        trained, lines = train_ckmpn(synth_bundle, p, tuple(pair), cfg)
+        save_checkpoint(trained, tmp_path / f"{tag}.kmpn")
+        report = evaluate_embeddings(pair[1], pair[0], synth_bundle, "test")
+        outputs.append(("".join(line + "\n" for line in lines), (tmp_path / f"{tag}.kmpn").read_bytes(), report.render()))
+    assert float(outputs[0][0].split("\t")[5]) > 0.0  # the alignment term read the rows
+    assert outputs[1] == outputs[0]
 
 
 # -- gradient checker -----------------------------------------------------------------
