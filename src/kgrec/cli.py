@@ -164,7 +164,6 @@ def _write_out(opts: dict, command: str, name: str | None = None, text: str = ""
     from .numeric import write_text_atomic
 
     out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if name:
         write_text_atomic(out_dir / name, text)
     meta = "".join(f"{key}={opts[key]}\n" for key in sorted(opts))
@@ -263,7 +262,6 @@ def _cmd_train(opts: dict) -> int:
     mode = opts["mode"]
     config = _train_config(opts)
     bundle = load_bundle(data)
-    out.mkdir(parents=True, exist_ok=True)
 
     if mode == "content":
         params = init_content(**_kwargs(opts, TRAIN, init_content))

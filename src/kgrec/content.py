@@ -25,7 +25,7 @@ from .data import InteractionStore, ItemCorpus, _numbered_lines
 from .losses import click_softmax_loss
 from .numeric import (atomic_open, csr_rows, read_tensor_file, segment_sum, softmax_rows, sorted_unique,
                       write_tensor_file)
-from .optim import TrainConfig, adam_step, init_adam, lr_at
+from .optim import TrainConfig, adam_step, init_adam, lr_at, pack
 from .sampling import build_sampler
 from .settings import TRAIN, check
 
@@ -133,6 +133,13 @@ def encode_items(bucket_emb: np.ndarray, table, items):
     return vecs, concat, counts
 
 
+def _attend(E: np.ndarray, params: ContentParams):
+    """The scorer's hidden activations H [B, h/2] and attention weights [B]."""
+    H = np.tanh(E @ params.fc1_w + params.fc1_b)
+    scores = (H @ params.fc2_w)[:, 0] + params.fc2_b[0]  # [B]
+    return H, softmax_rows(scores[None, :])[0]
+
+
 def encode_user(history_embs: np.ndarray, params: ContentParams):
     """Attention-pooled user vector over history item encodings.
 
@@ -141,18 +148,15 @@ def encode_user(history_embs: np.ndarray, params: ContentParams):
     E = np.asarray(history_embs, dtype=np.float64)
     if E.ndim != 2 or E.shape[0] < 1 or E.shape[1] != params.h:
         raise ValueError("history_embs must be [B >= 1, h]")
-    H = np.tanh(E @ params.fc1_w + params.fc1_b)  # [B, h/2]
-    scores = (H @ params.fc2_w)[:, 0] + params.fc2_b[0]  # [B]
-    alpha = softmax_rows(scores[None, :])[0]
+    alpha = _attend(E, params)[1]
     return alpha @ E, alpha
 
 
-def _encode_user_backward(E, alpha, params: ContentParams, d_user):
-    """Adjoint of encode_user given its input and attention weights.
+def _encode_user_backward(E, H, alpha, params: ContentParams, d_user):
+    """Adjoint of encode_user given its input E and the `_attend` outputs H and alpha.
 
     Returns (d_E, d_fc1_w, d_fc1_b, d_fc2_w, d_fc2_b).
     """
-    H = np.tanh(E @ params.fc1_w + params.fc1_b)
     d_E = alpha[:, None] * d_user[None, :]
     d_alpha = E @ d_user  # [B]
     inner = float(alpha @ d_alpha)
@@ -185,7 +189,8 @@ def click_instance(params: ContentParams, table, hist, pos: int, negs, compute_g
     vecs, concat, counts = encode_items(params.bucket_emb, table, items)
     E, e_pos, e_negs = vecs[:B], vecs[B], vecs[B + 1 :]  # [B, h], [h], [K, h]
 
-    user, alpha = encode_user(E, params)
+    H, alpha = _attend(E, params)
+    user = alpha @ E
     pos_score = float(user @ e_pos)
     neg_scores = e_negs @ user  # [K]
     loss, d_pos, d_negs = click_softmax_loss(np.array([pos_score]), neg_scores[None, :])
@@ -198,7 +203,7 @@ def click_instance(params: ContentParams, table, hist, pos: int, negs, compute_g
     d_e_pos = d_pos * user
     d_e_negs = d_negs[:, None] * user[None, :]
 
-    d_E, *d_scorer = _encode_user_backward(E, alpha, params, d_user)
+    d_E, *d_scorer = _encode_user_backward(E, H, alpha, params, d_user)
 
     # row k of [d_E; d_e_pos; d_e_negs] goes to every bucket of item k,
     # weighted 1/len(buckets)
@@ -219,7 +224,8 @@ def train_content(corpus: ItemCorpus, store: InteractionStore, params: ContentPa
     Adam runs over the corpus's active buckets only: instances step a copy
     whose bucket_emb holds just the rows item tokens hash to, written back
     at the end. This is exact, as a bucket no token reaches always gets a
-    zero gradient, so its Adam moments and its update stay zero.
+    zero gradient, so its Adam moments and its update stay zero. The copy is
+    `optim.pack`ed into one buffer: a step is one Adam update per block of it.
 
     Returns (params, log_lines).
     """
@@ -237,7 +243,7 @@ def train_content(corpus: ItemCorpus, store: InteractionStore, params: ContentPa
     compact_ids = np.empty(params.num_buckets, dtype=np.int64)  # bucket -> row of `compact`
     compact_ids[active] = np.arange(len(active))
     table = (indptr, compact_ids[buckets])
-    compact = replace(params, bucket_emb=params.bucket_emb[active])  # other tensors shared
+    compact = replace(params, **pack({**params.tensors(), "bucket_emb": params.bucket_emb[active]}))
     train_users = np.flatnonzero(store.train.counts())
     if len(train_users) == 0:
         raise ValueError("no user has train interactions")
@@ -265,7 +271,7 @@ def train_content(corpus: ItemCorpus, store: InteractionStore, params: ContentPa
             total += loss
         lines.append(f"{epoch}\t{total / len(train_users)!r}\t{lr!r}")
     params.bucket_emb[active] = compact.bucket_emb
-    return params, lines
+    return replace(compact, bucket_emb=params.bucket_emb), lines
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +463,6 @@ def export_embeddings(
     disabled). Returns (item_set, user_set).
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     table = corpus.buckets(params.num_buckets)
     blocks = np.array_split(np.arange(corpus.num_items), max(1, corpus.num_items // 1024))  # bounds gather memory
     item_vecs = np.concatenate([encode_items(params.bucket_emb, table, block)[0] for block in blocks])

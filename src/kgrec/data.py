@@ -303,7 +303,6 @@ def save_interactions(store: InteractionStore, out_dir) -> None:
     """Write canonical split files (users ascending, items ascending,
     single-space separated, users with empty lists omitted)."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for name in SPLIT_NAMES:
         lists = store.split(name)
         if name.startswith("cold") and not any(len(v) for v in lists):
@@ -575,7 +574,6 @@ def load_bundle(data_dir) -> DatasetBundle:
 
 def save_bundle(bundle: DatasetBundle, out_dir) -> None:
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     save_interactions(bundle.store, out_dir)
     save_kg(bundle.graph, out_dir / "kg.txt")
     save_items(bundle.corpus, out_dir / "items.tsv")

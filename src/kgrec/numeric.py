@@ -72,8 +72,10 @@ def sorted_unique(a) -> np.ndarray:
 def atomic_open(path):
     """Binary file handle on `<path>.tmp`, renamed over `path` on success
     and removed on failure, so a failed write leaves any earlier file
-    intact."""
+    intact. The directory is made here, at the first write, so a command
+    that fails before writing leaves no empty output directory behind."""
     tmp = Path(f"{path}.tmp")
+    tmp.parent.mkdir(parents=True, exist_ok=True)
     try:
         with open(tmp, "wb") as fh:
             yield fh

@@ -1,4 +1,11 @@
-"""Adam with a linear learning-rate schedule, over named tensor dicts."""
+"""Adam with a linear learning-rate schedule, over named tensor dicts.
+
+Tensors that `pack` laid out in one buffer are updated as that buffer, one
+update per ADAM_BLOCK block, not one per tensor: the content model steps
+once per click instance and three of its tensors hold a few dozen values.
+The graph model is not packed, as copying its large gradients into one
+buffer every batch would cost more than the per-tensor calls it saves.
+"""
 
 from __future__ import annotations
 
@@ -48,13 +55,38 @@ class AdamState:
     m: dict
     v: dict
     step: int = 0
+    packed: tuple = ()  # the tensors init_adam was given, when `pack` laid them out
+
+
+def pack(tensors: dict) -> dict:
+    """Copies of `tensors`, in order, as views of one new flat float64 buffer."""
+    flat = np.empty(sum(t.size for t in tensors.values()))
+    views, at = {}, 0
+    for name, t in tensors.items():
+        views[name] = flat[at : at + t.size].reshape(t.shape)
+        views[name][...] = t
+        at += t.size
+    return views
+
+
+def _packed(views: tuple) -> bool:
+    """Whether `views` fill one flat buffer whole and in order, as `pack` lays them out."""
+    flat = views[0].base if views else None
+    if not isinstance(flat, np.ndarray) or flat.ndim != 1:
+        return False
+    at = flat.__array_interface__["data"][0]
+    for t in views:
+        if t.base is not flat or not t.flags.c_contiguous or t.__array_interface__["data"][0] != at:
+            return False
+        at += t.nbytes
+    return at == flat.__array_interface__["data"][0] + flat.nbytes
 
 
 def init_adam(tensors: dict) -> AdamState:
-    return AdamState(
-        m={k: np.zeros_like(t) for k, t in tensors.items()},
-        v={k: np.zeros_like(t) for k, t in tensors.items()},
-    )
+    """Zero moments, each set `pack`ed into one buffer in the order of `tensors`."""
+    zeros = {k: np.zeros(t.shape) for k, t in tensors.items()}
+    views = tuple(tensors.values())
+    return AdamState(m=pack(zeros), v=pack(zeros), packed=views if _packed(views) else ())
 
 
 def _adam_rows(param, g, m, v, lr: float, c1: float, c2: float) -> None:
@@ -76,7 +108,9 @@ def _adam_rows(param, g, m, v, lr: float, c1: float, c2: float) -> None:
 def adam_step(tensors: dict, grads: dict, state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update, in place on `tensors`, with the fixed
     β1 = BETA1 = 0.9, β2 = BETA2 = 0.999 and ε = ADAM_EPS = 1e-8; a bad
-    gradient is raised before any tensor, moment or the step count changes."""
+    gradient is raised before any tensor, moment or the step count changes.
+    The packed set `init_adam` was given is updated as one buffer, any other
+    tensor by tensor: the same elementwise update, bit for bit."""
     for name, param in tensors.items():
         g = grads[name]
         if g.shape != param.shape:
@@ -85,8 +119,15 @@ def adam_step(tensors: dict, grads: dict, state: AdamState, lr: float) -> None:
             raise ValueError(f"non-finite gradient in {name}")
     state.step += 1
     c1, c2 = 1.0 - BETA1**state.step, 1.0 - BETA2**state.step  # bias corrections
-    for name, param in tensors.items():
-        arrays = param, grads[name], state.m[name], state.v[name]
+    views = tuple(tensors.values())
+    if state.packed and len(views) == len(state.packed) and all(a is b for a, b in zip(views, state.packed)):
+        first = next(iter(tensors))
+        g = np.concatenate([grads[name].reshape(-1) for name in tensors])  # the gradient in the same layout
+        sets = [(tensors[first].base, g, state.m[first].base, state.v[first].base)]
+    else:
+        sets = [(param, grads[name], state.m[name], state.v[name]) for name, param in tensors.items()]
+    for arrays in sets:
+        param = arrays[0]
         rows = max(1, ADAM_BLOCK * len(param) // max(1, param.size))
         whole = rows >= len(param)  # one block, used whole: slicing costs as much as a small update
         for a in range(0, len(param), rows):  # row blocks: each block's passes run in cache

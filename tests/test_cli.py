@@ -677,6 +677,7 @@ def test_exchange_pair_faults_name_their_files(cli_dataset, cli_exchange, tmp_pa
         res = run_cli("eval", "--data", d, "--content-items", short, "--content-users", users)
         message = f"{short}: embedding file (item) is missing id 0"
     assert (res.returncode, res.stderr) == (2, f"error: {message}\n")
+    assert not (tmp_path / "run").exists()  # a pair fault leaves no run directory behind
 
 
 def test_export_content_no_binary_flag(cli_dataset, tmp_path):

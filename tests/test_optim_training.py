@@ -5,13 +5,14 @@ import pytest
 from conftest import score_row_grads
 from dcor_reference import dist_and_centered
 
-from kgrec import training
-from kgrec.content import EmbeddingMatrixFile, exchange_tables, init_content, read_embeddings, write_embeddings_text
+from kgrec import optim, training
+from kgrec.content import (EmbeddingMatrixFile, exchange_tables, init_content, read_embeddings, train_content,
+                           write_embeddings_text)
 from kgrec.data import SPLIT_NAMES, DatasetBundle, ItemCorpus, build_store, kg_from_triplets, make_synthetic_dataset
 from kgrec.evaluation import evaluate, evaluate_embeddings
 from kgrec.losses import LossWeights, pca_project
 from kgrec.model import backward, forward, init_params, preference_embeddings, save_checkpoint
-from kgrec.optim import AdamState, TrainConfig, adam_step, init_adam, lr_at
+from kgrec.optim import ADAM_BLOCK, AdamState, TrainConfig, adam_step, init_adam, lr_at, pack
 from kgrec.training import (
     FD_STEP,
     LossParts,
@@ -144,6 +145,45 @@ def test_adam_steps_equal_the_plain_update_expression_bit_for_bit():
         for k in shapes:
             assert np.array_equal(tensors[k], want[k]), (t, k)
             assert np.array_equal(state.m[k], m[k]) and np.array_equal(state.v[k], v[k]), (t, k)
+
+
+def _count_adam_rows(monkeypatch) -> list:
+    """A list that grows by one for every `optim._adam_rows` call."""
+    calls, real = [], optim._adam_rows
+    monkeypatch.setattr(optim, "_adam_rows", lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def test_packed_adam_equals_tensor_by_tensor_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(23)
+    shapes = {"table": (300, 64), "w": (64, 32), "b": (32,), "col": (32, 1), "one": (1,)}
+    assert 300 * 64 > ADAM_BLOCK  # the table alone takes two blocks
+    apart = {k: rng.normal(size=s) for k, s in shapes.items()}
+    packed = pack(apart)
+    assert len({id(t.base) for t in packed.values()}) == 1
+    states = init_adam(apart), init_adam(packed)
+    calls = _count_adam_rows(monkeypatch)
+    for t in range(1, 6):
+        grads = {k: rng.normal(size=s) * 10.0 ** rng.integers(-9, 2, size=s) for k, s in shapes.items()}
+        adam_step(apart, grads, states[0], 0.05 / t)
+        assert len(calls) == 8 * t - 2  # two table blocks and four whole tensors
+        adam_step(packed, grads, states[1], 0.05 / t)
+        assert len(calls) == 8 * t  # two blocks of one 21313-value buffer
+        for k in shapes:
+            assert np.array_equal(packed[k], apart[k]), (t, k)
+            for d0, d1 in ((states[0].m, states[1].m), (states[0].v, states[1].v)):
+                assert np.array_equal(d1[k], d0[k]), (t, k)
+
+
+def test_one_adam_update_per_content_instance_and_unchanged_graph_batches(synth_bundle, monkeypatch):
+    store, graph = synth_bundle.store, synth_bundle.graph
+    calls = _count_adam_rows(monkeypatch)
+    train_content(synth_bundle.corpus, store, init_content(), TrainConfig(epochs=1))
+    assert len(calls) == np.count_nonzero(store.train.counts())  # one instance per train user
+    calls.clear()
+    p = init_params(graph.num_entities, graph.num_relations, store.num_users)
+    train_kmpn(synth_bundle, p, TrainConfig(epochs=1, batch_size=len(store.train_pairs()[0])))
+    assert len(calls) == 6  # entity_emb [340, 64] in two row blocks, the other four tensors whole
 
 
 def test_adam_error_messages_name_tensor():
