@@ -30,6 +30,7 @@ from __future__ import annotations
 import io
 import logging
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
@@ -318,23 +319,40 @@ def save_interactions(store: InteractionStore, out_dir) -> None:
 # ---------------------------------------------------------------------------
 
 
-CHUNK_EDGES = 1024  # edges per conv chunk; a head of higher degree gets a chunk alone
+CHUNK_EDGES = 1024  # slots per conv chunk of degree-1 heads; a head of higher degree gets a chunk alone
+PAD_RATIO = 1.5  # a chunk that starts at a degree-d head holds heads of degree up to PAD_RATIO * d
+
+
+@dataclass(frozen=True)
+class Walk:
+    """The slots that every convolution sweep and adjoint visits, with the
+    per-slot constants a step reads. The heads, by (degree, id), are cut
+    into chunks: one that starts at a degree-d head holds up to
+    max(1, CHUNK_EDGES // d) heads of degree at most PAD_RATIO * d, and
+    gives each D slots, D its top degree: the head's edges, then pads that
+    repeat its last edge with scale +0.0 and are their own inverse. So the
+    real slots, in order, are the graph's edges, every row a pad gathers is
+    finite, every term it adds is zero, and a chunk reshapes to [heads, D]."""
+
+    head: np.ndarray  # [S]
+    tail: np.ndarray  # [S]
+    rel: np.ndarray  # [S]
+    scale: np.ndarray  # [S] 1 / degree of the head; +0.0 on pads
+    inverse: np.ndarray  # [S] slot of the inverse edge
+    inv_rel: np.ndarray  # [S] rel[inverse]
+    inv_scale: np.ndarray  # [S] scale[inverse]: 1 / degree of the tail
+    logit: np.ndarray  # [S] head * R + rel: the slot's gate logit in a flat [N, R] table
+    gate_bin: np.ndarray  # [S] logit[inverse]
+    chunks: tuple  # (lo, hi, D, heads, lowest head, highest head, lowest tail) of slots lo to hi - 1
 
 
 @dataclass(frozen=True)
 class KnowledgeGraph:
-    """Immutable relational graph as flat edge arrays.
+    """Immutable relational graph as flat edge arrays and their walk.
 
     The raw relation set is doubled: each raw triplet (h, r, t) also stores
     the inverse edge (t, r + num_relations_raw, h). Item id i maps to
-    entity id i. Edges are sorted by (degree of head, head, relation, tail):
-    the one order every sweep walks, in which a degree-d head's d edges are
-    one run. kg_from_triplets sorts them and fills in, from that sort,
-    `inverse`, the edge index of every edge's inverse, and `chunks`, the
-    (lo, hi, d) blocks that cut the runs into cache-sized pieces: edges
-    [lo, hi) are (hi - lo) / d whole heads of degree d, about CHUNK_EDGES
-    edges in all, so a head reduction over a block is a reshape to
-    [heads, d, h] and a weighted sum over axis 1.
+    entity id i. Edges are sorted by (degree of head, head, relation, tail).
     """
 
     num_entities: int
@@ -343,9 +361,7 @@ class KnowledgeGraph:
     edge_tail: np.ndarray  # (num_edges,)
     edge_head: np.ndarray  # (num_edges,) expanded head per edge
     degrees: np.ndarray  # (num_entities,)
-    inv_degree: np.ndarray  # (num_entities,) 0 for isolated nodes
-    inverse: np.ndarray  # (num_edges,) edge index of each edge's inverse
-    chunks: tuple  # (lo, hi, d) blocks of whole degree-d heads
+    walk: Walk
 
     @property
     def num_relations(self) -> int:
@@ -373,7 +389,7 @@ def kg_from_triplets(triplets, num_relations_raw: int, num_entities: int | None 
     Exact duplicate triplets are collapsed by their `_edge_keys`; inverse
     edges are materialized with relation id shifted by num_relations_raw.
     Edges are sorted by (degree of head, head, relation, tail), and the
-    sort gives `inverse` and `chunks`, as KnowledgeGraph describes.
+    sort gives the walk, as Walk describes.
     """
     trip = np.asarray(triplets, dtype=np.int64).reshape(-1, 3)
     if num_relations_raw < 0:
@@ -393,31 +409,41 @@ def kg_from_triplets(triplets, num_relations_raw: int, num_entities: int | None 
     heads, tails = np.concatenate([head, tail]), np.concatenate([tail, head])
     rels = np.concatenate([rel, rel + num_relations_raw])
     degrees = np.bincount(heads, minlength=n_ent).astype(np.int64)
-    order = np.lexsort((_edge_keys(n_ent, n_rel, heads, rels, tails), degrees[heads]))
+    by_key = np.argsort(_edge_keys(n_ent, n_rel, heads, rels, tails))  # the keys are unique
+    ids = np.argsort(degrees, kind="stable")[np.count_nonzero(degrees == 0) :]  # heads by (degree, id)
+    deg = degrees[ids]
+    first = np.cumsum(deg) - deg  # each head's first edge
+    order = by_key[np.arange(len(heads)) + np.repeat((np.cumsum(degrees) - degrees)[ids] - first, deg)]
     heads, rels, tails = heads[order], rels[order], tails[order]
-    # unsorted edge k's inverse is edge (k + T) mod 2T, T = len(head); sorted edge i is unsorted order[i]
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    inverse = np.roll(rank, len(head))[order]
+    walk = _walk(heads, rels, tails, ids, deg, first, order, n_rel)
+    return KnowledgeGraph(n_ent, num_relations_raw, rels, tails, heads, degrees, walk)
 
-    degree = degrees[heads]
-    values, starts = np.unique(degree, return_index=True)
-    chunks = []
-    for d, lo, hi in zip(values.tolist(), starts.tolist(), [*starts[1:].tolist(), len(degree)]):
-        step = d * max(1, CHUNK_EDGES // d)
-        chunks += [(a, min(a + step, hi), d) for a in range(lo, hi, step)]
 
-    return KnowledgeGraph(
-        num_entities=n_ent,
-        num_relations_raw=num_relations_raw,
-        edge_rel=rels,
-        edge_tail=tails,
-        edge_head=heads,
-        degrees=degrees,
-        inv_degree=np.divide(1.0, degrees, out=np.zeros(n_ent), where=degrees > 0),
-        inverse=inverse,
-        chunks=tuple(chunks),
-    )
+def _walk(heads, rels, tails, ids, deg, first, order, n_rel: int) -> Walk:
+    """The Walk of the sorted edges, whose head ids[k] has edges first[k]
+    to first[k] + deg[k] - 1; sorted edge e is unsorted edge order[e]."""
+    cuts, degs = [0], deg.tolist()
+    while cuts[-1] < len(degs):  # chunk c holds heads cuts[c] to cuts[c + 1] - 1
+        d = degs[cuts[-1]]
+        cuts.append(min(cuts[-1] + max(1, CHUNK_EDGES // d), bisect_right(degs, PAD_RATIO * d)))
+    bounds = np.array(cuts)
+    top = deg[bounds[1:] - 1]
+    span = np.repeat(top, np.diff(bounds))  # each head's slot count
+    slot0 = np.concatenate([[0], np.cumsum(span)])  # each head's first slot
+    slot = np.arange(len(heads)) + np.repeat(slot0[:-1] - first, deg)  # each edge's slot
+    src = np.repeat(first + deg - 1, span)  # each slot's edge: a pad's is its head's last
+    src[slot] = np.arange(len(heads))
+    by_raw = np.empty_like(slot)
+    by_raw[order] = slot
+    fwd, inv = np.split(by_raw, 2)  # unsorted edge k < T has its inverse at k + T
+    inverse, scale = np.arange(len(src)), np.zeros(len(src))
+    inverse[fwd], inverse[inv], scale[slot] = inv, fwd, np.repeat(1.0 / deg, deg)
+    head, rel, tail = np.repeat(ids, span), rels[src], tails[src]
+    logit, lo, hi = head * n_rel + rel, slot0[bounds[:-1]], slot0[bounds[1:]]
+    low, high, low_tail = (f.reduceat(x, i).tolist() for f, x, i in
+                           ((np.minimum, ids, bounds[:-1]), (np.maximum, ids, bounds[:-1]), (np.minimum, tail, lo)))
+    chunks = zip(lo.tolist(), hi.tolist(), top.tolist(), np.split(ids, bounds[1:-1]), low, high, low_tail)
+    return Walk(head, tail, rel, scale, inverse, rel[inverse], scale[inverse], logit, logit[inverse], tuple(chunks))
 
 
 def _read_kg(path, num_relations_raw: int | None = None, num_entities: int | None = None):

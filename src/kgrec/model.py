@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .data import CHUNK_EDGES, InteractionStore, KnowledgeGraph
+from .data import CHUNK_EDGES, InteractionStore, KnowledgeGraph, Walk
 from .numeric import read_tensor_file, segment_sum, sigmoid, softmax_rows, write_tensor_file
 from .settings import TRAIN, check
 
@@ -122,32 +122,31 @@ def init_params(
 # ---------------------------------------------------------------------------
 
 
-def _head_sum(graph: KnowledgeGraph, table: np.ndarray, relation_emb: np.ndarray, rels, weights, out, chunks):
+def _head_sum(walk: Walk, table: np.ndarray, relation_emb: np.ndarray, rels, weights, out, chunks):
     """The one chunk walk of conv_layer and its adjoint: writes, for every
-    head i of `chunks` (cuts of graph.chunks), out_i = sum over edges
-    e = (i, ., j) of weights_e * (relation_emb[rels_e] o table_j), and
-    yields each chunk.
+    head i of `chunks` (some of walk.chunks), out_i = sum over i's slots s
+    of weights_s * (relation_emb[rels_s] o table[tail_s]), and yields each
+    chunk.
 
-    A chunk is a cache-sized run of whole degree-d heads whose d edges the
-    graph stores contiguously. It gathers its table rows and relation rows
+    A chunk of D slots per head gathers its table rows and relation rows
     into two scratch arrays made once per call and multiplies them in
-    place; one einsum sums each head's d products weighted by w_e, in edge
-    order, as one np.bincount over the edges would (for h >= 2). Nothing is
-    allocated per chunk and no [E, h] array is ever made. Rows of `out`
-    without edges in `chunks` are left as they are. Tails past the end of
-    `table` read its last row (mode="clip"): the callers give such edges
-    weight 0.
+    place; one einsum sums each head's D products weighted by w_s, in slot
+    order, as one np.bincount over the real slots would (for h >= 2): a
+    pad adds a zero product after them. Nothing is allocated per chunk and
+    no [E, h] array is ever made. Rows of `out` without slots in `chunks`
+    are left as they are. Tails past the end of `table` read its last row
+    (mode="clip"): the callers give such slots weight 0.
 
-    Yields (lo, hi, heads [n], rows [n, d, h], products [n, d, h]) per chunk
+    Yields (lo, hi, heads [n], rows [n, D, h], products [n, D, h]) per chunk
     once its head sums are in `out`: rows holds table[tail], products the
     relation rows times it. Both are scratch views that the caller may
     overwrite and that the next chunk reuses.
     """
-    head, tail, h = graph.edge_head, graph.edge_tail, table.shape[1]
-    size = max((hi - lo for lo, hi, _ in chunks), default=0)
+    tail, h = walk.tail, table.shape[1]
+    size = max((hi - lo for lo, hi, *_ in chunks), default=0)
     rows, prods, sums = np.empty((size, h)), np.empty((size, h)), np.empty((size, h))
-    for lo, hi, d in chunks:
-        c, heads = hi - lo, head[lo:hi:d]
+    for lo, hi, d, heads, *_ in chunks:
+        c = hi - lo
         r = np.take(table, tail[lo:hi], axis=0, out=rows[:c], mode="clip").reshape(-1, d, h)
         m = np.take(relation_emb, rels[lo:hi], axis=0, out=prods[:c], mode="clip").reshape(-1, d, h)
         m *= r
@@ -163,27 +162,24 @@ def conv_layer(graph: KnowledgeGraph, prev: np.ndarray, relation_emb: np.ndarray
             sigmoid(prev_i . rel_r) * (rel_r o prev_j)
 
     The gate logits are entries of the small [N, R] product prev @ rel^T,
-    read at (head, rel); the messages are one _head_sum walk weighted by
-    gate / deg. A chunk's heads ascend, so its heads below `rows` are a
-    prefix of it: the walk cuts every chunk there and skips the chunks
-    that keep no head. Returns (out [rows, h], per-edge gate values in
-    graph edge order); the edges of the heads left out get gate 0, so the
-    adjoint weighs them 0 too.
+    read at each slot's walk.logit; the messages are one _head_sum walk,
+    weighted by gate * walk.scale, over the chunks that keep a head. It
+    sums all heads of such a chunk, those left out into zero rows past
+    `rows`. Returns (out [rows, h], gate values per walk slot); the slots
+    of the heads left out get gate 0, so the adjoint weighs them 0 too.
     """
-    head, rel = graph.edge_head, graph.edge_rel
-    rows = len(prev) if rows is None else rows
-    gates = sigmoid((prev @ relation_emb.T)[head, rel])  # [E]
-    gates[head >= rows] = 0.0
-    cuts = [(lo, lo + d * int(np.searchsorted(head[lo:hi:d], rows)), d) for lo, hi, d in graph.chunks
-            if head[lo] < rows]
-    out = np.zeros((rows, prev.shape[1]))  # isolated entities output zero
-    for _ in _head_sum(graph, prev, relation_emb, rel, gates * graph.inv_degree[head], out, cuts):
+    walk, rows = graph.walk, len(prev) if rows is None else rows
+    gates = sigmoid(np.take(prev @ relation_emb.T, walk.logit))  # [S]
+    gates[walk.head >= rows] = 0.0
+    chunks = [c for c in walk.chunks if c[4] < rows]  # by lowest head
+    out = np.zeros((max([rows] + [c[5] + 1 for c in chunks]), prev.shape[1]))  # up to the highest head
+    for _ in _head_sum(walk, prev, relation_emb, walk.rel, gates * walk.scale, out, chunks):
         pass  # the head sums are all the forward needs
-    return out, gates
+    return out[:rows], gates
 
 
 def entity_forward(params: KmpnParams, graph: KnowledgeGraph, rows: int | None = None):
-    """All per-depth entity matrices plus per-edge gates per sweep.
+    """All per-depth entity matrices plus per-slot gates per sweep.
 
     Returns (layers, gates): layers[0] is the raw embedding table,
     layers[l] the l-th convolution output; gates[l-1] belongs to sweep l.
@@ -270,7 +266,7 @@ class ForwardTrace:
 
     layers: list  # L sweep inputs [N_v, h], layers[0..L-1]; backward never reads layers[L]
     entity_agg: np.ndarray  # sum of the layers at the item rows [num_items, h], all the top sweep made
-    gates: list  # L arrays [E]
+    gates: list  # L arrays [S], one gate per walk slot
     beta: np.ndarray  # [P, M]
     pref: np.ndarray  # [P, h]
     alpha: np.ndarray  # [U, P] for unique batch users
@@ -293,14 +289,7 @@ class ForwardTrace:
         return self.entity_agg[np.concatenate([self.pos_items, self.neg_items])]
 
 
-def forward(
-    params: KmpnParams,
-    graph: KnowledgeGraph,
-    store: InteractionStore,
-    users,
-    pos_items,
-    neg_items,
-):
+def forward(params: KmpnParams, graph: KnowledgeGraph, store: InteractionStore, users, pos_items, neg_items):
     """Score a batch of (user, positive, negative) triples.
 
     Returns (trace, pos_scores, neg_scores).
@@ -358,50 +347,44 @@ def forward(
 # ---------------------------------------------------------------------------
 
 
-def _conv_backward(
-    graph: KnowledgeGraph,
-    prev: np.ndarray,
-    relation_emb: np.ndarray,
-    gates: np.ndarray,
-    grad_out: np.ndarray,
-    d_relation: np.ndarray,
-):
+def _conv_backward(graph: KnowledgeGraph, prev: np.ndarray, relation_emb: np.ndarray, gates: np.ndarray,
+                   grad_out: np.ndarray, d_relation: np.ndarray):
     """Adjoint of conv_layer. Accumulates into d_relation and returns the
     gradient with respect to `prev` [N, h]. A `grad_out` of fewer rows than
     the graph, with the gates of the sweep that made them, is the adjoint
     of that restricted sweep.
 
     Edge e = (i, r, j) of gate g_e sends g_e / deg_i (rel_r o prev_j) to i.
-    Its inverse e' = (j, r', i) is an edge of j's own run, so one
-    _head_sum walk over the edges with the inverses' relations r and
-    weights w_e' = g_e / deg_i gathers, per chunk, the upstream rows
-    grad_out_i and the products p_e' = grad_out_i o rel_r, and feeds all
-    three paths from them:
+    Its inverse e' = (j, r', i) is a slot of j in the walk, so one
+    _head_sum walk with the inverses' relations r (walk.inv_rel) and
+    weights w_e' = g_e * walk.inv_scale = g_e / deg_i gathers, per chunk,
+    the upstream rows grad_out_i and the products p_e' = grad_out_i o rel_r,
+    and feeds all three paths from them:
 
-    message path to prev: d_prev_j += sum over j's run of w_e' p_e', the
+    message path to prev: d_prev_j += sum over j's slots of w_e' p_e', the
         walk's own head sum; the upstream gradient is never scaled by 1/deg
         as a whole.
     gate path: d_dot_e = w_e' (1 - g_e) (p_e' . prev_j) is the adjoint of
-        logit (i, r), with prev_j gathered once per head; binned into
-        Dm [N, R], it gives d_prev += Dm @ rel and d_rel += Dm^T @ prev.
+        logit (i, r), with prev_j gathered once per head; binned at
+        walk.gate_bin into Dm [N, R], it gives d_prev += Dm @ rel and
+        d_rel += Dm^T @ prev.
     message path to rel: d_rel_r += sum of w_e' grad_out_i o prev_j over
         the edges of relation r, from the upstream rows multiplied in place
         and one [R, c] by [c, h] one-hot product per chunk.
 
-    Every path of e' is a multiple of grad_out_i. An i past the rows of
-    `grad_out` was left out of the sweep, so its edges carry gate 0 and e'
-    weight 0: the walk skips the chunks whose tails all lie there, and in
-    the rest those edges add exact zeros.
+    Every path of e' is a multiple of w_e', which is +0.0 on a pad. An i
+    past the rows of `grad_out` was left out of the sweep, so its edges
+    carry gate 0 and e' weight 0: the walk skips the chunks whose tails all
+    lie there, and in the rest those slots add exact zeros.
     """
-    tail, inverse = graph.edge_tail, graph.inverse
-    n, n_rel, h = prev.shape[0], relation_emb.shape[0], prev.shape[1]
-    rels, inv_gates = graph.edge_rel[inverse], gates[inverse]  # of each edge's inverse
-    weights = inv_gates * graph.inv_degree[tail]
-    chunks = [(lo, hi, d) for lo, hi, d in graph.chunks if tail[lo:hi].min() < len(grad_out)]
-    size = max((hi - lo for lo, hi, _ in chunks), default=0)
+    walk, n, n_rel, h = graph.walk, prev.shape[0], relation_emb.shape[0], prev.shape[1]
+    rels, inv_gates = walk.inv_rel, gates[walk.inverse]  # of each slot's inverse
+    weights = inv_gates * walk.inv_scale
+    chunks = [c for c in walk.chunks if c[6] < len(grad_out)]  # by lowest tail
+    size = max((hi - lo for lo, hi, *_ in chunks), default=0)
     head_rows, one_hot, idx = np.empty((size, h)), np.zeros((size, n_rel)), np.arange(size)
     d_dot, d_prev = np.zeros(len(gates)), np.zeros(prev.shape)
-    for lo, hi, heads, rows, prods in _head_sum(graph, grad_out, relation_emb, rels, weights, d_prev, chunks):
+    for lo, hi, heads, rows, prods in _head_sum(walk, grad_out, relation_emb, rels, weights, d_prev, chunks):
         c = hi - lo
         prev_j = np.take(prev, heads, axis=0, out=head_rows[: len(heads)], mode="clip")
         np.einsum("ndh,nh->nd", prods, prev_j, out=d_dot[lo:hi].reshape(prods.shape[:2]))
@@ -411,21 +394,15 @@ def _conv_backward(
         one_hot[:c] = 0.0
     d_dot *= weights
     d_dot *= 1.0 - inv_gates  # sigmoid' = g (1 - g); g / deg is in the weights
-    dm = np.bincount(tail * n_rel + rels, weights=d_dot, minlength=n * n_rel).reshape(n, n_rel)
+    dm = np.bincount(walk.gate_bin, weights=d_dot, minlength=n * n_rel).reshape(n, n_rel)
     d_relation += dm.T @ prev
     for a in range(0, n, CHUNK_EDGES):  # row blocks: no [N, h] temporary
         d_prev[a : a + CHUNK_EDGES] += dm[a : a + CHUNK_EDGES] @ relation_emb
     return d_prev
 
 
-def backward(
-    params: KmpnParams,
-    graph: KnowledgeGraph,
-    trace: ForwardTrace,
-    d_user_rows: np.ndarray,
-    d_item_rows: np.ndarray,
-    d_pref: np.ndarray | None = None,
-) -> dict:
+def backward(params: KmpnParams, graph: KnowledgeGraph, trace: ForwardTrace, d_user_rows: np.ndarray,
+             d_item_rows: np.ndarray, d_pref: np.ndarray | None = None) -> dict:
     """Exact gradients of the batch objective for every trainable tensor.
 
     Upstream gradients, which training.kmpn_loss_and_grads sums over the

@@ -58,13 +58,14 @@ class AdamState:
     packed: tuple = ()  # the tensors init_adam was given, when `pack` laid them out
 
 
-def pack(tensors: dict) -> dict:
-    """Copies of `tensors`, in order, as views of one new flat float64 buffer."""
-    flat = np.empty(sum(t.size for t in tensors.values()))
+def pack(tensors: dict, copy: bool = True) -> dict:
+    """Copies of `tensors`, or zeros without `copy`, in order, as views of one new flat float64 buffer."""
+    flat = (np.empty if copy else np.zeros)(sum(t.size for t in tensors.values()))
     views, at = {}, 0
     for name, t in tensors.items():
         views[name] = flat[at : at + t.size].reshape(t.shape)
-        views[name][...] = t
+        if copy:
+            views[name][...] = t
         at += t.size
     return views
 
@@ -83,10 +84,9 @@ def _packed(views: tuple) -> bool:
 
 
 def init_adam(tensors: dict) -> AdamState:
-    """Zero moments, each set `pack`ed into one buffer in the order of `tensors`."""
-    zeros = {k: np.zeros(t.shape) for k, t in tensors.items()}
+    """Zero moments, each set `pack`ed straight into one buffer in the order of `tensors`."""
     views = tuple(tensors.values())
-    return AdamState(m=pack(zeros), v=pack(zeros), packed=views if _packed(views) else ())
+    return AdamState(pack(tensors, copy=False), pack(tensors, copy=False), packed=views if _packed(views) else ())
 
 
 def _adam_rows(param, g, m, v, lr: float, c1: float, c2: float) -> None:

@@ -273,7 +273,8 @@ def test_kg_inverse_doubling_and_dedup():
     assert g.num_triplets_raw == 2
     assert g.num_edges == 4  # each raw edge plus its inverse
     assert g.num_relations == 4
-    assert (g.edge_head[g.inverse] == g.edge_tail).all() and (g.edge_tail[g.inverse] == g.edge_head).all()
+    w = g.walk  # two degree-2 heads, no pads
+    assert (w.head[w.inverse] == w.tail).all() and (w.tail[w.inverse] == w.head).all()
     at_2 = g.edge_head == 2
     edges = set(zip(g.edge_rel[at_2].tolist(), g.edge_tail[at_2].tolist()))
     # inverse of (0,1,2) is (2, 1+2, 0); raw edge (2,0,1) also present
@@ -283,7 +284,7 @@ def test_kg_inverse_doubling_and_dedup():
 def test_kg_degrees_and_isolated_nodes():
     g = kg_from_triplets([(0, 0, 1)], num_relations_raw=1, num_entities=4)
     assert g.degrees.tolist() == [1, 1, 0, 0]
-    assert g.inv_degree[2] == 0.0
+    assert g.walk.head.tolist() == [0, 1] and g.walk.scale.tolist() == [1.0, 1.0]
     assert g.edge_head.tolist() == [0, 1]  # edges sorted by head; 2 and 3 have none
 
 
@@ -361,13 +362,15 @@ def test_kg_file_entity_out_of_range_names_file_and_line(tmp_path):
 
 def test_inverse_closure_maps_every_edge_to_its_inverse():
     g = kg_from_triplets([(0, 0, 1), (1, 1, 2), (2, 0, 3), (3, 1, 0), (2, 0, 2)], num_relations_raw=2)
-    inverse = g.inverse
+    w = g.walk
+    inverse = w.inverse
+    assert len(inverse) == g.num_edges  # degrees 2, 2, 3, 3: no pads
     assert inverse.tolist() != list(range(g.num_edges))
     np.testing.assert_array_equal(inverse[inverse], np.arange(g.num_edges))
-    np.testing.assert_array_equal(g.edge_head[inverse], g.edge_tail)
-    np.testing.assert_array_equal(g.edge_tail[inverse], g.edge_head)
-    np.testing.assert_array_equal((g.edge_rel[inverse] - g.edge_rel) % 4, np.full(g.num_edges, 2))
-    assert kg_from_triplets([], num_relations_raw=1, num_entities=2).inverse.size == 0
+    np.testing.assert_array_equal(w.head[inverse], w.tail)
+    np.testing.assert_array_equal(w.tail[inverse], w.head)
+    np.testing.assert_array_equal((w.rel[inverse] - w.rel) % 4, np.full(g.num_edges, 2))
+    assert kg_from_triplets([], num_relations_raw=1, num_entities=2).walk.inverse.size == 0
 
 
 def test_inverse_matches_brute_force_lookup():
@@ -378,11 +381,13 @@ def test_inverse_matches_brute_force_lookup():
         trip = np.stack([rng.integers(0, n_ent, m), rng.integers(0, n_rel, m), rng.integers(0, n_ent, m)], axis=1)
         trip = trip[rng.integers(0, max(m, 1), 2 * m)]  # duplicates, any order
         g = kg_from_triplets(trip, n_rel, num_entities=n_ent + int(rng.integers(0, 3)))
-        edges = list(zip(g.edge_head.tolist(), g.edge_rel.tolist(), g.edge_tail.tolist()))
-        index = {edge: e for e, edge in enumerate(edges)}
-        want = [index[t, r + n_rel if r < n_rel else r - n_rel, h] for h, r, t in edges]
-        assert g.inverse.dtype == np.int64 and g.inverse.tolist() == want, case
-        assert g.num_triplets_raw == len(set(map(tuple, trip.tolist()))) == len(edges) // 2
+        w = g.walk
+        slots = list(zip(w.head.tolist(), w.rel.tolist(), w.tail.tolist(), (w.scale > 0).tolist()))
+        index = {(h, r, t): s for s, (h, r, t, real) in enumerate(slots) if real}
+        want = [index[t, r + n_rel if r < n_rel else r - n_rel, h] if real else s
+                for s, (h, r, t, real) in enumerate(slots)]  # a pad is its own inverse
+        assert w.inverse.dtype == np.int64 and w.inverse.tolist() == want, case
+        assert g.num_triplets_raw == len(set(map(tuple, trip.tolist()))) == len(index) // 2 == g.num_edges // 2
 
 
 def test_kg_infers_relation_count(tmp_path):
@@ -639,9 +644,13 @@ def test_load_bundle_pads_entity_range(tmp_path):
 
 def _assert_same_graph(a, b):
     for name in ("num_entities", "num_relations_raw", "num_triplets_raw",
-                 "edge_head", "edge_rel", "edge_tail", "degrees", "inv_degree"):
+                 "edge_head", "edge_rel", "edge_tail", "degrees"):
         x, y = np.asarray(getattr(a, name)), np.asarray(getattr(b, name))
         assert x.dtype == y.dtype and np.array_equal(x, y), name
+    for name in ("head", "tail", "rel", "scale", "inverse", "inv_rel", "inv_scale", "logit", "gate_bin"):
+        x, y = getattr(a.walk, name), getattr(b.walk, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+    assert [c[:3] for c in a.walk.chunks] == [c[:3] for c in b.walk.chunks]
 
 
 def test_load_bundle_builds_the_padded_graph_once(tmp_path):

@@ -51,13 +51,27 @@ def small_store():
 # -- gate and one convolution sweep -----------------------------------------
 
 
+def edge_gates(g, gates):
+    """Per-slot gates of g.walk in graph edge order: its real slots, in order."""
+    return gates[g.walk.scale > 0]
+
+
+def edge_inverse(g):
+    """Edge index of each edge's inverse, by lookup of its (head, relation, tail)."""
+    n, r = g.num_entities, g.num_relations_raw
+    keys = (g.edge_head * 2 * r + g.edge_rel) * n + g.edge_tail
+    want = (g.edge_tail * 2 * r + (g.edge_rel + r) % (2 * r)) * n + g.edge_head
+    order = np.argsort(keys)
+    return order[np.searchsorted(keys, want, sorter=order)]
+
+
 def one_edge_gate(head, rel):
     """Gate of the forward edge (0, r, 1) in a one-triplet graph."""
     g = kg_from_triplets([(0, 0, 1)], num_relations_raw=1, num_entities=2)
     prev = np.stack([head, np.zeros_like(head)])
     relation_emb = np.stack([rel, np.zeros_like(rel)])
     _, gates = conv_layer(g, prev, relation_emb)
-    return float(gates[(g.edge_head == 0) & (g.edge_rel == 0)][0])
+    return float(edge_gates(g, gates)[(g.edge_head == 0) & (g.edge_rel == 0)][0])
 
 
 def test_gate_anchors():
@@ -174,7 +188,7 @@ def test_conv_and_adjoint_match_per_edge_loop():
     d_prev = _conv_backward(g, prev, rel, gates, grad_out, d_rel)
 
     np.testing.assert_allclose(out, out_want, rtol=1e-12, atol=1e-15)
-    np.testing.assert_allclose(gates, gates_want, rtol=1e-13)
+    np.testing.assert_allclose(edge_gates(g, gates), gates_want, rtol=1e-13)
     np.testing.assert_allclose(d_prev, d_prev_want, rtol=1e-12, atol=1e-15)
     np.testing.assert_allclose(d_rel, d_rel_want, rtol=1e-12, atol=1e-15)
     assert np.all(out[7] == 0.0)
@@ -199,7 +213,7 @@ def head_sums(g, values):
 def bincount_conv(g, prev, rel):
     """conv_layer as one flat np.bincount over every edge in graph order."""
     gates = sigmoid((prev @ rel.T)[g.edge_head, g.edge_rel])
-    w = gates * g.inv_degree[g.edge_head]
+    w = gates * (1.0 / g.degrees[g.edge_head])
     return head_sums(g, w[:, None] * (rel[g.edge_rel] * prev[g.edge_tail]))
 
 
@@ -210,12 +224,47 @@ def bincount_conv_adjoint(g, prev, rel, gates, grad_out):
     adds w p to row j (the message path) and w (1 - g) (p . prev_j) to the
     bin (i, r) of Dm, which Dm @ rel reduces (the gate path)."""
     n, n_rel = g.num_entities, g.num_relations
-    rels = g.edge_rel[g.inverse]
-    w = gates[g.inverse] * g.inv_degree[g.edge_tail]
+    gates, inverse = edge_gates(g, gates), edge_inverse(g)
+    rels = g.edge_rel[inverse]
+    w = gates[inverse] * (1.0 / g.degrees[g.edge_tail])
     p = rel[rels] * grad_out[g.edge_tail]
-    d_dot = np.einsum("eh,eh->e", p, prev[g.edge_head]) * w * (1.0 - gates[g.inverse])
+    d_dot = np.einsum("eh,eh->e", p, prev[g.edge_head]) * w * (1.0 - gates[inverse])
     dm = np.bincount(g.edge_tail * n_rel + rels, weights=d_dot, minlength=n * n_rel)
     return head_sums(g, w[:, None] * p) + dm.reshape(n, n_rel) @ rel
+
+
+def assert_walk(g, chunk_edges):
+    """g.walk holds every edge in one real slot, in edge order; its pads
+    weigh +0.0, repeat their head's last edge and are their own inverse;
+    the inverse maps real slots to real slots; its chunks hold whole heads,
+    by (degree, id), of degree at most D; and its per-slot constants agree."""
+    w, r = g.walk, g.num_relations_raw
+    real, slots = w.scale > 0, np.arange(len(w.scale))
+    pads = slots[~real]
+    edges = np.stack([g.edge_head, g.edge_rel, g.edge_tail], axis=1)
+    np.testing.assert_array_equal(np.stack([w.head, w.rel, w.tail], axis=1)[real], edges)
+    assert len(set(map(tuple, edges.tolist()))) == g.num_edges
+    np.testing.assert_array_equal(w.scale[real], 1.0 / g.degrees[g.edge_head])
+    assert not w.scale[pads].view(np.uint64).any()  # +0.0 bits
+    assert (w.tail[pads] == w.tail[pads - 1]).all() and (w.rel[pads] == w.rel[pads - 1]).all()
+    inv = w.inverse
+    np.testing.assert_array_equal(inv[inv], slots)
+    np.testing.assert_array_equal(inv[pads], pads)
+    assert (w.head[inv] == w.tail)[real].all() and (w.tail[inv] == w.head)[real].all()
+    assert ((w.rel[inv] - w.rel)[real] % (2 * r) == r).all()
+    for got, want in ((w.inv_rel, w.rel[inv]), (w.inv_scale, w.scale[inv]),
+                      (w.logit, w.head * 2 * r + w.rel), (w.gate_bin, w.logit[inv])):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    end, order = 0, []
+    for lo, hi, d, heads, low, high, low_tail in w.chunks:
+        deg = g.degrees[heads]
+        assert lo == end and hi - lo == d * len(heads) and deg.max() == d <= data.PAD_RATIO * deg[0]
+        assert len(heads) <= max(1, chunk_edges // deg[0])
+        assert (w.head[lo:hi].reshape(-1, d) == heads[:, None]).all()
+        assert (real[lo:hi].reshape(-1, d) == (np.arange(d) < deg[:, None])).all()  # the pads last
+        assert (low, high, low_tail) == (heads.min(), heads.max(), w.tail[lo:hi].min())
+        end, order = hi, order + heads.tolist()
+    assert end == len(w.scale) and order == sorted(np.flatnonzero(g.degrees), key=lambda i: (g.degrees[i], i))
 
 
 @pytest.mark.parametrize("chunk_edges", [1, 4, 1024])
@@ -227,15 +276,11 @@ def test_plan_chunks_match_per_edge_loop(monkeypatch, chunk_edges):
     assert stored == sorted(set(stored))  # degree of head, then (head, relation, tail), no repeats
     raw = g.raw_triplets().tolist()
     assert raw == sorted(raw) and len(raw) == g.num_triplets_raw
-    bounds = [(lo, hi) for lo, hi, _ in g.chunks]
-    assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]] and bounds[-1][1] == g.num_edges
-    for lo, hi, d in g.chunks:
-        heads = g.edge_head[lo:hi].reshape(-1, d)
-        assert (heads == heads[:, :1]).all() and (g.degrees[heads[:, 0]] == d).all()
-        assert hi - lo <= max(chunk_edges, d)
-    degrees = [d for _, _, d in g.chunks]
-    if chunk_edges == 4:  # a bucket split across chunks and a head past the chunk size
-        assert any(degrees.count(d) > 1 for d in degrees) and 12 in degrees
+    assert_walk(g, chunk_edges)
+    tops = [d for _, _, d, *_ in g.walk.chunks]
+    if chunk_edges == 4:  # a degree split across chunks and a head past the chunk size
+        assert any(tops.count(d) > 1 for d in tops) and 12 in tops
+    assert (g.walk.scale == 0).any() == (chunk_edges > 1)  # heads of degree 2 and 3 share a chunk
 
     rng = np.random.default_rng(13)
     prev = rng.normal(size=(14, 5))
@@ -249,7 +294,7 @@ def test_plan_chunks_match_per_edge_loop(monkeypatch, chunk_edges):
 
     assert np.array_equal(out, bincount_conv(g, prev, rel))
     np.testing.assert_allclose(out, out_want, rtol=1e-12, atol=1e-15)
-    np.testing.assert_allclose(gates, gates_want, rtol=1e-13)
+    np.testing.assert_allclose(edge_gates(g, gates), gates_want, rtol=1e-13)
     np.testing.assert_allclose(d_prev, d_prev_want, rtol=1e-12, atol=1e-15)
     np.testing.assert_allclose(d_rel, d_rel_want, rtol=1e-12, atol=1e-15)
     assert np.all(out[13] == 0.0) and np.all(d_prev[13] == 0.0)
@@ -260,6 +305,7 @@ def test_conv_and_adjoint_equal_flat_bincounts_bit_for_bit(monkeypatch, h):
     # h = 1 is left out: there the head sums and a flat bincount differ in the last bit
     monkeypatch.setattr(data, "CHUNK_EDGES", 4)
     g = bucket_graph()
+    assert (g.walk.scale == 0).any()  # a padded chunk: its pads must add nothing, not even a sign
     rng = np.random.default_rng(14)
     prev = rng.normal(size=(14, h))
     rel = rng.normal(size=(g.num_relations, h))
@@ -271,10 +317,10 @@ def test_conv_and_adjoint_equal_flat_bincounts_bit_for_bit(monkeypatch, h):
 
 
 def test_conv_and_adjoint_match_per_edge_loop_on_a_synthetic_graph():
-    # many chunks of several degrees: the scratch rows of one chunk must not leak into the next
+    # chunks of several widths, padded ones too: the scratch rows of one chunk must not leak into the next
     _, g, _ = data.make_synthetic_dataset(data.SyntheticSpec(), seed=7)
     h = 64
-    assert len(g.chunks) >= 8 and len({d for _, _, d in g.chunks}) >= 3
+    assert len({d for _, _, d, *_ in g.walk.chunks}) >= 4 and (g.walk.scale == 0).any()
     rng = np.random.default_rng(15)
     prev = rng.normal(size=(g.num_entities, h))
     rel = rng.normal(size=(g.num_relations, h))
@@ -288,7 +334,7 @@ def test_conv_and_adjoint_match_per_edge_loop_on_a_synthetic_graph():
     d_prev = _conv_backward(g, prev, rel, gates, grad_out, d_rel)
 
     np.testing.assert_allclose(out, out_want, rtol=1e-12, atol=1e-15)
-    np.testing.assert_allclose(gates, gates_want, rtol=1e-13)
+    np.testing.assert_allclose(edge_gates(g, gates), gates_want, rtol=1e-13)
     np.testing.assert_allclose(d_prev, d_prev_want, rtol=1e-12, atol=1e-15)
     np.testing.assert_allclose(d_rel, d_rel_want, rtol=1e-12, atol=1e-15)
 
@@ -310,12 +356,14 @@ def test_item_row_sweep_and_adjoint_equal_the_full_ones_on_a_mixed_graph(monkeyp
     monkeypatch.setattr(data, "CHUNK_EDGES", chunk_edges)
     g, n, h = mixed_graph(), MIXED_ITEMS, 6
     assert g.degrees[6] == 0 and g.degrees[13] == 0
-    heads, tails = g.edge_head, g.edge_tail
-    assert any((heads[lo:hi] < n).any() and (heads[lo:hi] >= n).any() for lo, hi, _ in g.chunks)
-    assert any((tails[lo:hi] < n).any() and (tails[lo:hi] >= n).any() for lo, hi, _ in g.chunks)
+    heads, tails, chunks = g.walk.head, g.walk.tail, [(lo, hi) for lo, hi, *_ in g.walk.chunks]
+    assert any((heads[lo:hi] < n).any() and (heads[lo:hi] >= n).any() for lo, hi in chunks)
+    assert any((tails[lo:hi] < n).any() and (tails[lo:hi] >= n).any() for lo, hi in chunks)
     assert any((tails[heads == i] < n).any() and (tails[heads == i] >= n).any() for i in range(14))
-    assert any((heads[lo:hi] >= n).all() for lo, hi, _ in g.chunks)  # the sweep skips it
-    assert any((tails[lo:hi] >= n).all() for lo, hi, _ in g.chunks)  # the adjoint skips it
+    assert any((heads[lo:hi] >= n).all() for lo, hi in chunks)  # the sweep skips it
+    assert any((tails[lo:hi] >= n).all() for lo, hi in chunks)  # the adjoint skips it
+    kept = [c[3] < n for c in g.walk.chunks]  # a kept head after one left out: the sweep masks
+    assert chunk_edges == 4 or any((k[1:] > k[:-1]).any() for k in kept)
     rng = np.random.default_rng(16)
     prev = rng.normal(size=(14, h))
     rel = rng.normal(size=(g.num_relations, h))
@@ -405,7 +453,7 @@ def test_user_forward_makes_no_history_width_temporary():
 
 def test_edgeless_graph_forward_and_backward_equal_depth_zero():
     g = kg_from_triplets([], num_relations_raw=1, num_entities=6)
-    assert g.num_edges == 0 and g.chunks == ()
+    assert g.num_edges == 0 and g.walk.chunks == ()
     p = small_params(g, n_layers=2)
     layers, gates = entity_forward(p, g)
     assert all(np.all(m == 0.0) for m in layers[1:]) and all(len(x) == 0 for x in gates)
@@ -441,7 +489,7 @@ def test_entity_forward_default_layers_are_full_tables():
         layers, gates = entity_forward(p, g)
         assert len(layers) == n_layers + 1 and len(gates) == n_layers
         assert all(m.shape == (8, p.h) for m in layers)
-        assert all(x.shape == (g.num_edges,) for x in gates)
+        assert all(x.shape == g.walk.head.shape for x in gates)  # one gate per walk slot
         top, _ = entity_forward(p, g, 5)
         assert [m.shape[0] for m in top] == [8] * n_layers + [5]
         assert all(np.array_equal(a[: len(b)], b) for a, b in zip(layers, top))

@@ -544,7 +544,8 @@ def test_fd_conditioning_matches_pair_loop_reference():
 @pytest.mark.parametrize("seed", range(4))
 def test_gradcheck_instance_is_a_rich_synthetic_dataset(seed):
     # criterion 1 runs on these instances: pin where they come from and that
-    # they reach several degree chunks, every relation and uneven histories
+    # they reach several head degrees, a padded chunk, every relation and
+    # uneven histories
     _, graph, store, _, _, _ = training._kmpn_instance(seed, with_content=False)
     want_store, want_graph, corpus = make_synthetic_dataset(training.GRADCHECK_SPEC, seed)
     assert graph.num_entities == want_graph.num_entities
@@ -557,7 +558,8 @@ def test_gradcheck_instance_is_a_rich_synthetic_dataset(seed):
     for got, want in zip(table, corpus.buckets(content_params.num_buckets)):
         np.testing.assert_array_equal(got, want)
 
-    assert len({d for _, _, d in graph.chunks}) >= 3
+    assert len(set(graph.degrees[graph.degrees > 0].tolist())) >= 3
+    assert len(graph.walk.chunks) >= 2 and (graph.walk.scale == 0).any()
     assert set(graph.edge_rel.tolist()) == set(range(graph.num_relations))
     assert len(set(store.train.counts().tolist())) >= 2
 
