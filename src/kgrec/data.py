@@ -19,8 +19,9 @@ digits or a 19-digit id) by a per-line `int()` scan, so the accepted inputs
 and the errors are those of the per-line scan alone.
 
 In memory each interaction split is one CSR `Split` (offsets plus one item
-array). Split files and `build_store` mappings both become (user, item)
-columns, which `_assemble` validates by array operations on int64 keys.
+array). Every store is built by `_assemble` from (user, item) columns, which
+it validates by array operations on int64 keys: split files and per-user
+rows alike.
 `ItemCorpus.token_hashes` holds every item's token hashes in the same CSR
 form; `tokenize` and `fnv1a_64` define the text format.
 """
@@ -129,6 +130,10 @@ class Split:
     def counts(self) -> np.ndarray:
         return np.diff(self.indptr)
 
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(user, item) columns of every row, user-major order."""
+        return np.repeat(np.arange(len(self), dtype=np.int64), self.counts()), self.items
+
     def rows(self, users) -> tuple[np.ndarray, np.ndarray]:
         """(concatenation, counts) of the item lists of `users`, in order."""
         return csr_rows(self.indptr, self.items, users)
@@ -140,10 +145,11 @@ class InteractionStore:
     cold-start carve-out (users absent from training entirely).
 
     Each split is a `Split` with one row per user id. A split given as a
-    per-user sequence of arrays is converted; it must have one row per user,
-    each of an integer dtype (an empty row may have any) and strictly
-    increasing within [0, num_items), or DatasetError names the split and
-    the first bad user.
+    per-user sequence of arrays needs one row per user, each of an integer
+    dtype (an empty row may have any), or DatasetError names the split. Its
+    rows are then checked with the other splits by `_assemble`, as split
+    files are, and replaced by their sorted, deduplicated `Split`; a split
+    given as a `Split` is kept as it is.
     """
 
     num_users: int
@@ -155,23 +161,21 @@ class InteractionStore:
     cold_test: Split
 
     def __post_init__(self):
-        for name in SPLIT_NAMES:
-            rows = getattr(self, name)
-            if not isinstance(rows, Split):
-                for u, row in enumerate(rows):
-                    dtype = np.asarray(row).dtype
-                    if len(row) and dtype.kind not in "iu":
-                        raise DatasetError(f"{name}: user {u}: row has non-integer dtype {dtype}")
-                indptr = np.concatenate(([0], np.cumsum([len(v) for v in rows], dtype=np.int64)))
-                items = np.concatenate([*rows, np.empty(0, dtype=np.int64)]).astype(np.int64, copy=False)
-                if len(rows) != self.num_users:
-                    raise DatasetError(f"{name}: {len(rows)} rows for {self.num_users} users")
-                owner = np.repeat(np.arange(len(rows)), np.diff(indptr))
-                bad = (items < 0) | (items >= self.num_items)
-                bad[1:] |= (owner[1:] == owner[:-1]) & (items[1:] <= items[:-1])
-                for u in owner[bad][:1]:
-                    raise DatasetError(f"{name}: user {u}: row is not strictly increasing in [0, {self.num_items})")
-                object.__setattr__(self, name, Split(indptr, items))
+        given = {name: getattr(self, name) for name in SPLIT_NAMES}
+        rows = {name: v for name, v in given.items() if not isinstance(v, Split)}
+        for name, split in rows.items():
+            if len(split) != self.num_users:
+                raise DatasetError(f"{name}: {len(split)} rows for {self.num_users} users")
+            for u, row in enumerate(split):
+                dtype = np.asarray(row).dtype
+                if len(row) and dtype.kind not in "iu":
+                    raise DatasetError(f"{name}: user {u}: row has non-integer dtype {dtype}")
+        if rows:
+            columns = {name: _columns(range(self.num_users), v) if name in rows else v.pairs()
+                       for name, v in given.items()}
+            store = _assemble(columns, self.num_users, self.num_items)
+            for name in rows:
+                object.__setattr__(self, name, getattr(store, name))
 
     def split(self, name: str) -> Split:
         if name not in SPLIT_NAMES:
@@ -180,8 +184,7 @@ class InteractionStore:
 
     def train_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """All (user, item) train interactions, user-major order."""
-        users = np.repeat(np.arange(self.num_users, dtype=np.int64), self.train.counts())
-        return users, self.train.items
+        return self.train.pairs()
 
     def total_interactions(self) -> int:
         return sum(len(self.split(name).items) for name in SPLIT_NAMES)
@@ -202,6 +205,10 @@ def _assemble(columns: dict, num_users: int | None, num_items: int | None, data_
         return DatasetError(", ".join(str(data_dir / SPLIT_FILES[name]) for name in names) + f": {message}")
 
     cols = {name: columns.get(name, (np.empty(0, dtype=np.int64),) * 2) for name in SPLIT_NAMES}
+    for name, (u, i) in cols.items():
+        for k in np.flatnonzero((u < 0) | (i < 0))[:1]:
+            what = f"negative user id {u[k]}" if u[k] < 0 else f"negative item id for user {u[k]}"
+            raise DatasetError(f"{name}: {what}")
     seen = sorted_unique(np.concatenate([u for u, _ in cols.values()]))
     gap = int((seen == np.arange(len(seen))).sum())  # seen[k] - k never falls: a prefix matches
     n_users = num_users if num_users is not None else (int(seen[-1]) + 1 if len(seen) else 0)
@@ -242,32 +249,11 @@ def _assemble(columns: dict, num_users: int | None, num_items: int | None, data_
     return InteractionStore(num_users=n_users, num_items=n_items, **splits)
 
 
-def build_store(
-    train,
-    valid=None,
-    test=None,
-    cold_history=None,
-    cold_test=None,
-    num_users: int | None = None,
-    num_items: int | None = None,
-) -> InteractionStore:
-    """Assemble and validate an InteractionStore from per-user mappings.
-
-    Each argument maps user id -> iterable of item ids. Raises DatasetError
-    on sparse user ids, out-of-range items, per-user split overlap, or a
-    cold-start user that also appears in train/valid/test.
-    """
-    columns = {}
-    for name, mapping in zip(SPLIT_NAMES, (train, valid, test, cold_history, cold_test)):
-        lists = [np.asarray(list(its), dtype=np.int64).reshape(-1) for its in (mapping or {}).values()]
-        users = np.fromiter(mapping or {}, dtype=np.int64)
-        owner = np.repeat(np.arange(len(users)), [len(v) for v in lists])  # mapping position of each item
-        items = np.concatenate([*lists, np.empty(0, dtype=np.int64)])
-        for u in users[sorted_unique(np.concatenate((np.flatnonzero(users < 0), owner[items < 0])))[:1]]:
-            what = f"negative user id {u}" if u < 0 else f"negative item id for user {u}"
-            raise DatasetError(f"{name}: {what}")
-        columns[name] = users[owner], items
-    return _assemble(columns, num_users, num_items)
+def _columns(users, rows) -> tuple[np.ndarray, np.ndarray]:
+    """(user, item) columns of per-user item rows: users[k] holds rows[k]."""
+    counts = np.array([len(row) for row in rows], dtype=np.int64)
+    items = np.concatenate([row for row in rows if len(row)] + [np.empty(0, dtype=np.int64)])
+    return np.repeat(np.asarray(users, dtype=np.int64), counts), items.astype(np.int64, copy=False)
 
 
 def load_split_file(path) -> tuple[np.ndarray, np.ndarray]:
@@ -672,11 +658,7 @@ def make_synthetic_dataset(
     n_cold = int(round(spec.cold_user_fraction * spec.n_users))
     cold_ids = set(range(spec.n_users - n_cold, spec.n_users))
 
-    train: dict[int, np.ndarray] = {}
-    valid: dict[int, np.ndarray] = {}
-    test: dict[int, np.ndarray] = {}
-    cold_history: dict[int, np.ndarray] = {}
-    cold_test: dict[int, np.ndarray] = {}
+    rows = {name: [] for name in SPLIT_NAMES}  # (user, items) of each split
 
     held = spec.held_out_fraction
     for u in range(spec.n_users):
@@ -701,31 +683,18 @@ def make_synthetic_dataset(
         if u in cold_ids:
             pos = np.concatenate([own, cross]).astype(np.int64)
             rng.shuffle(pos)
-            if len(pos) < 2:
-                cold_history[u] = pos  # too few interactions to hold any out
-                cold_test[u] = np.empty(0, dtype=np.int64)
-            else:
-                n_hist = max(1, int(round(0.8 * len(pos))))
-                n_hist = min(n_hist, len(pos) - 1)
-                cold_history[u] = pos[:n_hist]
-                cold_test[u] = pos[n_hist:]
+            n_hist = max(1, min(int(round(0.8 * len(pos))), len(pos) - 1))  # one interaction is all history
+            rows["cold_history"].append((u, pos[:n_hist]))
+            rows["cold_test"].append((u, pos[n_hist:]))
         else:
             heldout = own[len(own) - n_held :]
-            train_items = np.concatenate([own[: len(own) - n_held], cross]).astype(np.int64)
             n_valid = n_held // 2
-            train[u] = train_items
-            valid[u] = heldout[:n_valid]
-            test[u] = heldout[n_valid:]
+            rows["train"].append((u, np.concatenate([own[: len(own) - n_held], cross]).astype(np.int64)))
+            rows["valid"].append((u, heldout[:n_valid]))
+            rows["test"].append((u, heldout[n_valid:]))
 
-    store = build_store(
-        train,
-        valid,
-        test,
-        cold_history,
-        cold_test,
-        num_users=spec.n_users,
-        num_items=spec.n_items,
-    )
+    columns = {name: _columns([u for u, _ in r], [items for _, items in r]) for name, r in rows.items()}
+    store = _assemble(columns, spec.n_users, spec.n_items)
 
     # KG: each item links to attribute entities of its own cluster
     n_attr = C * spec.attrs_per_cluster

@@ -34,9 +34,7 @@ class ReciprocalSampler:
         if counts.shape != (num_items,):
             raise ValueError("train_counts must have one entry per item")
         self.num_items = num_items
-        self.counts = counts
         self.weights = 1.0 / np.maximum(counts, 1).astype(np.float64)
-        self.probs = self.weights / self.weights.sum()
         cdf = np.cumsum(self.weights)
         self.cdf = cdf / cdf[-1]
         # the sentinel keeps every searchsorted position a valid index

@@ -14,7 +14,7 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 import kgrec  # noqa: E402
-from kgrec.data import DatasetBundle, SyntheticSpec, make_synthetic_dataset  # noqa: E402
+from kgrec.data import SPLIT_NAMES, DatasetBundle, SyntheticSpec, _assemble, make_synthetic_dataset  # noqa: E402
 
 SRC = Path(kgrec.__file__).resolve().parents[1]  # the import root of the kgrec under test
 
@@ -33,6 +33,17 @@ def synth_dir(synth_bundle, tmp_path_factory):
     path = tmp_path_factory.mktemp("dataset")
     save_bundle(synth_bundle, path)
     return path
+
+
+def build_store(train, valid=None, test=None, cold_history=None, cold_test=None, num_users=None, num_items=None):
+    """The InteractionStore of per-user mappings (user id -> item ids), one
+    per split: their (user, item) columns go through `data._assemble`."""
+    columns = {}
+    for name, mapping in zip(SPLIT_NAMES, (train, valid, test, cold_history, cold_test)):
+        rows = [np.asarray(list(items), dtype=np.int64).reshape(-1) for items in (mapping or {}).values()]
+        users = np.fromiter(mapping or {}, dtype=np.int64)
+        columns[name] = np.repeat(users, [len(r) for r in rows]), np.concatenate([*rows, np.empty(0, dtype=np.int64)])
+    return _assemble(columns, num_users, num_items)
 
 
 def run_cli(*args, cwd=None):

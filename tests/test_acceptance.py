@@ -169,7 +169,7 @@ def test_criterion_03_sampler_fidelity(capsys):
     from scipy import stats
 
     sampler = ReciprocalSampler(3, np.array([1, 1, 2]), (frozenset(),) * 0)
-    analytic_ok = np.allclose(sampler.probs, [0.4, 0.4, 0.2], atol=1e-15)
+    analytic_ok = np.allclose(sampler.weights / sampler.weights.sum(), [0.4, 0.4, 0.2], atol=1e-15)
 
     rng = np.random.default_rng(0)
     draws = sampler.draw(rng, size=100_000)
@@ -184,7 +184,7 @@ def test_criterion_03_sampler_fidelity(capsys):
         s = ReciprocalSampler(m, counts, (frozenset(),) * 0)
         n = 30_000
         observed = np.bincount(s.draw(rng, size=n), minlength=m)
-        _, p = stats.chisquare(observed, f_exp=s.probs * n)
+        _, p = stats.chisquare(observed, f_exp=s.weights / s.weights.sum() * n)
         min_p = min(min_p, float(p))
         gof_ok &= p > 0.001
 
@@ -342,10 +342,9 @@ def test_criterion_09_cold_start_path(capsys, synth_bundle, trained_model, tmp_p
 def _no_cold_bundle(bundle):
     from dataclasses import replace
 
-    from kgrec.data import DatasetBundle
+    from kgrec.data import DatasetBundle, Split
 
-    n = bundle.store.num_users
-    empty = tuple(np.array([], dtype=np.int64) for _ in range(n))
+    empty = Split(np.zeros(bundle.store.num_users + 1, dtype=np.int64), np.empty(0, dtype=np.int64))
     store = replace(bundle.store, cold_history=empty, cold_test=empty)
     return DatasetBundle(store=store, graph=bundle.graph, corpus=bundle.corpus)
 

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import build_store
 
 from kgrec import content, data
 from kgrec.content import (
@@ -21,7 +22,7 @@ from kgrec.content import (
     write_embeddings_binary,
     write_embeddings_text,
 )
-from kgrec.data import ItemCorpus, build_store, fnv1a_64, tokenize
+from kgrec.data import ItemCorpus, fnv1a_64, tokenize
 from kgrec.optim import TrainConfig, adam_step, init_adam, lr_at
 from kgrec.sampling import build_sampler
 

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import build_store
 
 from kgrec import data
 from kgrec.data import (
@@ -14,7 +15,6 @@ from kgrec.data import (
     ItemCorpus,
     Split,
     SyntheticSpec,
-    build_store,
     kg_from_triplets,
     load_bundle,
     load_interactions,
@@ -149,6 +149,19 @@ def test_build_store_rejects_user_id_gap():
         build_store({0: [1], 2: [1]}, num_items=2)
 
 
+@pytest.mark.parametrize(
+    "splits,message",
+    [
+        (dict(train={-1: [0], 0: [1]}), "train: negative user id -1"),
+        (dict(train={0: [1]}, valid={2: [0, -3]}), "valid: negative item id for user 2"),  # before the gap at user 1
+    ],
+    ids=["user", "item"],
+)
+def test_build_store_rejects_negative_ids_first(splits, message):
+    with pytest.raises(DatasetError, match=f"^{message}$"):
+        build_store(**splits, num_items=2)
+
+
 def test_sparse_huge_user_id_fails_before_sizing_anything(tmp_path):
     p = tmp_path / "train.txt"
     p.write_text("0 1\n1 1\n2 1\n3 1\n1000000000000 1\n")
@@ -211,21 +224,40 @@ def test_store_converts_per_user_tuples_to_splits():
 
 
 @pytest.mark.parametrize(
-    "split,rows,message",
+    "split,rows,want",
     [
-        ("train", ([2, 1], [0]), "train: user 0: row is not strictly increasing in [0, 3)"),
-        ("train", ([1, 2], [0, 0]), "train: user 1: row is not strictly increasing"),
-        ("train", ([1, 3], [0]), "train: user 0: row is not strictly increasing in [0, 3)"),
-        ("cold_test", ([], [-1]), "cold_test: user 1: row is not strictly increasing"),
+        ("train", ([2, 1], [0]), [[1, 2], [0]]),  # rows come out sorted and deduplicated, as split-file rows do
+        ("train", ([1, 2, 1], [0, 0]), [[1, 2], [0]]),
+        ("train", ([1, 3], [0]), "item id 3 out of range for declared num_items=3"),
+        ("cold_test", ([], [-1]), "cold_test: negative item id for user 1"),
         ("train", ([1, 2],), "train: 1 rows for 2 users"),
         ("valid", ([], [2], []), "valid: 3 rows for 2 users"),
     ],
     ids=["unsorted", "duplicate", "out-of-range", "negative", "too-few-rows", "too-many-rows"],
 )
-def test_store_rejects_bad_per_user_rows(split, rows, message):
+def test_store_rejects_bad_per_user_rows(split, rows, want):
     store = build_store({0: [2, 1], 1: [0]}, valid={1: [2]}, num_items=3)
-    with pytest.raises(DatasetError, match=re.escape(message)):
-        replace(store, **{split: tuple(np.array(v, dtype=np.int64) for v in rows)})
+    rows = tuple(np.array(v, dtype=np.int64) for v in rows)
+    if isinstance(want, list):
+        rebuilt = replace(store, **{split: rows}).split(split)
+        assert isinstance(rebuilt, Split) and [v.tolist() for v in rebuilt] == want
+        return
+    with pytest.raises(DatasetError, match=f"^{re.escape(want)}$"):
+        replace(store, **{split: rows})
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        (([1, 2], []), "user 0: item 2 in both train and test"),
+        (([1], [2]), "user 1 is cold-start but also appears in train/valid/test"),
+    ],
+    ids=["train-test-overlap", "cold-user-in-train"],
+)
+def test_store_checks_per_user_rows_across_splits(rows, message):
+    store = build_store({0: [1]}, test={0: [2]}, cold_history={1: [0]}, num_items=3)
+    with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+        replace(store, train=tuple(np.array(v, dtype=np.int64) for v in rows))
 
 
 @pytest.mark.parametrize(

@@ -4,13 +4,13 @@ import weakref
 
 import numpy as np
 import pytest
+from conftest import build_store
 
 from kgrec.content import EmbeddingMatrixFile
 from kgrec.data import (
     DatasetBundle,
     DatasetError,
     ItemCorpus,
-    build_store,
     kg_from_triplets,
 )
 from kgrec import evaluation

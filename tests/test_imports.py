@@ -1,4 +1,5 @@
-"""Every name a kgrec module imports is used in that module."""
+"""Every name a kgrec module imports is used in that module, and every
+function and class a kgrec module defines is read by the library itself."""
 
 import ast
 from pathlib import Path
@@ -31,3 +32,27 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert len(modules) > 5
     unused = [f"{p.name}:{line}: {name}" for p in modules for line, name in unused_imports(p.read_text())]
     assert unused == []
+
+
+def unread_definitions(sources: dict) -> list:
+    """(module, name) of each top-level function or class of `sources`
+    (module name -> source) that no module reads, as a name or as an
+    attribute (`data.load_bundle`); a definition alone is not a read."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = {n.id if isinstance(n, ast.Name) else n.attr
+            for tree in trees.values() for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute))}
+    defined = [(module, node.name) for module, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    return sorted((module, name) for module, name in defined if name not in read)
+
+
+def test_scan_finds_unread_definitions():
+    sources = {"a": "def f():\n    return g()\n\ndef g():\n    pass\n\nclass C:\n    pass\n",
+               "b": "import a\n\ndef h():\n    return a.f\n"}
+    assert unread_definitions(sources) == [("a", "C"), ("b", "h")]
+
+
+def test_every_definition_is_read_by_the_library():
+    modules = sorted((Path(SRC) / "kgrec").glob("*.py"))
+    assert len(modules) > 5
+    assert unread_definitions({p.name: p.read_text() for p in modules}) == []

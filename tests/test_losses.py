@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy import special
 
+from conftest import build_store
 from dcor_reference import dist_and_centered, distance_correlation
 
-from kgrec.data import build_store, kg_from_triplets
+from kgrec.data import kg_from_triplets
 from kgrec.losses import (
     LossWeights,
     bpr_loss,

@@ -4,10 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import score_row_grads
+from conftest import build_store, score_row_grads
 
 from kgrec import data, evaluation, model
-from kgrec.data import DatasetBundle, build_store, kg_from_triplets
+from kgrec.data import DatasetBundle, kg_from_triplets
 from kgrec.losses import LossWeights
 from kgrec.model import (
     _conv_backward,

@@ -2,13 +2,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import score_row_grads
+from conftest import build_store, score_row_grads
 from dcor_reference import dist_and_centered
 
 from kgrec import optim, training
 from kgrec.content import (EmbeddingMatrixFile, exchange_tables, init_content, read_embeddings, train_content,
                            write_embeddings_text)
-from kgrec.data import SPLIT_NAMES, DatasetBundle, ItemCorpus, build_store, kg_from_triplets, make_synthetic_dataset
+from kgrec.data import SPLIT_NAMES, DatasetBundle, ItemCorpus, kg_from_triplets, make_synthetic_dataset
 from kgrec.evaluation import evaluate, evaluate_embeddings
 from kgrec.losses import LossWeights, pca_project
 from kgrec.model import backward, forward, init_params, preference_embeddings, save_checkpoint
