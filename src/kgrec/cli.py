@@ -22,12 +22,7 @@ from pathlib import Path
 
 from .settings import SYNTH, TRAIN, check
 
-_THREAD_ENV_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-)
+_THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 _PATH = (None, str)
 _SHARED = {  # every command's; each adds the flags its handler reads
@@ -83,10 +78,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="kgrec",
-        description="Knowledge-graph recommender: data prep, training, evaluation.",
-    )
+    parser = _Parser(prog="kgrec", description="Knowledge-graph recommender: data prep, training, evaluation.")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, spec in _DEFAULTS.items():
         p = sub.add_parser(command)

@@ -14,6 +14,7 @@ from these files are constants there.
 
 from __future__ import annotations
 
+import io
 import logging
 import struct
 from dataclasses import dataclass, replace
@@ -372,9 +373,11 @@ def write_embeddings_binary(emb: EmbeddingMatrixFile, path) -> None:
         fh.write(records.tobytes())
 
 
-def _read_embeddings_text(path):
-    lines = (line for _, line in _numbered_lines(path))
-    header = next(lines, "").split()
+def _read_embeddings_text(path, raw: bytes):
+    head, _, body = raw.partition(b"\n")
+    # a bulk file is all ASCII, so the per-line route's UTF-8 check would pass and its first line is `head`
+    bulk = head.isascii() and b"\r" not in head[:-1] and not body.translate(None, b" \t\r\n0123456789.e+-")
+    header = (head.decode() if bulk else next(_numbered_lines(path), (1, ""))[1]).split()
     if len(header) != 4 or header[0] != EMB_TEXT_MAGIC:
         raise ValueError(f"{path}: not an {EMB_TEXT_MAGIC} embedding file")
     kind = header[1]
@@ -385,6 +388,23 @@ def _read_embeddings_text(path):
     count, dim = int(header[2]), int(header[3])
     if 8 + 4 * dim >= 2**31:  # the binary format's limit, which numpy sets
         raise ValueError(f"{path}: dim {dim} is too large")
+    # The bulk route: np.loadtxt reads `count` LF-ended lines as the binary format's records, ids as int() and
+    # values as np.float32(str) parse them. It fails on a row of another width, a token that is not wholly a
+    # number or a lone CR, and skips blank lines, so `count` records in `count` lines leave none blank.
+    if bulk and count and len(body) >= count * (2 * dim + 1):  # else too short: no records are sized by the header
+        try:
+            records = np.loadtxt(io.BytesIO(body), dtype=_record_dtype(dim), comments=None, ndmin=1)
+        except ValueError:
+            pass
+        else:
+            if len(records) == count == body.count(b"\n") and body[-1:] == b"\n" and (records["id"] < 2**63).all():
+                return kind, records["id"].astype(np.int64), records["vec"].astype(np.float32)
+    return kind, *_rows_by_line(path, count, dim)
+
+
+def _rows_by_line(path, count: int, dim: int):
+    """(ids, vectors) of an EMB1 text file's rows, read row by row: the first fault fails."""
+    lines = (line for n, line in _numbered_lines(path) if n > 1)
     ids, vectors = [], []
     for row in range(count):
         line = next(lines, "")
@@ -404,11 +424,10 @@ def _read_embeddings_text(path):
             raise ValueError(f"{path}: row {row}: id {ids[-1]} is not in [0, 2**63)")
     if any(line.strip() for line in lines):  # only whitespace may follow the declared rows
         raise ValueError(f"{path}: trailing data after {count} rows")
-    return kind, np.array(ids, dtype=np.int64), np.array(vectors, dtype=np.float32).reshape(count, dim)
+    return np.array(ids, dtype=np.int64), np.array(vectors, dtype=np.float32).reshape(count, dim)
 
 
-def _read_embeddings_binary(path):
-    raw = Path(path).read_bytes()
+def _read_embeddings_binary(path, raw: bytes):
     head = len(EMB_BIN_MAGIC) + struct.calcsize("<IBQI")
     if len(raw) < head:
         raise ValueError(f"{path}: truncated header ({len(raw)} of {head} bytes)")
@@ -435,12 +454,12 @@ def _read_embeddings_binary(path):
 def read_embeddings(path) -> EmbeddingMatrixFile:
     """Load either exchange format (sniffed from the first bytes) into a set
     that records `path`. Every malformed input fails with a one-line
-    ValueError naming the file; text goes through `data._numbered_lines`."""
+    ValueError naming the file. A text body the bulk route declines is read
+    by `_rows_by_line`, with the same result or error."""
     path = Path(path)
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-    reader = _read_embeddings_binary if magic == EMB_BIN_MAGIC else _read_embeddings_text
-    kind, ids, vectors = reader(path)
+    raw = path.read_bytes()
+    reader = _read_embeddings_binary if raw[:4] == EMB_BIN_MAGIC else _read_embeddings_text
+    kind, ids, vectors = reader(path, raw)
     try:
         return EmbeddingMatrixFile(kind=kind, ids=ids, vectors=vectors, path=path)
     except ValueError as exc:

@@ -16,7 +16,8 @@ The split files and kg.txt go through one reader, `_int_table`. A file of
 ASCII digits, spaces, tabs, CRs and LFs whose ids have at most 18 digits is
 parsed by array operations; any other (say with "+7", "1_0", non-ASCII
 digits or a 19-digit id) by a per-line `int()` scan, so the accepted inputs
-and the errors are those of the per-line scan alone.
+and the errors are those of the per-line scan alone. `load_items` has the
+same two routes for items.tsv.
 
 In memory each interaction split is one CSR `Split` (offsets plus one item
 array). Every store is built by `_assemble` from (user, item) columns, which
@@ -148,8 +149,9 @@ class InteractionStore:
     per-user sequence of arrays needs one row per user, each of an integer
     dtype (an empty row may have any), or DatasetError names the split. Its
     rows are then checked with the other splits by `_assemble`, as split
-    files are, and replaced by their sorted, deduplicated `Split`; a split
-    given as a `Split` is kept as it is.
+    files are, and replaced by their sorted, deduplicated `Split`. A split
+    given as a `Split` is kept as it is, once its offsets (num_users + 1 of
+    them, from 0 to its item count) and item range are checked.
     """
 
     num_users: int
@@ -163,6 +165,11 @@ class InteractionStore:
     def __post_init__(self):
         given = {name: getattr(self, name) for name in SPLIT_NAMES}
         rows = {name: v for name, v in given.items() if not isinstance(v, Split)}
+        for name, v in given.items():  # a given Split's offsets and item range: O(1) and min/max work
+            if isinstance(v, Split) and (len(v.indptr) != self.num_users + 1 or v.indptr[0] != 0
+                                         or v.indptr[-1] != len(v.items)
+                                         or len(v.items) and (v.items.min() < 0 or v.items.max() >= self.num_items)):
+                raise DatasetError(f"{name}: Split does not fit num_users={self.num_users}, num_items={self.num_items}")
         for name, split in rows.items():
             if len(split) != self.num_users:
                 raise DatasetError(f"{name}: {len(split)} rows for {self.num_users} users")
@@ -519,8 +526,28 @@ class ItemCorpus:
 
 def load_items(path) -> ItemCorpus:
     """Read `item_id<TAB>description` lines. An id must be ASCII digits, and
-    the n id lines must hold each of the ids 0..n-1 once, in any order."""
+    the n id lines must hold each of the ids 0..n-1 once, in any order. A
+    UTF-8 file of `id TAB text LF` lines (universal newlines) is parsed by
+    whole-text operations, any other by `_items_by_line`, with the same corpus
+    or error."""
     path = Path(path)
+    raw = path.read_bytes()
+    raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in raw else raw  # universal newlines
+    seps, text = np.frombuffer(raw, dtype=np.uint8), raw.decode("utf-8", "replace")
+    seps = seps[(seps == 9) | (seps == 10)]
+    parts = text.replace("\t", "\n").split("\n")  # id, text, id, text, ..., "" if each line is id TAB text LF
+    lines_ok = not parts[-1] and not len(seps) % 2 and (seps.reshape(-1, 2) == (9, 10)).all()
+    digits = "".join(parts[:-1:2])
+    if lines_ok and digits.isascii() and digits.isdigit() and "\ufffd" not in text:  # U+FFFD: maybe not UTF-8
+        ids = np.fromstring(" ".join(parts[:-1:2]), dtype=np.int64, sep=" ")  # skips an empty id; 19 digits saturate
+        order = np.argsort(ids)
+        if len(ids) == len(seps) // 2 and (ids[order] == np.arange(len(ids))).all():  # else the per-line scan names it
+            return ItemCorpus(tuple(map(parts[1::2].__getitem__, order.tolist())))
+    return _items_by_line(path)
+
+
+def _items_by_line(path: Path) -> ItemCorpus:
+    """load_items' per-line scan, for any file: its first bad line fails."""
     texts: dict[int, str] = {}
     top = (-1, 0)  # the largest id and its line
     for lineno, line in _numbered_lines(path):
@@ -636,9 +663,7 @@ class SyntheticSpec:
             raise DatasetError("cluster count exceeds user or item count")
 
 
-def make_synthetic_dataset(
-    spec: SyntheticSpec, seed: int
-) -> tuple[InteractionStore, KnowledgeGraph, ItemCorpus]:
+def make_synthetic_dataset(spec: SyntheticSpec, seed: int) -> tuple[InteractionStore, KnowledgeGraph, ItemCorpus]:
     """Deterministic clustered dataset for desk-scale runs.
 
     Users/items are assigned to clusters round-robin (id mod n_clusters).
@@ -649,9 +674,7 @@ def make_synthetic_dataset(
     rng = np.random.default_rng(seed)
     C = spec.n_clusters
 
-    cluster_items = [
-        np.arange(spec.n_items, dtype=np.int64)[np.arange(spec.n_items) % C == c] for c in range(C)
-    ]
+    cluster_items = [np.arange(spec.n_items, dtype=np.int64)[np.arange(spec.n_items) % C == c] for c in range(C)]
     cluster_weights = [1.0 / (np.arange(len(ci)) + 1.0) for ci in cluster_items]
     all_items = np.arange(spec.n_items, dtype=np.int64)
 
@@ -674,11 +697,7 @@ def make_synthetic_dataset(
 
         other_pool = all_items[all_items % C != c]
         n_cross = int(rng.binomial(len(other_pool), spec.density * CROSS_NOISE))
-        cross = (
-            rng.choice(other_pool, size=n_cross, replace=False)
-            if n_cross
-            else np.empty(0, dtype=np.int64)
-        )
+        cross = rng.choice(other_pool, size=n_cross, replace=False) if n_cross else np.empty(0, dtype=np.int64)
 
         if u in cold_ids:
             pos = np.concatenate([own, cross]).astype(np.int64)

@@ -190,9 +190,7 @@ def evaluate(params: KmpnParams, bundle: DatasetBundle, split: str, ks=DEFAULT_K
     return _rank_users(user_vecs, users, skipped, entity_agg, seen, test, split, ks)
 
 
-def evaluate_embeddings(
-    user_set, item_set, bundle: DatasetBundle, split: str, ks=DEFAULT_KS
-) -> MetricsReport:
+def evaluate_embeddings(user_set, item_set, bundle: DatasetBundle, split: str, ks=DEFAULT_KS) -> MetricsReport:
     """Same protocol but scoring directly with exchange-file embeddings
     (content-model evaluation or comparison hooks). After the split checks,
     content.exchange_tables checks the pair and returns the item table and

@@ -63,8 +63,12 @@ def segment_sum(index, values, n: int) -> np.ndarray:
 
 
 def sorted_unique(a) -> np.ndarray:
-    """np.unique(a) by one sort and a neighbour mask, not numpy 2.x's slower integer hashing."""
-    a = np.sort(a, axis=None)
+    """np.unique(a) by one sort and a neighbour mask, not numpy 2.x's slower
+    integer hashing. Input already in order, as canonical files give, is not
+    sorted again; strictly increasing input comes back as a copy."""
+    a = np.ravel(a)
+    if not (a[1:] >= a[:-1]).all():
+        a = np.sort(a)
     return a[np.concatenate(([True], a[1:] != a[:-1]))[: len(a)]]
 
 

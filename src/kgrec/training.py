@@ -134,12 +134,7 @@ def _format_log_line(epoch, parts_sum, lr) -> str:
     return f"{epoch}\t{total!r}\t{bpr!r}\t{l2!r}\t{dc!r}\t{cs!r}\t{lr!r}"
 
 
-def _train_cf(
-    bundle: DatasetBundle,
-    params: KmpnParams,
-    config: TrainConfig,
-    content=None,
-):
+def _train_cf(bundle: DatasetBundle, params: KmpnParams, config: TrainConfig, content=None):
     """Shared loop. `content`, an (item set, user set) exchange pair, is
     checked once by content.exchange_tables, which returns its dense
     tables; they are only consulted when the alignment weight is nonzero,

@@ -680,6 +680,17 @@ def test_exchange_pair_faults_name_their_files(cli_dataset, cli_exchange, tmp_pa
     assert not (tmp_path / "run").exists()  # a pair fault leaves no run directory behind
 
 
+@pytest.mark.parametrize("command", [("train", "--mode", "ckmpn", "--epochs", 1, "--h", 8), ("eval",)],
+                         ids=["train", "eval"])
+def test_a_swapped_exchange_pair_leaves_no_out_directory(cli_dataset, cli_exchange, tmp_path, command):
+    d, _ = cli_dataset
+    items, users = cli_exchange / "content_items.txt", cli_exchange / "content_users.txt"
+    res = run_cli(*command, "--data", d, "--out", tmp_path / "out", "--content-items", users, "--content-users", items)
+    message = f"{users}, {items}: content pair must be (item file, user file), got (user file, item file)"
+    assert (res.returncode, res.stderr) == (2, f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []  # every input is checked before the first mkdir
+
+
 def test_export_content_no_binary_flag(cli_dataset, tmp_path):
     d, _ = cli_dataset
     crun = tmp_path / "content_run"

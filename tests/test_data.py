@@ -272,6 +272,25 @@ def test_store_rejects_non_integer_per_user_rows(row):
     assert [v.tolist() for v in empty.train] == [[1, 2], []] and empty.train.items.dtype == np.int64
 
 
+@pytest.mark.parametrize(
+    "indptr, items",
+    [
+        ([0, 1], [5]),  # two offsets for three users, and an item past the catalog
+        ([0, 1, 1, 1], [5]),  # an item past the catalog
+        ([0, 1, 1, 1], [-1]),  # a negative item
+        ([1, 1, 1, 1], [0]),  # offsets that do not start at 0
+        ([0, 1, 1, 2], [0]),  # offsets that end past the items
+        ([0, 0, 0, 0], [0]),  # offsets that end before them
+    ],
+)
+def test_store_rejects_a_given_split_that_does_not_fit(indptr, items):
+    store = build_store({0: [0], 1: [1], 2: [2]}, num_items=3)
+    with pytest.raises(DatasetError, match=r"^train: Split does not fit num_users=3, num_items=3$"):
+        replace(store, train=Split(np.array(indptr), np.array(items)))
+    fits = Split(np.array([0, 1, 1, 3]), np.array([2, 0, 1]))
+    assert replace(store, train=fits).train is fits  # a Split that fits is kept as it is
+
+
 def test_build_store_rejects_out_of_range_item():
     with pytest.raises(DatasetError, match="out of range"):
         build_store({0: [5]}, num_items=3)
