@@ -73,11 +73,12 @@ def _int_table(path, width: int | None = None):
     digit = b - np.uint8(48) < 10  # b"0" to b"9"; smaller bytes wrap round past 10
     edge = np.diff(digit.view(np.int8), prepend=np.int8(0), append=np.int8(0))
     starts, ends = np.flatnonzero(edge == 1), np.flatnonzero(edge == -1)
-    fast = (digit | (b == 32) | (b == 9) | (b == 10) | (b == 13)).all() and (ends - starts <= 18).all()
+    fast = not raw.translate(None, b"0123456789 \t\r\n") and (ends - starts <= 18).all()
     ids = np.fromstring(raw, dtype=np.int64, sep=" ") if fast and len(starts) else np.empty(0, dtype=np.int64)
     rows, fault = [], None
     if fast and len(ids) == len(starts):
-        breaks = np.flatnonzero((b == 10) | ((b == 13) & (np.append(b[1:], 0) != 10)))  # LF, CR not before LF
+        lf = b == 10  # with a CR not before an LF, when there are CRs
+        breaks = np.flatnonzero(lf | (b == 13) & np.append(~lf[1:], True) if b"\r" in raw else lf)
         per_line = np.diff(np.searchsorted(starts, breaks), prepend=0, append=len(starts))
         linenos, counts = np.flatnonzero(per_line) + 1, per_line[per_line > 0]
         for row in np.flatnonzero(counts != width)[:1] if width is not None else ():
