@@ -417,7 +417,8 @@ def _rows_by_line(path, count: int, dim: int):
             raise ValueError(f"{path}: row {row} has {len(fields) - 1} values, expected {dim}")
         try:
             ids.append(int(fields[0]))
-            vectors.append(np.array([np.float32(x) for x in fields[1:]], dtype=np.float32))
+            with np.errstate(over="ignore"):  # a value past float32 is inf, which the set's finiteness check names
+                vectors.append(np.array([np.float32(x) for x in fields[1:]], dtype=np.float32))
         except ValueError as exc:
             raise ValueError(f"{path}: row {row}: {exc}") from None
         if not 0 <= ids[-1] < 2**63:

@@ -12,8 +12,6 @@ from kgrec import content, data
 from kgrec.content import EmbeddingMatrixFile, read_embeddings, write_embeddings_text
 from kgrec.data import ItemCorpus, load_items, save_items
 
-# np.float32("1e39") warns of the overflow on the per-line route; both routes then fail the same way
-pytestmark = pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
 
 def _outcome(read, *args):
     try:
@@ -146,6 +144,15 @@ def test_a_header_larger_than_its_body_sizes_no_records(tmp_path, monkeypatch, c
     monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: pytest.fail("np.loadtxt sized records by the header"))
     with pytest.raises(ValueError, match=message):
         read_embeddings(path)
+
+
+def test_a_value_past_float32_fails_with_no_warning_on_either_route(tmp_path, recwarn):
+    path = tmp_path / "emb.txt"
+    for raw in (b"EMB1 item 1 2\n0 1e39 2\n", b"EMB1 item 1 2\n0 1e39 2"):  # bulk, then per-row (no final LF)
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match="non-finite embedding values$"):
+            read_embeddings(path)
+    assert [str(w.message) for w in recwarn] == []  # the CLI's error stays its one stderr line
 
 
 def test_ids_above_2_to_the_53_come_out_exact(tmp_path):
