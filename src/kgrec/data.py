@@ -203,7 +203,7 @@ def _assemble(columns: dict, num_users: int | None, num_items: int | None, data_
     range-checked before anything is sized by them; an item outside the
     catalog names its split file and items.tsv if read from `data_dir`. One
     `sorted_unique` of the `user * num_items + item` keys (below 2**63) sorts
-    and dedups each split, and the cross-split rules run as set operations.
+    and dedups each split, and the cross-split rules run as binary searches.
     Of several faults the lowest user's is reported, in rule order for one
     user; read from `data_dir`, it names the split files involved."""
 
@@ -211,6 +211,9 @@ def _assemble(columns: dict, num_users: int | None, num_items: int | None, data_
         if data_dir is None:
             return DatasetError(message)
         return DatasetError(", ".join(str(data_dir / SPLIT_FILES[name]) for name in names) + f": {message}")
+
+    def held(a, b):  # mask of the values of `a` in `b`, by binary search: `b` is sorted, so nothing is sorted again
+        return b[np.searchsorted(b, a).clip(max=len(b) - 1)] == a if len(b) else np.zeros_like(a, bool)
 
     cols = {name: columns.get(name, (np.empty(0, dtype=np.int64),) * 2) for name in SPLIT_NAMES}
     for name, (u, i) in cols.items():
@@ -239,16 +242,16 @@ def _assemble(columns: dict, num_users: int | None, num_items: int | None, data_
     keys = {name: sorted_unique(u * n_items + i) for name, (u, i) in cols.items()}
     pairs = {name: np.divmod(k, max(n_items, 1)) for name, k in keys.items()}
     users = {name: sorted_unique(u) for name, (u, _) in pairs.items()}
+
     faults = []  # (user, message, the splits involved)
     for a, b in (("train", "valid"), ("train", "test"), ("valid", "test"), ("cold_history", "cold_test")):
-        for u, i in zip(*np.divmod(np.intersect1d(keys[a], keys[b], assume_unique=True)[:1], n_items)):
+        for u, i in zip(*np.divmod(keys[b][held(keys[b], keys[a])][:1], n_items)):
             faults.append((u, f"user {u}: item {i} in both {a} and {b}", (a, b)))
-    warm = sorted_unique(np.concatenate([users[name] for name in ("train", "valid", "test")]))
-    cold = sorted_unique(np.concatenate([users["cold_history"], users["cold_test"]]))
-    for u in np.intersect1d(warm, cold, assume_unique=True)[:1]:
-        holding = [name for name in SPLIT_NAMES if np.isin(u, users[name])]
+    shared = [users[c][held(users[c], users[w])][:1] for w in SPLIT_NAMES[:3] for c in SPLIT_NAMES[3:]]
+    for u in np.sort(np.concatenate(shared))[:1]:
+        holding = [name for name in SPLIT_NAMES if held(u, users[name])]
         faults.append((u, f"user {u} is cold-start but also appears in train/valid/test", holding))
-    for u in np.setdiff1d(users["cold_test"], users["cold_history"], assume_unique=True)[:1]:
+    for u in users["cold_test"][~held(users["cold_test"], users["cold_history"])][:1]:
         faults.append((u, f"user {u}: cold_test without cold_history", ("cold_test", "cold_history")))
     if faults:
         raise fault(*min(faults, key=lambda f: f[0])[1:])
@@ -717,32 +720,22 @@ def make_synthetic_dataset(spec: SyntheticSpec, seed: int) -> tuple[InteractionS
     store = _assemble(columns, spec.n_users, spec.n_items)
 
     # KG: each item links to attribute entities of its own cluster
-    n_attr = C * spec.attrs_per_cluster
+    n_attr, k = C * spec.attrs_per_cluster, min(LINKS_PER_ITEM, spec.attrs_per_cluster)
     triplets = []
     for i in range(spec.n_items):
-        c = i % C
-        attrs = spec.n_items + c * spec.attrs_per_cluster + np.arange(spec.attrs_per_cluster)
-        k = min(LINKS_PER_ITEM, spec.attrs_per_cluster)
-        chosen = rng.choice(attrs, size=k, replace=False)
-        for t in chosen:
-            r = int(rng.integers(N_RELATIONS_RAW))
-            triplets.append((i, r, int(t)))
+        attrs = spec.n_items + (i % C) * spec.attrs_per_cluster + np.arange(spec.attrs_per_cluster)
+        triplets += [(i, int(rng.integers(N_RELATIONS_RAW)), int(t)) for t in rng.choice(attrs, size=k, replace=False)]
     graph = kg_from_triplets(triplets, N_RELATIONS_RAW, num_entities=spec.n_items + n_attr)
 
     # texts from cluster token pools plus a shared pool
     shared = [f"shw{j}" for j in range(SHARED_POOL_SIZE)]
     pools = [[f"c{c}w{j}" for j in range(POOL_SIZE)] for c in range(C)]
-    texts = []
-    for i in range(spec.n_items):
-        c = i % C
-        n_tok = int(rng.integers(MIN_TOKENS, MAX_TOKENS + 1))
-        toks = []
-        for _ in range(n_tok):
-            if rng.random() < 0.8:
-                toks.append(pools[c][int(rng.integers(POOL_SIZE))])
-            else:
-                toks.append(shared[int(rng.integers(SHARED_POOL_SIZE))])
-        texts.append(" ".join(toks))
-    corpus = ItemCorpus(tuple(texts))
+
+    def token(c):  # one draw picks cluster c's pool or the shared one, the next a token in it
+        pool = pools[c] if rng.random() < 0.8 else shared
+        return pool[int(rng.integers(len(pool)))]
+
+    corpus = ItemCorpus(tuple(" ".join(token(i % C) for _ in range(rng.integers(MIN_TOKENS, MAX_TOKENS + 1)))
+                              for i in range(spec.n_items)))
 
     return store, graph, corpus

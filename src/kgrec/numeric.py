@@ -1,15 +1,26 @@
 """Shared float64 primitives: stable elementwise functions, the one CSR row
 gather, the one scatter kernel and the one integer dedup, atomic file writes
-and the tensor file codec used by both checkpoints."""
+and the tensor file codec used by both checkpoints.
+
+Importing it sets the process's glibc heap policy (README, "Memory"): freed
+heap pages stay mapped, so each training step or evaluation reuses the pages
+the last one faulted in. Other C libraries are left as they are."""
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
+
+try:  # mallopt(M_MMAP_THRESHOLD, glibc's 64-bit cap) and (M_TRIM_THRESHOLD, 1 GiB)
+    ctypes.CDLL(None).mallopt(-3, 32 << 20)
+    ctypes.CDLL(None).mallopt(-1, 1 << 30)
+except (AttributeError, OSError, TypeError):  # no mallopt in this C library
+    pass
 
 
 def sigmoid(x):

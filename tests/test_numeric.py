@@ -1,8 +1,13 @@
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import SRC
 from scipy import special
 
 from kgrec.content import init_content, load_content_checkpoint, save_content_checkpoint
@@ -188,3 +193,37 @@ def test_text_write_failure_keeps_earlier_file(tmp_path):
         write_text_atomic(path, "2\t\ud800\n")  # a lone surrogate cannot be encoded
     assert path.read_bytes() == b"1\t0.5\n"
     assert [p.name for p in tmp_path.iterdir()] == ["loss.log"]
+
+
+WARM_STEP = """
+import resource
+import numpy as np
+from kgrec.data import SyntheticSpec, make_synthetic_dataset
+from kgrec.losses import LossWeights
+from kgrec.model import init_params
+from kgrec.sampling import build_sampler
+from kgrec.training import kmpn_loss_and_grads
+
+store, graph, _ = make_synthetic_dataset(SyntheticSpec(), seed=7)
+params = init_params(graph.num_entities, graph.num_relations, store.num_users, seed=7)
+rng = np.random.default_rng(0)
+users, pos = store.train_pairs()
+pick = rng.choice(len(users), 1024, replace=False)
+batch = users[pick], pos[pick], build_sampler(store).sample_negatives(rng, users[pick])
+for _ in range(3):
+    kmpn_loss_and_grads(params, graph, store, *batch, LossWeights())
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+kmpn_loss_and_grads(params, graph, store, *batch, LossWeights())
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy is set for glibc only")
+def test_warm_training_step_takes_no_page_faults():
+    """Importing kgrec.numeric keeps freed heap pages mapped, so a step
+    after three identical warm-up steps reuses their pages instead of
+    faulting fresh zeroed ones in (about 1,400 faults per step without)."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-c", WARM_STEP], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert int(res.stdout) < 100
