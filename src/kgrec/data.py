@@ -242,7 +242,6 @@ def _assemble(columns: dict, num_users: int | None, num_items: int | None, data_
     keys = {name: sorted_unique(u * n_items + i) for name, (u, i) in cols.items()}
     pairs = {name: np.divmod(k, max(n_items, 1)) for name, k in keys.items()}
     users = {name: sorted_unique(u) for name, (u, _) in pairs.items()}
-
     faults = []  # (user, message, the splits involved)
     for a, b in (("train", "valid"), ("train", "test"), ("valid", "test"), ("cold_history", "cold_test")):
         for u, i in zip(*np.divmod(keys[b][held(keys[b], keys[a])][:1], n_items)):
@@ -682,8 +681,7 @@ def make_synthetic_dataset(spec: SyntheticSpec, seed: int) -> tuple[InteractionS
     cluster_weights = [1.0 / (np.arange(len(ci)) + 1.0) for ci in cluster_items]
     all_items = np.arange(spec.n_items, dtype=np.int64)
 
-    n_cold = int(round(spec.cold_user_fraction * spec.n_users))
-    cold_ids = set(range(spec.n_users - n_cold, spec.n_users))
+    first_cold = spec.n_users - int(round(spec.cold_user_fraction * spec.n_users))  # the last users are cold
 
     rows = {name: [] for name in SPLIT_NAMES}  # (user, items) of each split
 
@@ -703,7 +701,7 @@ def make_synthetic_dataset(spec: SyntheticSpec, seed: int) -> tuple[InteractionS
         n_cross = int(rng.binomial(len(other_pool), spec.density * CROSS_NOISE))
         cross = rng.choice(other_pool, size=n_cross, replace=False) if n_cross else np.empty(0, dtype=np.int64)
 
-        if u in cold_ids:
+        if u >= first_cold:
             pos = np.concatenate([own, cross]).astype(np.int64)
             rng.shuffle(pos)
             n_hist = max(1, min(int(round(0.8 * len(pos))), len(pos) - 1))  # one interaction is all history

@@ -16,9 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-try:  # mallopt(M_MMAP_THRESHOLD, glibc's 64-bit cap) and (M_TRIM_THRESHOLD, 1 GiB)
-    ctypes.CDLL(None).mallopt(-3, 32 << 20)
-    ctypes.CDLL(None).mallopt(-1, 1 << 30)
+try:  # int mallopt(int, int) of the C library the process runs on
+    _mallopt = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int, ctypes.c_int)(("mallopt", ctypes.CDLL(None)))
+    _mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: fixed, at glibc's cap for its dynamic one on 64-bit
+    _mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD: far above any step's working set
 except (AttributeError, OSError, TypeError):  # no mallopt in this C library
     pass
 
