@@ -244,6 +244,8 @@ def _train_config(opts: dict):
 
 
 def _cmd_train(opts: dict) -> int:
+    import numpy as np
+
     from .content import init_content, read_embeddings, save_content_checkpoint, train_content
     from .data import load_bundle
     from .model import init_params, save_checkpoint
@@ -255,19 +257,20 @@ def _cmd_train(opts: dict) -> int:
     config = _train_config(opts)
     bundle = load_bundle(data)
 
-    if mode == "content":
-        params = init_content(**_kwargs(opts, TRAIN, init_content))
-        trained, lines = train_content(bundle.corpus, bundle.store, params, config)
-        save_content_checkpoint(trained, out / "checkpoint.content")
-    else:
-        counts = (bundle.graph.num_entities, bundle.graph.num_relations, bundle.store.num_users)
-        params = init_params(*counts, **_kwargs(opts, TRAIN, init_params))
-        if mode == "ckmpn":
-            content = (read_embeddings(opts["content_items"]), read_embeddings(opts["content_users"]))
-            trained, lines = train_ckmpn(bundle, params, content, config)
+    with np.errstate(all="ignore"):  # a diverging run is named once, by the optimizer's finiteness check
+        if mode == "content":
+            params = init_content(**_kwargs(opts, TRAIN, init_content))
+            trained, lines = train_content(bundle.corpus, bundle.store, params, config)
+            save_content_checkpoint(trained, out / "checkpoint.content")
         else:
-            trained, lines = train_kmpn(bundle, params, config)
-        save_checkpoint(trained, out / "checkpoint.kmpn")
+            counts = (bundle.graph.num_entities, bundle.graph.num_relations, bundle.store.num_users)
+            params = init_params(*counts, **_kwargs(opts, TRAIN, init_params))
+            if mode == "ckmpn":
+                content = (read_embeddings(opts["content_items"]), read_embeddings(opts["content_users"]))
+                trained, lines = train_ckmpn(bundle, params, content, config)
+            else:
+                trained, lines = train_kmpn(bundle, params, config)
+            save_checkpoint(trained, out / "checkpoint.kmpn")
 
     _write_out(opts, "train", "loss.log", "".join(line + "\n" for line in lines))
     return 0

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import io
 import logging
+import re
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .data import InteractionStore, ItemCorpus, _numbered_lines
+from .data import InteractionStore, ItemCorpus, TextTokens
 from .losses import click_softmax_loss
 from .numeric import (atomic_open, csr_rows, read_tensor_file, segment_sum, softmax_rows, sorted_unique,
                       write_tensor_file)
@@ -373,12 +374,14 @@ def write_embeddings_binary(emb: EmbeddingMatrixFile, path) -> None:
         fh.write(records.tobytes())
 
 
+# one or more decimal numbers and the whitespace between them: where a match ends, a token that is not one starts
+_DECIMALS = re.compile(rb"(?:[ \t\r\n]*[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?(?![^ \t\r\n]))*")
+
+
 def _read_embeddings_text(path, raw: bytes):
-    head, _, body = raw.partition(b"\n")
-    # a bulk file is all ASCII, so the per-line route's UTF-8 check would pass and its first line is `head`
-    bulk = head.isascii() and b"\r" not in head[:-1] and not body.translate(None, b" \t\r\n0123456789.e+-")
-    header = (head.decode() if bulk else next(_numbered_lines(path), (1, ""))[1]).split()
-    if len(header) != 4 or header[0] != EMB_TEXT_MAGIC:
+    text = TextTokens(path, raw)
+    header = list(map(text.token, range(4))) if text.counts[:1].tolist() == [4] else [""]
+    if header[0] != EMB_TEXT_MAGIC:
         raise ValueError(f"{path}: not an {EMB_TEXT_MAGIC} embedding file")
     kind = header[1]
     if kind not in KIND_CODES:
@@ -388,44 +391,33 @@ def _read_embeddings_text(path, raw: bytes):
     count, dim = int(header[2]), int(header[3])
     if 8 + 4 * dim >= 2**31:  # the binary format's limit, which numpy sets
         raise ValueError(f"{path}: dim {dim} is too large")
-    # The bulk route: np.loadtxt reads `count` LF-ended lines as the binary format's records, ids as int() and
-    # values as np.float32(str) parse them. It fails on a row of another width, a token that is not wholly a
-    # number or a lone CR, and skips blank lines, so `count` records in `count` lines leave none blank.
-    if bulk and count and len(body) >= count * (2 * dim + 1):  # else too short: no records are sized by the header
-        try:
-            records = np.loadtxt(io.BytesIO(body), dtype=_record_dtype(dim), comments=None, ndmin=1)
-        except ValueError:
-            pass
-        else:
-            if len(records) == count == body.count(b"\n") and body[-1:] == b"\n" and (records["id"] < 2**63).all():
-                return kind, records["id"].astype(np.int64), records["vec"].astype(np.float32)
-    return kind, *_rows_by_line(path, count, dim)
-
-
-def _rows_by_line(path, count: int, dim: int):
-    """(ids, vectors) of an EMB1 text file's rows, read row by row: the first fault fails."""
-    lines = (line for n, line in _numbered_lines(path) if n > 1)
-    ids, vectors = [], []
-    for row in range(count):
-        line = next(lines, "")
-        if not line:
-            raise ValueError(f"{path}: truncated at row {row}")
-        fields = line.split()
-        if not fields:
-            raise ValueError(f"{path}: row {row} is blank, expected an id and {dim} values")
-        if len(fields) != dim + 1:
-            raise ValueError(f"{path}: row {row} has {len(fields) - 1} values, expected {dim}")
-        try:
-            ids.append(int(fields[0]))
-            with np.errstate(over="ignore"):  # a value past float32 is inf, which the set's finiteness check names
-                vectors.append(np.array([np.float32(x) for x in fields[1:]], dtype=np.float32))
-        except ValueError as exc:
-            raise ValueError(f"{path}: row {row}: {exc}") from None
-        if not 0 <= ids[-1] < 2**63:
-            raise ValueError(f"{path}: row {row}: id {ids[-1]} is not in [0, 2**63)")
-    if any(line.strip() for line in lines):  # only whitespace may follow the declared rows
+    # Row r is line r + 2: an id, then `dim` values. Rows up to the first of another width are read as a table.
+    rows, width = text.counts[1 : count + 1], dim + 1
+    n = int(np.argmax(np.append(rows, -1) != width))
+    ids, kinds = text.ids(4 + width * np.arange(n))
+    body = raw[text.starts[4] : text.ends[3 + width * n]] if n else b""
+    values, bad = np.empty((0, width)), 4 + width * n  # the table, and the first token that is not a number
+    try:  # a file short of rows fails anyway: its rows are only checked, and no table is built
+        if n < count or body.translate(None, b"0123456789.eE+- \t\r\n"):
+            raise ValueError
+        if n:
+            values = np.loadtxt(io.BytesIO(body.replace(b"\r", b"\n")), dtype=np.float32, comments=None, ndmin=2)
+    except ValueError:
+        bad = np.searchsorted(text.starts, text.starts[4] + _DECIMALS.match(body).end()) if n else bad
+    value_row = (bad - 4) // width
+    row = min([value_row, *np.flatnonzero(kinds)[:1].tolist()])  # in a row, a non-integer id fails first
+    if row < n:
+        fault = (f"non-integer id {text.token(4 + width * row)!r}" if kinds[row] == 1 else
+                 f"could not convert string to float: {text.token(bad)!r}" if row == value_row else
+                 f"id {text.token(4 + width * row)} is not in [0, 2**63)")
+        raise ValueError(f"{path}: row {row}: {fault}")
+    if n < count:  # a row of another width, or none
+        fault = (f"truncated at row {n}" if n == len(rows) else f"row {n} is blank, expected an id and {dim} values"
+                 if not rows[n] else f"row {n} has {rows[n] - 1} values, expected {dim}")
+        raise ValueError(f"{path}: {fault}")
+    if text.counts[count + 1 :].any():  # only blank lines may follow the declared rows
         raise ValueError(f"{path}: trailing data after {count} rows")
-    return np.array(ids, dtype=np.int64), np.array(vectors, dtype=np.float32).reshape(count, dim)
+    return kind, ids, values[:, 1:]
 
 
 def _read_embeddings_binary(path, raw: bytes):
@@ -455,8 +447,7 @@ def _read_embeddings_binary(path, raw: bytes):
 def read_embeddings(path) -> EmbeddingMatrixFile:
     """Load either exchange format (sniffed from the first bytes) into a set
     that records `path`. Every malformed input fails with a one-line
-    ValueError naming the file. A text body the bulk route declines is read
-    by `_rows_by_line`, with the same result or error."""
+    ValueError naming the file; the README gives the text format's grammar."""
     path = Path(path)
     raw = path.read_bytes()
     reader = _read_embeddings_binary if raw[:4] == EMB_BIN_MAGIC else _read_embeddings_text

@@ -7,17 +7,13 @@ On-disk layout (one directory per dataset):
     kg.txt                              one line per raw triplet: ``head relation tail``
     items.tsv                           ``item_id<TAB>description``, ids 0..n-1
 
-Files are UTF-8. Tab and single-space separators are both accepted;
-trailing whitespace is ignored. Item ids double as entity ids (items occupy
-the low entity-id range). Every returned object is immutable after
-construction, cached derived tables aside, and safe to share across threads.
-
-The split files and kg.txt go through one reader, `_int_table`. A file of
-ASCII digits, spaces, tabs, CRs and LFs whose ids have at most 18 digits is
-parsed by array operations; any other (say with "+7", "1_0", non-ASCII
-digits or a 19-digit id) by a per-line `int()` scan, so the accepted inputs
-and the errors are those of the per-line scan alone. `load_items` has the
-same two routes for items.tsv.
+Files are UTF-8, and the README gives each format's grammar. Every text
+reader, the exchange files' included, parses a whole file by array
+operations on one `TextTokens` (tokens, line breaks, the one id rule); a
+faulty file fails on its first faulty line, named from a byte offset. Item
+ids double as entity ids (items occupy the low entity-id range). Every
+returned object is immutable after construction, cached derived tables
+aside, and safe to share across threads.
 
 In memory each interaction split is one CSR `Split` (offsets plus one item
 array). Every store is built by `_assemble` from (user, item) columns, which
@@ -29,7 +25,6 @@ form; `tokenize` and `fnv1a_64` define the text format.
 
 from __future__ import annotations
 
-import io
 import logging
 import re
 from bisect import bisect_right
@@ -52,61 +47,77 @@ class DatasetError(ValueError):
     """An input file or constructed dataset violates an invariant."""
 
 
-def _numbered_lines(path):
-    """(line number, line) of a UTF-8 text file, universal newlines. Bytes
-    that are not UTF-8 raise DatasetError naming the file and their line."""
-    raw = Path(path).read_bytes()
-    try:
-        return enumerate(io.StringIO(raw.decode("utf-8"), newline=None), start=1)
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        raise DatasetError(f"{path}:{line}: not UTF-8") from None
+class TextTokens:
+    """A UTF-8 text file as arrays. Its tokens are the runs of bytes other
+    than space, tab, CR and LF: token k is `raw[starts[k]:ends[k]]`. A line
+    ends at an LF, a CRLF or a lone CR, and line j + 1 holds `counts[j]`
+    tokens. A byte that is not UTF-8 fails, naming its line."""
+
+    def __init__(self, path, raw: bytes):
+        self.path, self.raw = path, raw
+        b = self.b = np.frombuffer(raw, dtype=np.uint8)
+        lf, cr = np.flatnonzero(b == 10), np.flatnonzero(b == 13)
+        self.breaks = np.sort(np.append(lf, cr[b[np.minimum(cr + 1, len(b) - 1)] != 10]))  # LFs, CRs not before one
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise self.error(exc.start, "not UTF-8") from None
+        gap = np.concatenate(([True], (b == 32) | (b == 9) | (b == 10) | (b == 13), [True]))
+        edges = np.flatnonzero(gap[1:] != gap[:-1])
+        self.starts, self.ends = edges[::2], edges[1::2]
+        before = np.concatenate(([0], np.searchsorted(self.starts, self.breaks), [len(self.starts)]))  # tokens before
+        lines = len(self.breaks) + (raw[-1:] not in b"\r\n")  # each line break; a final one starts no line
+        self.counts = (before[1:] - before[:-1])[:lines]
+
+    def error(self, offset, message: str) -> DatasetError:
+        """`message` as the error of the line that holds byte `offset`."""
+        return DatasetError(f"{self.path}:{np.searchsorted(self.breaks, offset) + 1}: {message}")
+
+    def token(self, k) -> str:
+        return self.raw[self.starts[k] : self.ends[k]].decode()
+
+    def ids(self, take=None) -> tuple[np.ndarray, np.ndarray]:
+        """(values, kinds) of all tokens, or of those at indices `take`. Kind 0
+        is an id: ASCII digits of a value below 2**63, which `values` holds.
+        Kind 1 is not an integer, 2 is "-" then digits, 3 is 2**63 or more."""
+        starts, ends = (self.starts, self.ends) if take is None else (self.starts[take], self.ends[take])
+        b, kinds = self.b, np.zeros(len(starts), dtype=np.int8)
+        if take is not None or self.raw.translate(None, b"0123456789 \t\r\n"):  # else every token is digits
+            size = ends - starts + 1  # copy each token and the byte after it, which becomes a space
+            at = np.cumsum(size) - size
+            b = b[np.minimum(np.repeat(starts - at, size) + np.arange(size.sum()), len(b) - 1)]
+            starts, ends = at, at + size - 1
+            b[ends] = 32
+            other = np.concatenate(([0], np.cumsum(b - np.uint8(48) >= 10)))  # non-digits before each offset
+            other = other[ends] - other[starts]
+            kinds[other > 0] = 1
+            kinds[(other == 1) & (b[starts] == 45) & (size > 2)] = 2
+            b[np.repeat(kinds > 0, size)] = 32  # and blank the tokens that are not ids
+        values = np.zeros(len(starts), dtype=np.uint64)
+        values[kinds == 0] = np.fromstring(b.tobytes(), dtype=np.uint64, sep=" ") if len(starts) else 0
+        kinds[values >= 2**63] = 3  # np.fromstring reads a value past 2**64 - 1 as 2**64 - 1
+        return values.astype(np.int64), kinds
 
 
 def _int_table(path, width: int | None = None):
     """(ids, counts, linenos, fault): the flat ids, field count and line
     number of each non-blank line before the first faulty one, and that
     line's DatasetError (else None). A line is faulty if it has other than
-    `width` fields (when given) or an id that is not an integer in [0, 2**63)."""
-    raw = path.read_bytes()
-    b = np.frombuffer(raw, dtype=np.uint8)
-    digit = b - np.uint8(48) < 10  # b"0" to b"9"; smaller bytes wrap round past 10
-    edge = np.diff(digit.view(np.int8), prepend=np.int8(0), append=np.int8(0))
-    starts, ends = np.flatnonzero(edge == 1), np.flatnonzero(edge == -1)
-    fast = not raw.translate(None, b"0123456789 \t\r\n") and (ends - starts <= 18).all()
-    ids = np.fromstring(raw, dtype=np.int64, sep=" ") if fast and len(starts) else np.empty(0, dtype=np.int64)
-    rows, fault = [], None
-    if fast and len(ids) == len(starts):
-        lf = b == 10  # with a CR not before an LF, when there are CRs
-        breaks = np.flatnonzero(lf | (b == 13) & np.append(~lf[1:], True) if b"\r" in raw else lf)
-        per_line = np.diff(np.searchsorted(starts, breaks), prepend=0, append=len(starts))
-        linenos, counts = np.flatnonzero(per_line) + 1, per_line[per_line > 0]
-        for row in np.flatnonzero(counts != width)[:1] if width is not None else ():
-            fault = DatasetError(f"{path}:{linenos[row]}: expected {width} fields, got {counts[row]}")
-            ids, counts, linenos = ids[: counts[:row].sum()], counts[:row], linenos[:row]
-        return ids, counts, linenos, fault
-    for lineno, line in _numbered_lines(path):  # per-line route: "+7", "1_0", non-ASCII digits...
-        fields = line.split()
-        if not fields:
-            continue
-        try:
-            ids = list(map(int, fields))
-        except ValueError:
-            ids = None
-        if width is not None and len(fields) != width:
-            fault = f"expected {width} fields, got {len(fields)}"
-        elif ids is None:
-            fault = "non-integer field"
-        elif min(ids) < 0:
-            fault = "negative id"
-        elif max(ids) >= 2**63:
-            fault = f"id {max(ids)} does not fit in int64"
-        if fault:
-            fault = DatasetError(f"{path}:{lineno}: {fault}")
-            break
-        rows.append((lineno, ids))
-    linenos, counts = np.array([(n, len(row)) for n, row in rows], dtype=np.int64).reshape(-1, 2).T
-    return np.array([i for _, row in rows for i in row], dtype=np.int64), counts, linenos, fault
+    `width` fields (when given) or a token that is not an id."""
+    text = TextTokens(path, Path(path).read_bytes())
+    (ids, kinds), linenos = text.ids(), np.flatnonzero(text.counts) + 1
+    counts = text.counts[linenos - 1]
+    ends = np.cumsum(counts)
+    faulty = np.searchsorted(ends, np.flatnonzero(kinds)[:1], side="right").tolist()  # the first non-id's line
+    row = min([len(counts), *faulty, *(np.flatnonzero(counts != width)[:1].tolist() if width else [])])
+    if row == len(counts):
+        return ids, counts, linenos, None
+    first = ends[row] - counts[row]  # the faulty line's first token
+    on = first + np.flatnonzero(kinds[first : ends[row]])  # and those of its tokens that are not ids
+    fault = (f"expected {width} fields, got {counts[row]}" if width and counts[row] != width else
+             "non-integer field" if (kinds[on] == 1).any() else "negative id" if (kinds[on] == 2).any() else
+             f"id {max(int(text.token(k)) for k in on)} does not fit in int64")
+    return ids[:first], counts[:row], linenos[:row], DatasetError(f"{path}:{linenos[row]}: {fault}")
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +281,6 @@ def load_split_file(path) -> tuple[np.ndarray, np.ndarray]:
     """Parse one `user item item ...` file into (user, item) columns in file
     order, duplicates kept. Non-integer, negative or out-of-int64 ids and a
     second line for one user are errors that name the line."""
-    path = Path(path)
     ids, counts, linenos, fault = _int_table(path)
     first = np.cumsum(counts) - counts
     users = ids[first]
@@ -445,7 +455,6 @@ def _walk(heads, rels, tails, ids, deg, first, order, n_rel: int) -> Walk:
 def _read_kg(path, num_relations_raw: int | None = None, num_entities: int | None = None):
     """([T, 3] raw triplets, relation count) of a `head relation tail` file;
     the count is one past the largest relation id when not given."""
-    path = Path(path)
     ids, _, linenos, fault = _int_table(path, width=3)
     trip = ids.reshape(-1, 3)
     ent = trip[:, ::2].max(axis=1, initial=-1)
@@ -528,51 +537,27 @@ class ItemCorpus:
 
 
 def load_items(path) -> ItemCorpus:
-    """Read `item_id<TAB>description` lines. An id must be ASCII digits, and
-    the n id lines must hold each of the ids 0..n-1 once, in any order. A
-    UTF-8 file of `id TAB text LF` lines (universal newlines) is parsed by
-    whole-text operations, any other by `_items_by_line`, with the same corpus
-    or error."""
-    path = Path(path)
-    raw = path.read_bytes()
-    raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in raw else raw  # universal newlines
-    seps, text = np.frombuffer(raw, dtype=np.uint8), raw.decode("utf-8", "replace")
-    seps = seps[(seps == 9) | (seps == 10)]
-    parts = text.replace("\t", "\n").split("\n")  # id, text, id, text, ..., "" if each line is id TAB text LF
-    lines_ok = not parts[-1] and not len(seps) % 2 and (seps.reshape(-1, 2) == (9, 10)).all()
-    digits = "".join(parts[:-1:2])
-    if lines_ok and digits.isascii() and digits.isdigit() and "\ufffd" not in text:  # U+FFFD: maybe not UTF-8
-        ids = np.fromstring(" ".join(parts[:-1:2]), dtype=np.int64, sep=" ")  # skips an empty id; 19 digits saturate
-        order = np.argsort(ids)
-        if len(ids) == len(seps) // 2 and (ids[order] == np.arange(len(ids))).all():  # else the per-line scan names it
-            return ItemCorpus(tuple(map(parts[1::2].__getitem__, order.tolist())))
-    return _items_by_line(path)
-
-
-def _items_by_line(path: Path) -> ItemCorpus:
-    """load_items' per-line scan, for any file: its first bad line fails."""
-    texts: dict[int, str] = {}
-    top = (-1, 0)  # the largest id and its line
-    for lineno, line in _numbered_lines(path):
-        if not line.strip():
-            continue
-        head, _, text = line.rstrip("\n").partition("\t")
-        head = head.strip()
-        if not (head.isascii() and head.isdigit()):
-            kind = "negative" if head[:1] == "-" and head[1:].isdigit() else "non-integer"
-            raise DatasetError(f"{path}:{lineno}: {kind} item id")
-        item = int(head)
-        if item in texts:
-            raise DatasetError(f"{path}:{lineno}: duplicate item id {item}")
-        texts[item] = text
-        top = max(top, (item, lineno))
-    max_id, line = top
-    n = len(texts)  # n distinct ids are 0..n-1 exactly when the largest is n - 1
-    if max_id >= n:
-        raise DatasetError(
-            f"{path}:{line}: item id {max_id} out of range: the file lists {n} items, so ids must be 0..{n - 1}"
-        )
-    return ItemCorpus(tuple(texts[i] for i in range(n)))
+    """Read items.tsv: each non-blank line is an id, then a tab and the
+    item's text or nothing, and the n id lines hold each of the ids 0..n-1
+    once, in any order. The first faulty line fails."""
+    text = TextTokens(path, re.sub(rb"\r\n?", b"\n", Path(path).read_bytes()))  # each line now ends at an LF
+    lines = np.flatnonzero(text.counts)
+    first = (np.cumsum(text.counts) - text.counts)[lines]  # each line's first token: its id
+    (ids, kinds), n, b = text.ids(first), len(lines), np.append(text.b, np.uint8(10))
+    after = b[text.ends[first]]  # the id starts its line and ends at a tab or at the line's end
+    kinds[(b[text.starts[first] - 1] != 10) | (after == 32)] = 1
+    kinds[(kinds == 0) & (ids >= n)] = 3
+    order = np.argsort(ids, kind="stable")  # a repeated id is faulty where it comes again
+    kinds[order[1:][(ids[order[1:]] == ids[order[:-1]]) & (kinds[order[1:]] == 0)]] = 4
+    for k in np.flatnonzero(kinds)[:1]:
+        item = int(text.token(first[k])) if kinds[k] >= 3 else None
+        raise text.error(text.starts[first[k]], ("non-integer item id", "negative item id",
+                         f"item id {item} out of range: the file lists {n} items, so ids must be 0..{n - 1}",
+                         f"duplicate item id {item}")[kinds[k] - 1])
+    split, tabbed = text.b.copy(), after == 9
+    split[text.ends[first][tabbed]] = 10  # each id and its text become two lines; a line with no tab takes ""
+    parts = split.tobytes().decode().split("\n") + [""]
+    return ItemCorpus(tuple(map(parts.__getitem__, np.where(tabbed, lines + np.cumsum(tabbed), -1)[order].tolist())))
 
 
 def save_items(corpus: ItemCorpus, path) -> None:

@@ -126,6 +126,14 @@ def test_truncated_items_file_names_it_and_the_split_file(synth_dir, tmp_path):
     _commands_fail_with(d, tmp_path, f"{d / 'train.txt'}: item id 299 is not in {d / 'items.tsv'} (92 items)")
 
 
+@pytest.mark.parametrize("mode, where", [("kmpn", "batch 2: non-finite gradient in entity_emb"),
+                                         ("content", "user 157: non-finite gradient in bucket_emb")])
+def test_diverging_train_prints_only_its_one_line_error(synth_dir, tmp_path, mode, where):
+    res = run_cli("train", "--data", synth_dir, "--out", tmp_path / "out", "--mode", mode, "--epochs", 1,
+                  "--deterministic", "--lr", 1e308)
+    assert (res.returncode, res.stderr) == (2, f"error: epoch 1 {where}\n")
+
+
 def test_train_zero_epochs_checkpoint_equals_fresh_init(cli_dataset, tmp_path):
     d, _ = cli_dataset
     out = tmp_path / "run"

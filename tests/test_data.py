@@ -1,4 +1,3 @@
-import io
 import logging
 import re
 from dataclasses import replace
@@ -9,6 +8,7 @@ import pytest
 from conftest import build_store
 
 from kgrec import data
+from kgrec.content import read_embeddings
 from kgrec.data import (
     SPLIT_NAMES,
     DatasetError,
@@ -505,29 +505,30 @@ def test_split_file_int64_edge_on_a_last_line_without_newline(tmp_path):
     assert load_split_file(p)[1].tolist() == [1, 2**63 - 1]
 
 
+_BREAK = rb"\r\n|\r|\n"  # a line ends at an LF, a CRLF or a lone CR
+
+
 def _reference_read(path, kind, num_relations_raw=None, num_entities=None):
     """A split file ("split": its (user, item) pairs) or kg.txt ("kg": its
-    triplets) read one line at a time, in file order, or the text of the
-    first fault in line order."""
+    triplets) read one line at a time by the README's grammar, in file
+    order, or the text of the first fault in line order."""
     raw = path.read_bytes()
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = raw[: exc.start].count(b"\n") + 1
-        return f"{path}:{line}: not UTF-8"
+        return f"{path}:{len(re.findall(_BREAK, raw[: exc.start])) + 1}: not UTF-8"
     rows, seen = [], set()
-    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
-        fields, at = line.split(), f"{path}:{lineno}"
+    for lineno, line in enumerate(re.split(_BREAK.decode(), text), start=1):
+        fields, at = [f for f in re.split(r"[ \t]+", line) if f], f"{path}:{lineno}"
         if not fields:
             continue
         if kind == "kg" and len(fields) != 3:
             return f"{at}: expected 3 fields, got {len(fields)}"
-        try:
-            ids = [int(f) for f in fields]
-        except ValueError:
+        if not all(re.fullmatch(r"-?[0-9]+", f) for f in fields):
             return f"{at}: non-integer field"
-        if min(ids) < 0:
+        if any(f[0] == "-" for f in fields):
             return f"{at}: negative id"
+        ids = [int(f) for f in fields]
         if max(ids) >= 2**63:
             return f"{at}: id {max(ids)} does not fit in int64"
         if kind == "split":
@@ -545,11 +546,10 @@ def _reference_read(path, kind, num_relations_raw=None, num_entities=None):
     return rows
 
 
-# ids that array parsing takes, ids that only int() takes or that fail it,
-# and 18- to 20-digit ids on both sides of 2**63
-_FAST_IDS = ["0", "3", "7", "12", "007", "999999999999999999"]
-_SLOW_IDS = ["+7", "1_0", "\u0663", "\uff13", "-3", "x", "9223372036854775807", "9223372036854775808",
-             "00000000000000000012", "99999999999999999999", "1000000000000000000"]
+# ids, with 18- to 20-digit ones on both sides of 2**63, and spellings that are not ids
+_IDS = ["0", "3", "7", "12", "007", "999999999999999999", "9223372036854775807", "00000000000000000012",
+        "1000000000000000000"]
+_BAD_IDS = ["+7", "1_0", "\u0663", "\uff13", "-3", "-0", "x", "9223372036854775808", "99999999999999999999"]
 _SEPARATORS = [" ", "\t", " \t  "]
 _ENDINGS = ["\n", "\r\n", "\r"]
 
@@ -560,10 +560,10 @@ def _random_table(rng, kind):
 
     def token(column):
         if dirty and rng.random() < 0.04:
-            return str(rng.choice(_SLOW_IDS))
+            return str(rng.choice(_BAD_IDS))
         if column == 0 and kind == "split":
             return str(rng.integers(0, 60))  # some users repeat
-        return str(rng.choice(_FAST_IDS)) if rng.random() < 0.2 else str(rng.integers(0, 40))
+        return str(rng.choice(_IDS)) if rng.random() < 0.2 else str(rng.integers(0, 40))
 
     lines = []
     for _ in range(rng.integers(0, 14)):
@@ -587,12 +587,9 @@ def _random_table(rng, kind):
     return raw
 
 
-def test_int_table_matches_per_line_reference(tmp_path, monkeypatch):
-    calls = []
-    numbered = data._numbered_lines
-    monkeypatch.setattr(data, "_numbered_lines", lambda path: calls.append(path) or numbered(path))
+def test_int_table_matches_per_line_reference(tmp_path):
     rng = np.random.default_rng(14)
-    seen = {(route, fault): 0 for route in ("array", "per-line") for fault in (False, True)}
+    seen = {False: 0, True: 0}
     for case in range(800):
         kind = "split" if case % 2 else "kg"
         path = tmp_path / f"{case}.txt"
@@ -600,7 +597,6 @@ def test_int_table_matches_per_line_reference(tmp_path, monkeypatch):
         sizes = {} if kind == "split" else {"num_entities": 40 if rng.random() < 0.7 else 2**62,
                                             "num_relations_raw": None if rng.random() < 0.5 else 30}
         want = _reference_read(path, kind, **sizes)
-        calls.clear()
         if isinstance(want, str):
             with pytest.raises(DatasetError) as err:
                 if kind == "split":
@@ -623,8 +619,8 @@ def test_int_table_matches_per_line_reference(tmp_path, monkeypatch):
                 g = kg_from_triplets(*data._read_kg(path, **sizes), sizes["num_entities"])
                 assert g.num_relations_raw == n_rel
                 assert np.array_equal(g.raw_triplets(), np.unique(trip, axis=0))
-        seen["per-line" if calls else "array", isinstance(want, str)] += 1
-    assert min(seen.values()) > 50, seen  # both routes, with and without a fault
+        seen[isinstance(want, str)] += 1
+    assert min(seen.values()) > 200, seen  # with and without a fault
 
 
 @pytest.mark.parametrize(
@@ -633,7 +629,7 @@ def test_int_table_matches_per_line_reference(tmp_path, monkeypatch):
         ("split", "0 1\n1 2\n0 3\n", "3: duplicate line for user 0"),
         ("split", "0 1\r\n0 2\r\n1 x\r\n", "2: duplicate line for user 0"),  # duplicate, then non-integer
         ("split", "0 1\r1 x\r0 2\r", "2: non-integer field"),  # non-integer, then duplicate
-        ("split", "5 1\n\n+5 2\n", "3: duplicate line for user 5"),
+        ("split", "5 1\n\n+5 2\n", "3: non-integer field"),
         ("kg", "0 0 1\n0 0\n0 0 99\n", "2: expected 3 fields, got 2"),  # width, then entity range
         ("kg", "0 0 1\n\t0 0 99\n0 0\n", "2: entity id 99 out of range for num_entities=10"),
         ("kg", "0 0 1\n0 1 1 1\n0 +1 99\n", "2: expected 3 fields, got 4"),
@@ -656,6 +652,44 @@ def test_load_items_accepts_only_ascii_digit_ids(tmp_path, head):
     with pytest.raises(DatasetError) as err:
         load_items(p)
     assert str(err.value) == f"{p}:2: non-integer item id"
+
+
+def test_split_file_range_checks_long_ids_from_their_digits(tmp_path):
+    p = tmp_path / "train.txt"
+    p.write_text("0 00000000000000000012 9223372036854775807 0009223372036854775807\n")
+    assert load_split_file(p)[1].tolist() == [12, 2**63 - 1, 2**63 - 1]
+    p.write_text("0 1\n1 00009223372036854775808 99999999999999999999\n")
+    with pytest.raises(DatasetError, match="train.txt:2: id 99999999999999999999 does not fit in int64$"):
+        load_split_file(p)
+
+
+@pytest.mark.parametrize("head, message", [("+7", "non-integer field"), ("1_0", "non-integer field"),
+                                           ("\u0663", "non-integer field"), ("\uff13", "non-integer field"),
+                                           ("-0", "negative id")])
+def test_split_file_ids_are_ascii_digits_only(tmp_path, head, message):
+    p = tmp_path / "train.txt"
+    p.write_text(f"0 1\n1 {head}\n", encoding="utf-8")
+    with pytest.raises(DatasetError) as err:
+        load_split_file(p)
+    assert str(err.value) == f"{p}:2: {message}"
+
+
+def _read_any(name, path):
+    return {"train.txt": load_split_file, "kg.txt": data._read_kg, "items.tsv": load_items,
+            "emb.txt": read_embeddings}[name](path)
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "lone-cr"])
+@pytest.mark.parametrize("name, lines", [("train.txt", ["0 1", "1 2", "2 3 \xff"]),
+                                         ("kg.txt", ["0 0 1", "1 0 2", "2 0 \xff"]),
+                                         ("items.tsv", ["0\ta", "1\tb", "2\tc\xff"]),
+                                         ("emb.txt", ["EMB1 item 2 1", "0 1", "1 \xff"])])
+def test_a_byte_that_is_not_utf8_is_named_on_its_line(tmp_path, name, lines, ending):
+    p = tmp_path / name
+    p.write_bytes("".join(line + ending for line in lines).encode("latin-1"))
+    with pytest.raises(DatasetError) as err:
+        _read_any(name, p)
+    assert str(err.value) == f"{p}:3: not UTF-8"
 
 
 def _fails_after(rows):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 from conftest import SRC
 
-LINE_BUDGET = 3428  # `wc -l src/kgrec/*.py` at the seed of the round
+LINE_BUDGET = 3406  # `wc -l src/kgrec/*.py` once each text reader had one route
 
 
 def test_library_stays_within_the_line_budget():

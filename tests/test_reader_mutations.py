@@ -32,6 +32,8 @@ MUTATIONS = {
     "nan": _insert(b" nan"),
     "delete-range": lambda raw, p, q, bit: raw[:p] + raw[q:],
     "duplicate-tail": lambda raw, p, q, bit: raw + raw[p:],
+    "plus-seven": _insert(b" +7"),  # id spellings outside the ASCII-digit rule
+    "arabic-indic-digit": _insert(" \u0663".encode()),
 }
 
 DATASET_FILES = (*SPLIT_FILES.values(), "kg.txt", "items.tsv")
